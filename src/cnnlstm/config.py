@@ -12,6 +12,7 @@ from .errors import ConfigError
 from .model import ModelConfig
 from .optim import OptimConfig
 from .pipeline import PrepareConfig
+from .textio import float_tuple, int_tuple
 from .training import TrainConfig
 
 
@@ -24,14 +25,6 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"expected on/off, got {raw!r}")
 
 
-def _int_tuple(raw: str):
-    return tuple(int(v) for v in raw.split(","))
-
-
-def _float_tuple(raw: str):
-    return tuple(float(v) for v in raw.split(","))
-
-
 # key -> (parser, default)
 SCHEMA = {
     # pipeline
@@ -40,13 +33,13 @@ SCHEMA = {
     "corr_threshold": (float, 0.5),
     "pca": (_bool, True),
     "pca_variance": (float, 0.95),
-    "split_ratios": (_float_tuple, (0.7, 0.2, 0.1)),
+    "split_ratios": (float_tuple, (0.7, 0.2, 0.1)),
     "split_mode": (str, "chronological"),
     # model
-    "conv_filters": (_int_tuple, (32, 64, 64)),
+    "conv_filters": (int_tuple, (32, 64, 64)),
     "kernel_width": (int, 3),
     "pool_window": (int, 2),
-    "lstm_units": (_int_tuple, (64, 64, 64)),
+    "lstm_units": (int_tuple, (64, 64, 64)),
     "dropout_rate": (float, 0.2),
     # training
     "epochs": (int, 50),
@@ -160,6 +153,6 @@ def load_config(path=None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, origin=str(path))

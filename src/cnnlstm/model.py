@@ -27,7 +27,7 @@ from .errors import (
 from .layers import GATES, Conv1dParams, DenseParams, LstmParams
 from .optim import mse
 from .pipeline import PreprocessState, preprocess_lines, read_preprocess_block
-from .textio import LineReader, array_lines, parse_kv
+from .textio import LineReader, array_lines, int_tuple
 
 CKPT_MAGIC = "CNNLSTM-CKPT"
 CKPT_VERSION = "v1"
@@ -329,7 +329,7 @@ def load(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointFormatError(f"cannot read checkpoint {path}: {exc}") from None
     reader = LineReader(text, str(path))
     head = reader.next().split()
@@ -339,22 +339,15 @@ def load(path):
         raise CheckpointVersionError(
             f"{path}: unsupported checkpoint version {' '.join(head[1:])!r}"
         )
-
-    def kv(key):
-        got, value = parse_kv(reader.next(), reader)
-        if got != key:
-            raise reader.error(f"expected key {key!r}, got {got!r}")
-        return value
-
     config = ModelConfig(
-        features=int(kv("features")),
-        lookback=int(kv("lookback")),
-        conv_filters=tuple(int(v) for v in kv("conv_filters").split(",")),
-        kernel_width=int(kv("kernel_width")),
-        pool_window=int(kv("pool_window")),
-        lstm_units=tuple(int(v) for v in kv("lstm_units").split(",")),
-        dropout_rate=float(kv("dropout_rate")),
-        seed=int(kv("seed")),
+        features=reader.expect("features", int),
+        lookback=reader.expect("lookback", int),
+        conv_filters=reader.expect("conv_filters", int_tuple),
+        kernel_width=reader.expect("kernel_width", int),
+        pool_window=reader.expect("pool_window", int),
+        lstm_units=reader.expect("lstm_units", int_tuple),
+        dropout_rate=reader.expect("dropout_rate", float),
+        seed=reader.expect("seed", int),
     ).validate()
     preprocess = read_preprocess_block(reader)
     params = {}
@@ -364,7 +357,7 @@ def load(path):
             raise reader.error(f"expected 'param {name} ...', got {' '.join(header)!r}")
         if header[1] != name:
             raise reader.error(f"expected parameter {name!r}, got {header[1]!r}")
-        stored = tuple(int(d) for d in header[2].split(","))
+        stored = reader.convert(header[2], int_tuple, f"{name} shape")
         if stored != shape:
             raise CheckpointShapeError(
                 f"{path}: parameter {name} has shape {stored}, config implies {shape}"

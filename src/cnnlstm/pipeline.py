@@ -26,7 +26,7 @@ from .errors import (
     DataError,
     PipelineError,
 )
-from .textio import LineReader, array_lines, fmt_vector, parse_kv
+from .textio import LineReader, array_lines, float_tuple, fmt_vector
 
 OHLCV_COLUMNS = ("open", "high", "low", "close", "volume")
 CSV_HEADER = ("Date", "Open", "High", "Low", "Close", "Volume")
@@ -80,9 +80,11 @@ def load_ohlcv(path) -> OhlcvSeries:
     ISO-8601; an empty numeric cell becomes a missing marker. Errors name
     the offending line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     if tuple(c.strip() for c in rows[0]) != CSV_HEADER:
@@ -90,49 +92,57 @@ def load_ohlcv(path) -> OhlcvSeries:
             f"{path}, line 1: expected header {','.join(CSV_HEADER)!r}, "
             f"got {','.join(rows[0])!r}"
         )
-    parsed = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
+    body = [row for row in rows[1:] if row]
+    lines = np.flatnonzero(list(map(len, rows[1:]))) + 2  # file line of each row of body
+    # parse every date and every cell in one call each; only a failure
+    # walks the rows one by one, to report the first bad row as it reads
+    if set(map(len, body)) - {6}:
+        _raise_first_bad_row(path, body, lines)
+    try:
+        dates = list(map(_date.fromisoformat, [row[0].strip() for row in body]))
+        cells = [cell.strip() or "nan" for row in body for cell in row[1:]]
+        data = np.array(cells, dtype=np.float64).reshape(-1, len(OHLCV_COLUMNS))
+    except ValueError:
+        _raise_first_bad_row(path, body, lines)
+        raise
+    if not body:
+        raise DataError(f"{path}: no data rows")
+
+    ordinals = np.array(list(map(_date.toordinal, dates)))
+    order = np.argsort(ordinals, kind="stable")
+    repeats = np.flatnonzero(np.diff(ordinals[order]) == 0) + 1
+    if repeats.size:
+        # within a run of equal dates the stable sort keeps file order, so
+        # the repeat that comes first in the file follows its first sighting
+        k = repeats[np.argmin(order[repeats])]
+        raise DataError(
+            f"{path}, line {lines[order[k]]}: duplicate date {dates[order[k]].isoformat()} "
+            f"(first seen on line {lines[order[k - 1]]})"
+        )
+    data = data[order]
+    columns = {name: np.ascontiguousarray(data[:, j]) for j, name in enumerate(OHLCV_COLUMNS)}
+    if not np.isfinite(columns["close"]).any():
+        raise DataError(f"{path}: close column has no observed values")
+    return OhlcvSeries(dates=[dates[i] for i in order.tolist()], columns=columns)
+
+
+def _raise_first_bad_row(path, body, lines):
+    """Raise the error a row-by-row parse of the data rows stops at."""
+    for lineno, row in zip(lines.tolist(), body):
         if len(row) != 6:
             raise DataError(f"{path}, line {lineno}: expected 6 cells, got {len(row)}")
         try:
-            day = _date.fromisoformat(row[0].strip())
+            _date.fromisoformat(row[0].strip())
         except ValueError:
-            raise DataError(
-                f"{path}, line {lineno}: unparseable date {row[0]!r}"
-            ) from None
-        values = []
+            raise DataError(f"{path}, line {lineno}: unparseable date {row[0]!r}") from None
         for name, cell in zip(OHLCV_COLUMNS, row[1:]):
             cell = cell.strip()
-            if cell == "":
-                values.append(math.nan)
-                continue
             try:
-                values.append(float(cell))
+                np.array([cell or "nan"], dtype=np.float64)
             except ValueError:
                 raise DataError(
                     f"{path}, line {lineno}: unparseable number {cell!r} in column {name}"
                 ) from None
-        parsed.append((day, lineno, values))
-
-    seen = {}
-    for day, lineno, _ in parsed:
-        if day in seen:
-            raise DataError(
-                f"{path}, line {lineno}: duplicate date {day.isoformat()} "
-                f"(first seen on line {seen[day]})"
-            )
-        seen[day] = lineno
-    parsed.sort(key=lambda item: item[0])
-    dates = [item[0] for item in parsed]
-    data = np.array([item[2] for item in parsed], dtype=np.float64)
-    if data.size == 0:
-        raise DataError(f"{path}: no data rows")
-    columns = {name: np.ascontiguousarray(data[:, j]) for j, name in enumerate(OHLCV_COLUMNS)}
-    if not np.isfinite(columns["close"]).any():
-        raise DataError(f"{path}: close column has no observed values")
-    return OhlcvSeries(dates=dates, columns=columns)
 
 
 def clean_three_sigma(series: OhlcvSeries) -> OhlcvSeries:
@@ -502,6 +512,11 @@ class PrepareConfig:
             raise ConfigError("lookback and horizon must be >= 1")
         if not 0.0 <= self.corr_threshold <= 1.0:
             raise ConfigError(f"corr_threshold must be in [0,1], got {self.corr_threshold}")
+        if len(self.ratios) != 3 or not all(r >= 0.0 for r in self.ratios):
+            raise ConfigError(
+                f"split ratios must be three non-negative shares (train, val, test), "
+                f"got {self.ratios}"
+            )
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {self.ratios}")
         if self.split_mode not in ("chronological", "random"):
@@ -565,11 +580,19 @@ class PreparedData:
 
 
 def training_rows(length: int, train_idx, lookback: int, horizon: int) -> np.ndarray:
-    """Frame rows covered by training windows (inputs and targets)."""
-    mask = np.zeros(length, dtype=bool)
-    for i in train_idx:
-        mask[i : i + lookback] = True
-        mask[i + lookback + horizon - 1] = True
+    """Frame rows covered by training windows (inputs and targets).
+
+    Window ``i`` reads rows ``[i, i + lookback)`` and its target row
+    ``i + lookback + horizon - 1``, which must lie below ``length``.
+    """
+    starts = np.asarray(train_idx, dtype=np.intp)
+    # +1 where a window's inputs begin, -1 one past where they end: the
+    # running sum counts the windows that read each row
+    edges = np.bincount(starts, minlength=length + 1) - np.bincount(
+        starts + lookback, minlength=length + 1
+    )
+    mask = np.cumsum(edges[:length]) > 0
+    mask[starts + lookback + horizon - 1] = True
     return np.nonzero(mask)[0]
 
 
@@ -670,11 +693,8 @@ def preprocess_lines(state: PreprocessState) -> list:
     return lines
 
 
-def _expect_kv(reader: LineReader, key: str) -> str:
-    got, value = parse_kv(reader.next(), reader)
-    if got != key:
-        raise reader.error(f"expected key {key!r}, got {got!r}")
-    return value
+def _names(value: str) -> tuple:
+    return tuple(value.split(","))
 
 
 def _expect_vector(reader: LineReader, key: str, count: int) -> np.ndarray:
@@ -685,36 +705,34 @@ def _expect_vector(reader: LineReader, key: str, count: int) -> np.ndarray:
     parts = rest.split()
     if len(parts) != count:
         raise reader.error(f"{key}: expected {count} values, got {len(parts)}")
-    try:
-        return np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError:
-        raise reader.error(f"{key}: unparseable value") from None
+    return reader.read_floats(count, parts)
 
 
 def read_preprocess_block(reader: LineReader) -> PreprocessState:
     if reader.next() != "[preprocessing]":
         raise reader.error("expected [preprocessing] section")
-    horizon = int(_expect_kv(reader, "horizon"))
-    selected = tuple(_expect_kv(reader, "selected").split(","))
-    scaler_cols = tuple(_expect_kv(reader, "scaler_columns").split(","))
+    horizon = reader.expect("horizon", int)
+    selected = reader.expect("selected", _names)
+    scaler_cols = reader.expect("scaler_columns", _names)
     mins = _expect_vector(reader, "scaler_min", len(scaler_cols))
     maxs = _expect_vector(reader, "scaler_max", len(scaler_cols))
     scaler = ScalerState(columns=scaler_cols, mins=mins, maxs=maxs)
-    pca_flag = _expect_kv(reader, "pca")
+    pca_flag = reader.expect("pca")
     if pca_flag == "off":
         pca_state = None
     elif pca_flag == "on":
-        cols = tuple(_expect_kv(reader, "pca_columns").split(","))
+        cols = reader.expect("pca_columns", _names)
         d = len(cols)
         mean = _expect_vector(reader, "pca_mean", d)
         std = _expect_vector(reader, "pca_std", d)
         evals = _expect_vector(reader, "pca_eigenvalues", d)
-        k = int(_expect_kv(reader, "pca_components"))
-        explained = float(_expect_kv(reader, "pca_explained"))
+        k = reader.expect("pca_components", int)
+        explained = reader.expect("pca_explained", float)
         header = reader.next().split()
         if header[:1] != ["pca_basis"] or len(header) != 3:
             raise reader.error("expected pca_basis <k> <d>")
-        bk, bd = int(header[1]), int(header[2])
+        bk = reader.convert(header[1], int, "pca_basis rows")
+        bd = reader.convert(header[2], int, "pca_basis columns")
         if bk != k or bd != d:
             raise reader.error(f"pca_basis dims {bk}x{bd} disagree with {k}x{d}")
         basis = reader.read_floats(k * d).reshape(k, d)
@@ -762,21 +780,20 @@ def save_dataset(prepared: PreparedData, cfg: PrepareConfig, path):
     lines.append(f"rows={len(frame)}")
     lines.append(f"columns={','.join(frame.columns)}")
     lines.append("dates")
-    lines.extend(
-        " ".join(d.isoformat() for d in frame.dates[i : i + 8])
-        for i in range(0, len(frame.dates), 8)
-    )
+    lines.extend(_token_lines(list(map(_date.isoformat, frame.dates)), 8))
     for name, col in frame.columns.items():
         lines.append(f"column {name}")
         lines.extend(array_lines(col))
     lines.append("[split]")
     for name, idx in (("train", ds.train_idx), ("val", ds.val_idx), ("test", ds.test_idx)):
         lines.append(f"{name} {idx.size}")
-        lines.extend(
-            " ".join(str(int(v)) for v in idx[i : i + 16]) for i in range(0, idx.size, 16)
-        )
+        lines.extend(_token_lines(list(map(str, idx.tolist())), 16))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _token_lines(tokens: list, per_line: int) -> list:
+    return [" ".join(tokens[i : i + per_line]) for i in range(0, len(tokens), per_line)]
 
 
 def load_dataset(path):
@@ -787,7 +804,7 @@ def load_dataset(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from None
     reader = LineReader(text, str(path))
     head = reader.next().split()
@@ -800,31 +817,23 @@ def load_dataset(path):
             f"{path}: unsupported dataset version {' '.join(head[1:])!r}"
         )
     cfg = PrepareConfig(
-        lookback=int(_expect_kv(reader, "lookback")),
-        horizon=int(_expect_kv(reader, "horizon")),
-        corr_threshold=float(_expect_kv(reader, "corr_threshold")),
-        pca=_expect_kv(reader, "pca") == "on",
-        pca_variance=float(_expect_kv(reader, "pca_variance")),
-        ratios=tuple(float(r) for r in _expect_kv(reader, "split_ratios").split(",")),
-        split_mode=_expect_kv(reader, "split_mode"),
-        seed=int(_expect_kv(reader, "seed")),
+        lookback=reader.expect("lookback", int),
+        horizon=reader.expect("horizon", int),
+        corr_threshold=reader.expect("corr_threshold", float),
+        pca=reader.expect("pca") == "on",
+        pca_variance=reader.expect("pca_variance", float),
+        ratios=reader.expect("split_ratios", float_tuple),
+        split_mode=reader.expect("split_mode"),
+        seed=reader.expect("seed", int),
     )
     preprocess = read_preprocess_block(reader)
     if reader.next() != "[frame]":
         raise reader.error("expected [frame] section")
-    rows = int(_expect_kv(reader, "rows"))
-    names = _expect_kv(reader, "columns").split(",")
+    rows = reader.expect("rows", int)
+    names = reader.expect("columns", _names)
     if reader.next() != "dates":
         raise reader.error("expected dates block")
-    dates = []
-    while len(dates) < rows:
-        for token in reader.next().split():
-            try:
-                dates.append(_date.fromisoformat(token))
-            except ValueError:
-                raise reader.error(f"unparseable date {token!r}") from None
-    if len(dates) != rows:
-        raise reader.error(f"expected {rows} dates, got {len(dates)}")
+    dates = reader.read_dates(rows)
     columns = {}
     for name in names:
         header = reader.next().split()
@@ -839,8 +848,13 @@ def load_dataset(path):
         header = reader.next().split()
         if len(header) != 2 or header[0] != name:
             raise reader.error(f"expected '{name} <count>'")
-        split_sets[name] = reader.read_ints(int(header[1]))
+        split_sets[name] = reader.read_ints(reader.convert(header[1], int, f"{name} count"))
     dataset = make_windows(frame, cfg.lookback, cfg.horizon)
+    for name, idx in split_sets.items():
+        if idx.size and not 0 <= idx.min() <= idx.max() < dataset.n:
+            raise CheckpointFormatError(
+                f"{path}: {name} split indexes outside the {dataset.n} windows"
+            )
     dataset = replace(
         dataset,
         train_idx=split_sets["train"],

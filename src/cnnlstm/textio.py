@@ -2,7 +2,12 @@
 
 Floats are written with 17 significant digits, which round-trips binary64
 exactly; arrays are whitespace-separated values wrapped for readability.
+Values are formatted a whole line at a time and parsed a whole block at a
+time; a block is scanned value by value only when it fails to parse, to
+name the line and token at fault.
 """
+
+from datetime import date
 
 import numpy as np
 
@@ -15,16 +20,45 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_values(values: list) -> str:
+    # "%.17g" formats a float exactly as format(x, ".17g") does
+    return " ".join(["%.17g"] * len(values)) % tuple(values)
+
+
+_FULL_LINE = " ".join(["%.17g"] * VALUES_PER_LINE)
+
+
 def fmt_vector(values) -> str:
-    return " ".join(fmt_float(v) for v in np.asarray(values, dtype=np.float64).ravel())
+    return _fmt_values(np.asarray(values, dtype=np.float64).ravel().tolist())
 
 
 def array_lines(arr: np.ndarray) -> list:
-    flat = np.asarray(arr, dtype=np.float64).ravel()
-    return [
-        fmt_vector(flat[i : i + VALUES_PER_LINE])
-        for i in range(0, flat.size, VALUES_PER_LINE)
+    flat = np.asarray(arr, dtype=np.float64).ravel().tolist()
+    full = len(flat) - len(flat) % VALUES_PER_LINE
+    lines = [
+        _FULL_LINE % tuple(flat[i : i + VALUES_PER_LINE])
+        for i in range(0, full, VALUES_PER_LINE)
     ]
+    if full < len(flat):
+        lines.append(_fmt_values(flat[full:]))
+    return lines
+
+
+# Block parsers: each turns a list of tokens into values in one call and
+# raises ValueError or OverflowError if any token is bad. numpy converts
+# strings with Python's float() and int().
+
+
+def _floats(tokens: list) -> np.ndarray:
+    return np.array(tokens, dtype=np.float64)
+
+
+def _ints(tokens: list) -> np.ndarray:
+    return np.array(tokens, dtype=np.int64)
+
+
+def _dates(tokens: list) -> list:
+    return list(map(date.fromisoformat, tokens))
 
 
 class LineReader:
@@ -35,14 +69,14 @@ class LineReader:
         self.pos = 0
         self.what = what
 
-    def error(self, message: str) -> CheckpointFormatError:
-        return CheckpointFormatError(f"{self.what}, line {self.pos}: {message}")
+    def error(self, message: str, line: int = None) -> CheckpointFormatError:
+        """An error at ``line`` (1-based), by default the line last read."""
+        return CheckpointFormatError(
+            f"{self.what}, line {self.pos if line is None else line}: {message}"
+        )
 
     def eof(self) -> bool:
         return self.pos >= len(self.lines)
-
-    def peek(self):
-        return None if self.eof() else self.lines[self.pos]
 
     def next(self) -> str:
         if self.eof():
@@ -51,36 +85,81 @@ class LineReader:
         self.pos += 1
         return line
 
-    def read_floats(self, count: int) -> np.ndarray:
-        """Consume whitespace-separated floats across lines until count is met."""
-        out = np.empty(count, dtype=np.float64)
-        filled = 0
-        while filled < count:
-            parts = self.next().split()
-            if filled + len(parts) > count:
-                raise self.error(f"expected {count} values, got more")
-            for p in parts:
-                try:
-                    out[filled] = float(p)
-                except ValueError:
-                    raise self.error(f"unparseable value {p!r}") from None
-                filled += 1
-        return out
+    def expect(self, key: str, parse=str):
+        """The value of the next line, which must be ``key=value``, run through ``parse``."""
+        got, value = parse_kv(self.next(), self)
+        if got != key:
+            raise self.error(f"expected key {key!r}, got {got!r}")
+        return self.convert(value, parse, key)
+
+    def convert(self, value: str, parse, what: str):
+        """``parse(value)``; if it fails, an error at the line last read naming ``what``."""
+        try:
+            return parse(value)
+        except ValueError:
+            raise self.error(f"bad value for {what}: {value!r}") from None
+
+    def read_floats(self, count: int, tokens=()) -> np.ndarray:
+        """Consume whitespace-separated floats across lines until count is met.
+
+        ``tokens`` are values already split from the line last read; further
+        lines are read only while fewer than ``count`` are in hand.
+        """
+        return self._read_values(count, _floats, "value", tokens)
 
     def read_ints(self, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            parts = self.next().split()
-            if filled + len(parts) > count:
-                raise self.error(f"expected {count} values, got more")
-            for p in parts:
+        return self._read_values(count, _ints, "integer")
+
+    def read_dates(self, count: int) -> list:
+        """Consume ISO-8601 dates across lines until count is met."""
+        return self._read_values(count, _dates, "date")
+
+    def _read_values(self, count: int, parse, kind: str, tokens=()):
+        """Gather ``count`` tokens line by line, then ``parse`` them in one call.
+
+        A block that fails is scanned again token by token, so the error is
+        the one a value-by-value reader stops at: the first bad token on a
+        line within ``count``, else the end of the file or the line that
+        went past ``count``.
+        """
+        first = self.pos  # the line ``tokens`` came from
+        tokens = list(tokens)
+        ends = [len(tokens)]  # tokens in hand after each line of the block
+        try:
+            while len(tokens) < count:
+                tokens += self.next().split()
+                ends.append(len(tokens))
+        except CheckpointFormatError:
+            self._raise_bad_token(tokens, ends, first, count, parse, kind)
+            raise
+        if len(tokens) == count:
+            try:
+                return parse(tokens)
+            except (ValueError, OverflowError):
+                pass
+        self._raise_bad_token(tokens, ends, first, count, parse, kind)
+        raise self.error(f"expected {count} values, got more")
+
+    def _raise_bad_token(self, tokens, ends, first, count, parse, kind):
+        start = 0
+        for line, end in enumerate(ends, start=first):
+            if end > count:
+                return
+            for token in tokens[start:end]:
                 try:
-                    out[filled] = int(p)
-                except ValueError:
-                    raise self.error(f"unparseable integer {p!r}") from None
-                filled += 1
-        return out
+                    parse([token])
+                except (ValueError, OverflowError):
+                    raise self.error(f"unparseable {kind} {token!r}", line) from None
+            start = end
+
+
+def int_tuple(value: str) -> tuple:
+    """Comma-separated integers, as config values and shapes are written."""
+    return tuple(int(v) for v in value.split(","))
+
+
+def float_tuple(value: str) -> tuple:
+    return tuple(float(v) for v in value.split(","))
 
 
 def parse_kv(line: str, reader: LineReader):

@@ -115,3 +115,46 @@ def pearson(x, y):
     vx = sum((a - mx) ** 2 for a in x)
     vy = sum((b - my) ** 2 for b in y)
     return cov / math.sqrt(vx * vy)
+
+
+def reference_array_lines(values, per_line=8):
+    """The text writer value by value: 17 significant digits, ``per_line`` to a line."""
+    flat = [float(v) for v in np.asarray(values, dtype=np.float64).ravel()]
+    return [
+        " ".join(format(v, ".17g") for v in flat[i : i + per_line])
+        for i in range(0, len(flat), per_line)
+    ]
+
+
+def reference_read_values(lines, count, convert=float):
+    """The text reader value by value over ``lines``, each converted by ``convert``.
+
+    Returns the values, or raises ``ValueError(lineno, message)`` with the
+    1-based line at fault, stopping where a reader that checks each line's
+    count and then each of its tokens in turn would stop.
+    """
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if len(out) >= count:
+            break
+        parts = line.split()
+        if len(out) + len(parts) > count:
+            raise ValueError(lineno, f"expected {count} values, got more")
+        for p in parts:
+            try:
+                out.append(convert(p))
+            except (ValueError, OverflowError):
+                raise ValueError(lineno, f"unparseable token {p!r}") from None
+    if len(out) < count:
+        raise ValueError(None, "unexpected end of file")
+    return out
+
+
+def reference_training_rows(length, train_idx, lookback, horizon):
+    """Rows read by training windows, marked window by window."""
+    mask = [False] * length
+    for i in train_idx:
+        for r in range(i, i + lookback):
+            mask[r] = True
+        mask[i + lookback + horizon - 1] = True
+    return [r for r in range(length) if mask[r]]

@@ -1,0 +1,67 @@
+"""Bad input reaches the CLI as exit status 2 with a one-line error, never a traceback."""
+
+import pytest
+
+from cnnlstm.cli import main
+from cnnlstm.synth import synthetic_ohlcv, write_csv
+
+SMALL = "lookback=8\ncorr_threshold=0.3\n"
+
+
+@pytest.fixture
+def prepared(tmp_path):
+    write_csv(synthetic_ohlcv(rows=160, seed=3), tmp_path / "prices.csv")
+    (tmp_path / "run.cfg").write_text(SMALL)
+    status = main(["prepare", "--input", str(tmp_path / "prices.csv"),
+                   "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "data.txt")])
+    assert status == 0
+    return tmp_path
+
+
+def assert_input_error(capsys, argv, fragment):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
+def test_prepare_missing_input(tmp_path, capsys):
+    assert_input_error(
+        capsys,
+        ["prepare", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "d.txt")],
+        "missing.csv",
+    )
+
+
+def test_prepare_rejects_two_split_ratios(prepared, capsys):
+    (prepared / "two.cfg").write_text(SMALL + "split_ratios=0.5,0.5\n")
+    assert_input_error(
+        capsys,
+        ["prepare", "--input", str(prepared / "prices.csv"), "--config", str(prepared / "two.cfg"),
+         "--out", str(prepared / "d2.txt")],
+        "three non-negative",
+    )
+
+
+def test_train_rejects_out_of_range_split_index(prepared, capsys):
+    path = prepared / "data.txt"
+    lines = path.read_text().splitlines()
+    at = lines.index("[split]") + 2
+    lines[at] = "99999999999999999999999 " + lines[at].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    assert_input_error(
+        capsys,
+        ["train", "--data", str(path), "--config", str(prepared / "run.cfg"),
+         "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
+        f"line {at + 1}: unparseable integer",
+    )
+
+
+def test_predict_rejects_non_integer_checkpoint_value(prepared, capsys):
+    ckpt = prepared / "model.ckpt"
+    ckpt.write_text("CNNLSTM-CKPT v1\nfeatures=abc\n")
+    assert_input_error(
+        capsys,
+        ["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")],
+        "line 2: bad value for features: 'abc'",
+    )

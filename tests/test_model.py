@@ -275,6 +275,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load(path)
 
+    def test_non_integer_config_value_names_its_line(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save(build(verification_config(seed=3)), make_preprocess(), path)
+        path.write_text(path.read_text().replace("features=3\n", "features=abc\n"))
+        with pytest.raises(CheckpointFormatError, match=r"line 2: bad value for features: 'abc'"):
+            load(path)
+
     def test_shape_disagreement(self, tmp_path):
         m = build(verification_config(seed=3))
         path = tmp_path / "model.ckpt"

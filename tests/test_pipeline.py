@@ -4,7 +4,13 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from cnnlstm.errors import CompatibilityError, ConfigError, DataError, PipelineError
+from cnnlstm.errors import (
+    CheckpointFormatError,
+    CompatibilityError,
+    ConfigError,
+    DataError,
+    PipelineError,
+)
 from cnnlstm.pipeline import (
     FeatureFrame,
     OhlcvSeries,
@@ -114,6 +120,55 @@ class TestLoadOhlcv:
         path.write_text("")
         with pytest.raises(DataError):
             load_ohlcv(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_ohlcv(tmp_path / "missing.csv")
+
+    def test_bad_cell_deep_in_a_long_file_names_line_and_column(self, tmp_path):
+        days_ = days(15000)
+        rows = [f"{d.isoformat()},1,2,0.5,1.5,100" for d in days_]
+        rows[14998] = f"{days_[14998].isoformat()},1,2,0.5,1.5,1e5x"  # row 15,000 is line 15,000
+        path = self.write(tmp_path, "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"line 15000: unparseable number '1e5x' in column volume"):
+            load_ohlcv(path)
+
+    def test_first_bad_row_wins_whatever_its_fault(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "2020-01-01,1,2,0.5,1.5,100\n"
+            "2020-01-02,1,2,0.5,1.5\n"
+            "2020-01-03,1,x,0.5,1.5,100\n",
+        )
+        with pytest.raises(DataError, match=r"line 3: expected 6 cells, got 5"):
+            load_ohlcv(path)
+        path = self.write(tmp_path, "2020-01-01,1,2,y,1.5,100\n2020-02-30,1,2,0.5,1.5,100\n")
+        with pytest.raises(DataError, match=r"line 2: unparseable number 'y' in column low"):
+            load_ohlcv(path)
+
+    def test_duplicate_dates_in_unsorted_file_name_both_lines(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "2020-01-05,1,2,0.5,1.5,100\n"
+            "2020-01-03,1,2,0.5,1.5,100\n"
+            "\n"
+            "2020-01-04,1,2,0.5,1.5,100\n"
+            "2020-01-03,1,2,0.5,1.6,100\n"
+            "2020-01-01,1,2,0.5,1.5,100\n"
+            "2020-01-01,1,2,0.5,1.5,100\n"
+            "2020-01-03,1,2,0.5,1.5,100\n",
+        )
+        with pytest.raises(
+            DataError, match=r"line 6: duplicate date 2020-01-03 \(first seen on line 3\)"
+        ):
+            load_ohlcv(path)
+
+    def test_blank_lines_and_padded_cells(self, tmp_path):
+        path = self.write(tmp_path, "\n2020-01-02, 1.5 ,2,  ,2,110\n\n 2020-01-01 ,1,2,0.5,1.5,100\n")
+        s = load_ohlcv(path)
+        assert s.dates == [date(2020, 1, 1), date(2020, 1, 2)]
+        assert np.array_equal(s.columns["open"], [1.0, 1.5])
+        assert np.isnan(s.columns["low"][1])
 
 
 class TestCleanThreeSigma:
@@ -480,6 +535,12 @@ class TestPrepareDataset:
         with pytest.raises(PipelineError):
             prepare_dataset(synthetic_ohlcv(rows=15, seed=2), small_prepare_config())
 
+    @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.7, 0.2, 0.05, 0.05), (1.1, -0.2, 0.1),
+                                        (math.nan, 0.5, 0.5)])
+    def test_split_ratios_must_be_three_non_negative_shares(self, ratios):
+        with pytest.raises(ConfigError, match="three non-negative"):
+            small_prepare_config(ratios=ratios).validate()
+
     def test_pca_off_keeps_selected_columns(self):
         prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config(pca=False))
         assert prepared.dataset.feature_names == prepared.preprocess.selected
@@ -502,6 +563,36 @@ class TestDatasetCache:
         assert np.array_equal(loaded.preprocess.pca.basis, prepared.preprocess.pca.basis)
         assert cfg2.lookback == cfg.lookback
         assert cfg2.split_mode == cfg.split_mode
+
+    def cache_lines(self, tmp_path):
+        prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config())
+        path = tmp_path / "data.txt"
+        save_dataset(prepared, small_prepare_config(), path)
+        return path, path.read_text().splitlines()
+
+    def test_bad_integer_names_its_line(self, tmp_path):
+        path, lines = self.cache_lines(tmp_path)
+        at = lines.index("lookback=8")
+        lines[at] = "lookback=abc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointFormatError, match=rf"line {at + 1}: bad value for lookback: 'abc'"):
+            load_dataset(path)
+
+    def test_out_of_range_split_integer(self, tmp_path):
+        path, lines = self.cache_lines(tmp_path)
+        at = lines.index("[split]") + 2
+        lines[at] = "99999999999999999999999 " + lines[at].split(" ", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointFormatError, match=rf"line {at + 1}: unparseable integer"):
+            load_dataset(path)
+
+    def test_split_index_past_the_windows(self, tmp_path):
+        path, lines = self.cache_lines(tmp_path)
+        at = lines.index("[split]") + 2
+        lines[at] = "9999 " + lines[at].split(" ", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointFormatError, match="train split indexes outside"):
+            load_dataset(path)
 
     def test_save_is_byte_stable(self, tmp_path):
         prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config())
