@@ -27,10 +27,10 @@ from .errors import (
 from .layers import GATES, Conv1dParams, DenseParams, LstmParams
 from .optim import mse
 from .pipeline import PreprocessState, preprocess_lines, read_preprocess_block
-from .textio import LineReader, array_lines, int_tuple
+from .textio import LineReader, array_lines, int_tuple, write_lines
 
 CKPT_MAGIC = "CNNLSTM-CKPT"
-CKPT_VERSION = "v1"
+CKPT_VERSION = "v2"
 
 
 @dataclass
@@ -302,7 +302,12 @@ def grad_check(model: Model, batch, targets=None, eps: float = 1e-6, rng_seed: i
 
 
 def save(model: Model, preprocess: PreprocessState, path):
-    """Write config echo, preprocessing state, and all parameters as text."""
+    """Write config echo, preprocessing state, and all parameters.
+
+    The header and preprocessing state are text; each parameter is one
+    binary64 block line (see ``textio``). A failed save leaves any previous
+    file at ``path`` untouched.
+    """
     cfg = model.config
     lines = [f"{CKPT_MAGIC} {CKPT_VERSION}"]
     lines.append(f"features={cfg.features}")
@@ -317,8 +322,7 @@ def save(model: Model, preprocess: PreprocessState, path):
     for name, shape in parameter_shapes(cfg).items():
         lines.append(f"param {name} {','.join(str(d) for d in shape)}")
         lines.extend(array_lines(model.params[name]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load(path):
@@ -365,7 +369,7 @@ def load(path):
         count = 1
         for d in shape:
             count *= d
-        params[name] = reader.read_floats(count).reshape(shape)
+        params[name] = reader.read_array(count).reshape(shape)
     return Model(config=config, params=params), preprocess
 
 

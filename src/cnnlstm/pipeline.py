@@ -26,7 +26,7 @@ from .errors import (
     DataError,
     PipelineError,
 )
-from .textio import LineReader, array_lines, float_tuple, fmt_vector
+from .textio import LineReader, array_lines, float_tuple, fmt_vector, write_lines
 
 OHLCV_COLUMNS = ("open", "high", "low", "close", "volume")
 CSV_HEADER = ("Date", "Open", "High", "Low", "Close", "Volume")
@@ -735,7 +735,7 @@ def read_preprocess_block(reader: LineReader) -> PreprocessState:
         bd = reader.convert(header[2], int, "pca_basis columns")
         if bk != k or bd != d:
             raise reader.error(f"pca_basis dims {bk}x{bd} disagree with {k}x{d}")
-        basis = reader.read_floats(k * d).reshape(k, d)
+        basis = reader.read_array(k * d).reshape(k, d)
         pca_state = PcaState(
             columns=cols,
             mean=mean,
@@ -753,14 +753,17 @@ def read_preprocess_block(reader: LineReader) -> PreprocessState:
 # --- prepared-dataset cache file ---
 
 DATA_MAGIC = "CNNLSTM-DATA"
-DATA_VERSION = "v1"
+DATA_VERSION = "v2"
 
 
 def save_dataset(prepared: PreparedData, cfg: PrepareConfig, path):
-    """Write the transformed frame, split, and preprocessing state as text.
+    """Write the transformed frame, split, and preprocessing state.
 
-    The windows themselves are not stored; loading rebuilds them from the
-    frame with the echoed lookback/horizon, which is bit-exact.
+    Dates, split indices and the header are text; each column is one
+    binary64 block line (see ``textio``). A failed save leaves any previous
+    file at ``path`` untouched. The windows themselves are not stored;
+    loading rebuilds them from the frame with the echoed lookback/horizon,
+    which is bit-exact.
     """
     ds = prepared.dataset
     frame = prepared.frame
@@ -788,8 +791,7 @@ def save_dataset(prepared: PreparedData, cfg: PrepareConfig, path):
     for name, idx in (("train", ds.train_idx), ("val", ds.val_idx), ("test", ds.test_idx)):
         lines.append(f"{name} {idx.size}")
         lines.extend(_token_lines(list(map(str, idx.tolist())), 16))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _token_lines(tokens: list, per_line: int) -> list:
@@ -839,7 +841,7 @@ def load_dataset(path):
         header = reader.next().split()
         if header != ["column", name]:
             raise reader.error(f"expected 'column {name}', got {' '.join(header)!r}")
-        columns[name] = reader.read_floats(rows)
+        columns[name] = reader.read_array(rows)
     frame = FeatureFrame(dates=dates, columns=columns)
     if reader.next() != "[split]":
         raise reader.error("expected [split] section")

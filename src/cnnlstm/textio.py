@@ -1,47 +1,59 @@
 """Line-oriented text serialization shared by checkpoints and dataset caches.
 
-Floats are written with 17 significant digits, which round-trips binary64
-exactly; arrays are whitespace-separated values wrapped for readability.
-Values are formatted a whole line at a time and parsed a whole block at a
-time; a block is scanned value by value only when it fails to parse, to
-name the line and token at fault.
+A file is a magic-and-version line, ``key=value`` lines, short vectors of
+decimal floats written with 17 significant digits (which round-trips
+binary64 exactly), and bulk float arrays. A bulk array is one line: the
+base64 of its little-endian binary64 bytes in C order, so it round-trips
+bitwise, NaN payloads included, and parses without converting decimal
+text. Integer and date blocks are whitespace-separated tokens, parsed a
+whole block at a time; a block is scanned token by token only when it
+fails to parse, to name the line and token at fault. Files are replaced
+whole, never rewritten in place.
 """
 
+import binascii
+import os
 from datetime import date
 
 import numpy as np
 
 from .errors import CheckpointFormatError
 
-VALUES_PER_LINE = 8
-
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_values(values: list) -> str:
+def fmt_vector(values) -> str:
+    values = np.asarray(values, dtype=np.float64).ravel().tolist()
     # "%.17g" formats a float exactly as format(x, ".17g") does
     return " ".join(["%.17g"] * len(values)) % tuple(values)
 
 
-_FULL_LINE = " ".join(["%.17g"] * VALUES_PER_LINE)
-
-
-def fmt_vector(values) -> str:
-    return _fmt_values(np.asarray(values, dtype=np.float64).ravel().tolist())
-
-
 def array_lines(arr: np.ndarray) -> list:
-    flat = np.asarray(arr, dtype=np.float64).ravel().tolist()
-    full = len(flat) - len(flat) % VALUES_PER_LINE
-    lines = [
-        _FULL_LINE % tuple(flat[i : i + VALUES_PER_LINE])
-        for i in range(0, full, VALUES_PER_LINE)
-    ]
-    if full < len(flat):
-        lines.append(_fmt_values(flat[full:]))
-    return lines
+    """The block of a bulk float array: one line, empty for an empty array."""
+    raw = np.asarray(arr, dtype="<f8").tobytes(order="C")
+    return [binascii.b2a_base64(raw, newline=False).decode("ascii")]
+
+
+def write_lines(path, lines: list):
+    """Write ``lines`` to ``path`` through a temporary file in the same directory.
+
+    The temporary file is moved over ``path`` with ``os.replace`` only once
+    it is complete, so a write that fails or a process that dies part way
+    leaves the previous file as it was. (It does not sync to disk, so it
+    does not guard against a power loss.)
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # Block parsers: each turns a list of tokens into values in one call and
@@ -106,6 +118,16 @@ class LineReader:
         lines are read only while fewer than ``count`` are in hand.
         """
         return self._read_values(count, _floats, "value", tokens)
+
+    def read_array(self, count: int) -> np.ndarray:
+        """The next line as the block of a bulk array of ``count`` floats."""
+        try:
+            raw = binascii.a2b_base64(self.next(), strict_mode=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise self.error(f"bad base64 block: {exc}") from None
+        if len(raw) != 8 * count:
+            raise self.error(f"expected {count} values ({8 * count} bytes), got {len(raw)} bytes")
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
     def read_ints(self, count: int) -> np.ndarray:
         return self._read_values(count, _ints, "integer")

@@ -5,7 +5,9 @@ central differences, eigenpairs from a hand-rolled Jacobi sweep, cleaning
 rules from explicit per-cell loops.
 """
 
+import base64
 import math
+import struct
 
 import numpy as np
 
@@ -117,13 +119,12 @@ def pearson(x, y):
     return cov / math.sqrt(vx * vy)
 
 
-def reference_array_lines(values, per_line=8):
-    """The text writer value by value: 17 significant digits, ``per_line`` to a line."""
-    flat = [float(v) for v in np.asarray(values, dtype=np.float64).ravel()]
-    return [
-        " ".join(format(v, ".17g") for v in flat[i : i + per_line])
-        for i in range(0, len(flat), per_line)
-    ]
+def reference_array_lines(values):
+    """The bulk-array block value by value: each float packed as little-endian
+    binary64 with ``struct``, in C order, the bytes base64-encoded on one line."""
+    flat = [float(v) for v in np.asarray(values, dtype=np.float64).ravel(order="C")]
+    raw = b"".join(struct.pack("<d", v) for v in flat)
+    return [base64.b64encode(raw).decode("ascii")]
 
 
 def reference_read_values(lines, count, convert=float):

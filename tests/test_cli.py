@@ -2,6 +2,7 @@
 
 import pytest
 
+from cnnlstm import model, pipeline
 from cnnlstm.cli import main
 from cnnlstm.synth import synthetic_ohlcv, write_csv
 
@@ -59,9 +60,41 @@ def test_train_rejects_out_of_range_split_index(prepared, capsys):
 
 def test_predict_rejects_non_integer_checkpoint_value(prepared, capsys):
     ckpt = prepared / "model.ckpt"
-    ckpt.write_text("CNNLSTM-CKPT v1\nfeatures=abc\n")
+    ckpt.write_text(f"{model.CKPT_MAGIC} {model.CKPT_VERSION}\nfeatures=abc\n")
     assert_input_error(
         capsys,
         ["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")],
         "line 2: bad value for features: 'abc'",
+    )
+
+
+def as_version_1(path, magic):
+    """Rewrite the file's first line to name version 1 of its format."""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith(f"{magic} ") and lines[0] != f"{magic} v1"
+    lines[0] = f"{magic} v1"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_predict_rejects_version_1_checkpoint(prepared, capsys):
+    data, _ = pipeline.load_dataset(prepared / "data.txt")
+    cfg = model.ModelConfig(features=len(data.dataset.feature_names), lookback=8,
+                            conv_filters=(2, 2, 2), kernel_width=2, pool_window=1, lstm_units=(2, 2, 2))
+    ckpt = prepared / "model.ckpt"
+    model.save(model.build(cfg), data.preprocess, ckpt)
+    as_version_1(ckpt, model.CKPT_MAGIC)
+    assert_input_error(
+        capsys,
+        ["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")],
+        "unsupported checkpoint version 'v1'",
+    )
+
+
+def test_train_rejects_version_1_cache(prepared, capsys):
+    as_version_1(prepared / "data.txt", pipeline.DATA_MAGIC)
+    assert_input_error(
+        capsys,
+        ["train", "--data", str(prepared / "data.txt"), "--config", str(prepared / "run.cfg"),
+         "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
+        "unsupported dataset version 'v1'",
     )

@@ -17,9 +17,11 @@ from cnnlstm.synth import synthetic_ohlcv, write_csv
 FUZZ = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 # tokens that have broken parsers: non-numbers, huge or out-of-range
-# integers, non-finite floats, full-width digits, separators, bad UTF-8
+# integers, non-finite floats, full-width digits, separators, bad UTF-8,
+# and base64 hazards (padding, the URL-safe alphabet, a lone quantum char)
 NASTY = [b"", b"abc", b"nan", b"-inf", b"1e400", b"-1", b"0", b"99999999999999999999999",
-         b"\xef\xbc\x91", b",", b"=", b"\n", b" ", b"2020-13-01", b"\xff\xfe", b"\x00", b'"']
+         b"\xef\xbc\x91", b",", b"=", b"\n", b" ", b"2020-13-01", b"\xff\xfe", b"\x00", b'"',
+         b"==", b"-_", b"A", b"===="]
 
 
 @st.composite

@@ -282,6 +282,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match=r"line 2: bad value for features: 'abc'"):
             load(path)
 
+    def test_damaged_parameter_block_names_its_line(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save(build(verification_config(seed=3)), make_preprocess(), path)
+        lines = path.read_text().splitlines()
+        at = lines.index("param conv2.bias 4") + 1
+        lines[at] = lines[at][:-4]  # one base64 quantum short: 3 bytes of 32 missing
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointFormatError, match=rf"line {at + 1}: expected 4 values \(32 bytes\)"):
+            load(path)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, failing_writes):
+        path = tmp_path / "model.ckpt"
+        save(build(verification_config(seed=3)), make_preprocess(), path)
+        before = path.read_bytes()
+        with failing_writes(), pytest.raises(OSError, match="No space left"):
+            save(build(verification_config(seed=4)), make_preprocess(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]  # no temporary file left
+
     def test_shape_disagreement(self, tmp_path):
         m = build(verification_config(seed=3))
         path = tmp_path / "model.ckpt"

@@ -594,6 +594,23 @@ class TestDatasetCache:
         with pytest.raises(CheckpointFormatError, match="train split indexes outside"):
             load_dataset(path)
 
+    def test_damaged_column_block_names_its_line(self, tmp_path):
+        path, lines = self.cache_lines(tmp_path)
+        at = next(i for i, line in enumerate(lines) if line.startswith("column ")) + 1
+        lines[at] = "#" + lines[at][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointFormatError, match=rf"line {at + 1}: bad base64 block"):
+            load_dataset(path)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, failing_writes):
+        path, _ = self.cache_lines(tmp_path)
+        before = path.read_bytes()
+        prepared = prepare_dataset(synthetic_ohlcv(rows=300, seed=3), small_prepare_config())
+        with failing_writes(), pytest.raises(OSError, match="No space left"):
+            save_dataset(prepared, small_prepare_config(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left
+
     def test_save_is_byte_stable(self, tmp_path):
         prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config())
         cfg = small_prepare_config()

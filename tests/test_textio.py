@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,14 +13,35 @@ from oracles import reference_array_lines, reference_read_values, reference_trai
 
 FAST = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
-SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
-           np.inf, -np.inf, np.nan, 0.1, 1e16, 123456789012345680.0]
+# quiet and signalling NaNs of both signs with payloads, as raw binary64 bits
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+            0x7FF0000000000001, 0xFFF4000000000ABC, 0x7FFFFFFFFFFFFFFF]
+NAN_PAYLOADS = np.array(NAN_BITS, dtype=np.uint64).view(np.float64)
+
+SPECIAL = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+     np.inf, -np.inf, 0.1, 1e16, 123456789012345680.0],
+    NAN_PAYLOADS,
+])
 
 any_float64 = hnp.arrays(
     np.float64,
     hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=9),
     elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
+
+
+# any binary64 bit pattern: drawn floats, raw 64-bit words and NaN payloads
+any_bits64 = hnp.arrays(
+    np.uint64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=9),
+    elements=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(
+            lambda x: struct.unpack("<Q", struct.pack("<d", x))[0]),
+        st.integers(0, 2**64 - 1),
+        st.sampled_from(NAN_BITS),
+    ),
+).map(lambda a: a.view(np.float64))
 
 
 def int64_or_overflow(token):
@@ -32,9 +55,22 @@ def read_block(text, count, method="read_floats"):
     return getattr(LineReader(text, "blk"), method)(count)
 
 
+def block_round_trip(arr):
+    """``arr`` written as a block after a header line, then read back."""
+    reader = LineReader("\n".join(["header"] + array_lines(arr)) + "\n", "blk")
+    reader.next()
+    back = reader.read_array(arr.size)
+    assert reader.eof()
+    return back.reshape(arr.shape)
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
 class TestWriter:
     @FAST
-    @given(any_float64)
+    @given(any_bits64)
     def test_array_lines_match_value_by_value_writer(self, arr):
         assert array_lines(arr) == reference_array_lines(arr)
 
@@ -44,25 +80,61 @@ class TestWriter:
         assert fmt_vector(arr) == " ".join(format(float(v), ".17g") for v in arr.ravel())
 
     def test_special_values(self):
-        assert array_lines(np.array(SPECIAL)) == reference_array_lines(SPECIAL)
-        assert array_lines(np.array(SPECIAL))[0].split()[:2] == ["0", "-0"]
+        (line,) = array_lines(SPECIAL)
+        assert [line] == reference_array_lines(SPECIAL)
+        assert len(line) == 4 * -(-8 * SPECIAL.size // 3)  # base64 of 8 bytes a value
+        assert np.array_equal(bits(block_round_trip(SPECIAL)), bits(SPECIAL))
 
     def test_empty(self):
-        assert array_lines(np.array([])) == []
+        assert array_lines(np.array([])) == [""]
+        assert block_round_trip(np.array([])).size == 0
         assert fmt_vector([]) == ""
+
+    def test_little_endian_bytes_in_c_order(self):
+        assert array_lines(np.array([1.0])) == ["AAAAAAAA8D8="]  # 0x3FF0000000000000
+        arr = np.arange(6.0).reshape(2, 3)
+        for view in (arr.T, np.asfortranarray(arr), arr.astype(">f8")):
+            assert array_lines(view) == array_lines(np.ascontiguousarray(view, dtype=np.float64))
 
 
 class TestReader:
     @FAST
-    @given(any_float64)
+    @given(any_bits64)
     def test_round_trip_is_bitwise(self, arr):
-        flat = arr.ravel()
-        text = "\n".join(array_lines(arr)) + "\n"
-        back = read_block(text, flat.size)
-        nan = np.isnan(flat)
-        assert np.array_equal(np.isnan(back), nan)
-        # every value but NaN keeps its bits, the sign of zero included
-        assert np.array_equal(back[~nan].view(np.int64), flat[~nan].view(np.int64))
+        back = block_round_trip(arr)
+        # every value keeps its bits: the sign of zero, subnormals, NaN payloads
+        assert np.array_equal(bits(back), bits(arr))
+
+    def test_block_is_a_native_writable_array(self):
+        back = block_round_trip(np.arange(4.0))
+        assert back.dtype == np.float64 and back.dtype.isnative
+        assert back.flags.writeable and back.flags.c_contiguous
+        back[0] = 7.0
+
+    @pytest.mark.parametrize("line, fault", [
+        ("AAAAAAAA*D8=", "Only base64 data"),  # a byte outside the alphabet
+        ("AAAAAAAA-_8=", "Only base64 data"),  # the URL-safe alphabet
+        ("AAAAAAAA８D8=", "only ASCII"),  # a full-width digit
+        ("AAAAAAAA8D8", "Incorrect padding"),  # padding missing
+        ("AAAAAAAA8D", "Incorrect padding"),  # truncated mid-quantum
+        ("AAAAAAAA8D8==", "Excess data after padding"),
+        ("AAAAAAAA8D8= ", "Excess data after padding"),  # trailing blank
+        ("==AAAAAAAA8D8=", "Leading padding"),
+        ("AAAAAAAA", "got 6 bytes"),  # truncated to whole quanta
+        ("AAAAAAAA8D8AAAAAAADwPw==", "got 16 bytes"),  # two values where one is due
+        ("", "got 0 bytes"),  # an empty line where a value is due
+    ])
+    def test_damaged_block_names_its_line(self, line, fault):
+        reader = LineReader(f"param w 1\n{line}\nparam b 1\n", "model.ckpt")
+        reader.next()
+        with pytest.raises(CheckpointFormatError, match=rf"^model.ckpt, line 2: .*{fault}"):
+            reader.read_array(1)
+
+    def test_block_missing_at_end_of_file(self):
+        reader = LineReader("param w 1\n", "model.ckpt")
+        reader.next()
+        with pytest.raises(CheckpointFormatError, match=r"model.ckpt: unexpected end of file"):
+            reader.read_array(1)
 
     @FAST
     @given(st.lists(st.lists(st.text(alphabet="0123456789.e+-_naifINFx１２ ", max_size=6),
@@ -104,8 +176,9 @@ class TestReader:
 
     def test_bad_token_on_last_line_of_block_names_that_line(self):
         values = np.arange(40, dtype=np.float64) / 7.0
-        lines = ["param w 40"] + array_lines(values) + ["param b 1", "0"]
-        last = len(array_lines(values))  # index of the block's last line
+        block = [fmt_vector(values[i : i + 8]) for i in range(0, 40, 8)]
+        lines = ["scaler_min"] + block + ["scaler_max", "0"]
+        last = len(block)  # index of the block's last line
         tokens = lines[last].split()
         tokens[-1] = "0.5x"
         lines[last] = " ".join(tokens)
