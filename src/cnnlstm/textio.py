@@ -13,6 +13,7 @@ whole, never rewritten in place.
 
 import binascii
 import os
+import stat
 from datetime import date
 
 import numpy as np
@@ -42,14 +43,22 @@ def write_lines(path, lines: list):
     The temporary file is moved over ``path`` with ``os.replace`` only once
     it is complete, so a write that fails or a process that dies part way
     leaves the previous file as it was. (It does not sync to disk, so it
-    does not guard against a power loss.)
+    does not guard against a power loss.) A symlink at ``path`` is written
+    through: the file it names is the one replaced. A file that is replaced
+    keeps its permission bits, but not its owner or group, and a new file
+    gets them from the umask. Writing needs write access to the directory,
+    not only to the file.
     """
-    path = os.fspath(path)
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
             fh.write("\n".join(lines) + "\n")
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -120,11 +129,19 @@ class LineReader:
         return self._read_values(count, _floats, "value", tokens)
 
     def read_array(self, count: int) -> np.ndarray:
-        """The next line as the block of a bulk array of ``count`` floats."""
+        """The next line as the block of a bulk array of ``count`` floats.
+
+        The line must be exactly what ``array_lines`` writes for the bytes it
+        holds, so stray characters, misplaced padding and trailing data are
+        all rejected.
+        """
+        line = self.next()
         try:
-            raw = binascii.a2b_base64(self.next(), strict_mode=True)
+            raw = binascii.a2b_base64(line)
         except ValueError as exc:  # binascii.Error, or a non-ASCII character
             raise self.error(f"bad base64 block: {exc}") from None
+        if binascii.b2a_base64(raw, newline=False).decode("ascii") != line:
+            raise self.error("bad base64 block: not in canonical form")
         if len(raw) != 8 * count:
             raise self.error(f"expected {count} values ({8 * count} bytes), got {len(raw)} bytes")
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)

@@ -1,3 +1,6 @@
+import binascii
+import os
+import stat
 import struct
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from cnnlstm.errors import CheckpointFormatError
 from cnnlstm.pipeline import training_rows
-from cnnlstm.textio import LineReader, array_lines, fmt_vector
+from cnnlstm.textio import LineReader, array_lines, fmt_vector, write_lines
 from oracles import reference_array_lines, reference_read_values, reference_training_rows
 
 FAST = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -68,6 +71,31 @@ def bits(arr):
     return np.ascontiguousarray(arr).view(np.uint64)
 
 
+DAMAGED_BLOCKS = [
+    ("AAAAAAAA*D8=", "bad base64 block"),  # a byte outside the alphabet
+    ("AAAAAAAA-_8=", "bad base64 block"),  # the URL-safe alphabet
+    ("AAAAAAAA８D8=", "bad base64 block"),  # a full-width digit
+    ("AAAAAAAA8D8", "bad base64 block"),  # padding missing
+    ("AAAAAAAA8D", "bad base64 block"),  # truncated mid-quantum
+    ("AAAAAAAA8D8==", "not in canonical form"),  # excess padding
+    ("AAAAAAAA8D8= ", "not in canonical form"),  # trailing blank
+    ("AAAAAAAA8D8=\t", "not in canonical form"),  # a trailing tab
+    ("AAAA AAAA8D8=", "not in canonical form"),  # a blank inside
+    ("==AAAAAAAA8D8=", "not in canonical form"),  # leading padding
+    ("AAAAAAAA8D9=", "not in canonical form"),  # nonzero bits after the last byte
+    ("AAAAAAAA", "got 6 bytes"),  # truncated to whole quanta
+    ("AAAAAAAA8D8AAAAAAADwPw==", "got 16 bytes"),  # two values where one is due
+    ("", "got 0 bytes"),  # an empty line where a value is due
+]
+
+
+def assert_damaged_block_fails(line, fault):
+    reader = LineReader(f"param w 1\n{line}\nparam b 1\n", "model.ckpt")
+    reader.next()
+    with pytest.raises(CheckpointFormatError, match=rf"^model.ckpt, line 2: .*{fault}"):
+        reader.read_array(1)
+
+
 class TestWriter:
     @FAST
     @given(any_bits64)
@@ -111,24 +139,17 @@ class TestReader:
         assert back.flags.writeable and back.flags.c_contiguous
         back[0] = 7.0
 
-    @pytest.mark.parametrize("line, fault", [
-        ("AAAAAAAA*D8=", "Only base64 data"),  # a byte outside the alphabet
-        ("AAAAAAAA-_8=", "Only base64 data"),  # the URL-safe alphabet
-        ("AAAAAAAA８D8=", "only ASCII"),  # a full-width digit
-        ("AAAAAAAA8D8", "Incorrect padding"),  # padding missing
-        ("AAAAAAAA8D", "Incorrect padding"),  # truncated mid-quantum
-        ("AAAAAAAA8D8==", "Excess data after padding"),
-        ("AAAAAAAA8D8= ", "Excess data after padding"),  # trailing blank
-        ("==AAAAAAAA8D8=", "Leading padding"),
-        ("AAAAAAAA", "got 6 bytes"),  # truncated to whole quanta
-        ("AAAAAAAA8D8AAAAAAADwPw==", "got 16 bytes"),  # two values where one is due
-        ("", "got 0 bytes"),  # an empty line where a value is due
-    ])
+    @pytest.mark.parametrize("line, fault", DAMAGED_BLOCKS)
     def test_damaged_block_names_its_line(self, line, fault):
-        reader = LineReader(f"param w 1\n{line}\nparam b 1\n", "model.ckpt")
-        reader.next()
-        with pytest.raises(CheckpointFormatError, match=rf"^model.ckpt, line 2: .*{fault}"):
-            reader.read_array(1)
+        assert_damaged_block_fails(line, fault)
+
+    def test_decoder_runs_on_the_oldest_supported_python(self, monkeypatch):
+        # binascii.a2b_base64 takes no strict_mode keyword before Python 3.11
+        real = binascii.a2b_base64
+        monkeypatch.setattr(binascii, "a2b_base64", lambda data, /: real(data))
+        assert np.array_equal(bits(block_round_trip(SPECIAL)), bits(SPECIAL))
+        for line, fault in DAMAGED_BLOCKS:
+            assert_damaged_block_fails(line, fault)
 
     def test_block_missing_at_end_of_file(self):
         reader = LineReader("param w 1\n", "model.ckpt")
@@ -221,6 +242,34 @@ class TestReader:
         reader.next()
         with pytest.raises(CheckpointFormatError, match=r"m.ckpt, line 2: bad value for features: 'abc'"):
             reader.expect("features", int)
+
+
+class TestWriteLines:
+    def test_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        write_lines(path, ["new"])
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_new_file_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_lines(tmp_path / "model.ckpt", ["new"])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "model.ckpt").stat().st_mode) == 0o640
+
+    def test_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "store").mkdir()
+        target = tmp_path / "store" / "model.ckpt"
+        target.write_text("old\n")
+        link = tmp_path / "latest.ckpt"
+        link.symlink_to(target)
+        write_lines(link, ["new"])
+        assert link.is_symlink() and target.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["latest.ckpt", "model.ckpt", "store"]
 
 
 class TestTrainingRows:
