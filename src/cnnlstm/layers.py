@@ -16,6 +16,22 @@ LSTM cell, gate order i, f, o, g:
     c_t = f * c_{t-1} + i * g                   h_t = o * tanh(c_t)
 
 with h_0 = c_0 = 0.
+
+The LSTM kernels keep ``LstmParams`` per gate but stack it on each call into
+W [4H,F], U [4H,H] and b [4H], gates in the order o, i, f, g. The rows of
+the three sigmoid gates are multiplied by 0.5, which is exact because the
+factor is a power of two, so one ``tanh`` over a step's [B,4H] block gives
+every gate: sigmoid(z) = (tanh(z/2) + 1) / 2 for o, i, f and tanh(z) for g.
+The input is projected for all steps by one GEMM over [T*B,F]. The gate, c,
+tanh(c) and h buffers are time-major ([T,B,.]), so a step reads and writes
+contiguous blocks with one recurrent GEMM and in-place elementwise calls;
+outputs are batch-major views. Backward forms every gate's derivative factor
+for all steps before the loop, keeps only the [B,H] chain and one
+``dpre_t @ U`` GEMM inside it, and then gets dW, dU, db and grad_x as one
+GEMM or sum each over dpre [T*B,4H].
+
+Max pooling keeps its input and output; backward sends each gradient to the
+earliest position in its window that equals the max.
 """
 
 from dataclasses import dataclass, field
@@ -23,9 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError, SequenceTooShortError
-from .tensor import sigmoid
 
 GATES = ("i", "f", "o", "g")
+# stacking order inside the LSTM kernels: the three sigmoid gates first, and
+# the three gates whose derivative goes through dc last
+_ORDER = ("o", "i", "f", "g")
 
 
 @dataclass
@@ -163,39 +181,60 @@ def maxpool1d_forward(x: np.ndarray, window: int):
         )
     t_out = t // window
     blocks = x3[:, : t_out * window, :].reshape(b, t_out, window, k)
-    idx = blocks.argmax(axis=2)  # first occurrence wins ties
-    y = np.take_along_axis(blocks, idx[:, :, None, :], axis=2)[:, :, 0, :]
-    cache = LayerCache(
-        "maxpool1d", {"idx": idx, "in_shape": x3.shape, "window": window}, batched
-    )
+    # folded from the last position: np.maximum returns its second operand
+    # on a tie, so an exact tie (e.g. -0.0 against 0.0) keeps the earliest
+    y = blocks[:, :, window - 1, :].copy()
+    for j in range(window - 2, -1, -1):
+        np.maximum(y, blocks[:, :, j, :], out=y)
+    cache = LayerCache("maxpool1d", {"x": x3, "y": y, "window": window}, batched)
     return (y if batched else y[0]), cache
 
 
 def maxpool1d_backward(grad_y: np.ndarray, cache: LayerCache):
-    """Route each output gradient to its argmax input position."""
+    """Route each output gradient to the earliest input position holding the max."""
     if cache.kind != "maxpool1d":
         raise ShapeError(f"maxpool1d_backward got a {cache.kind!r} cache")
-    idx = cache.data["idx"]
-    b, t, k = cache.data["in_shape"]
+    x3 = cache.data["x"]
+    y = cache.data["y"]
     window = cache.data["window"]
-    t_out = t // window
+    b, t, k = x3.shape
+    t_out = y.shape[1]
     g = np.asarray(grad_y, dtype=np.float64)
     if not cache.batched:
         g = g[None]
-    if g.shape != (b, t_out, k):
+    if g.shape != y.shape:
         raise ShapeError(
             f"maxpool1d_backward: gradient shape {grad_y.shape} does not match "
-            f"cached forward output {(b, t_out, k)}"
+            f"cached forward output {y.shape}"
         )
-    # fresh buffer first: a reshape of a slice of the final array may copy
-    blocks = np.zeros((b, t_out, window, k))
-    np.put_along_axis(blocks, idx[:, :, None, :], g[:, :, None, :], axis=2)
+    blocks = x3[:, : t_out * window, :].reshape(b, t_out, window, k)
     grad_x = np.zeros((b, t, k))
-    grad_x[:, : t_out * window, :] = blocks.reshape(b, t_out * window, k)
+    # splitting one axis of a slice is always a view, so writes land in grad_x
+    grad_blocks = grad_x[:, : t_out * window, :].reshape(b, t_out, window, k)
+    # multiplying by the 0/1 mask is exact for finite gradients and, unlike a
+    # masked copy, runs at full vector speed; adding 0.0 at the end turns the
+    # -0.0 that g * False gives where g < 0 into +0.0
+    unrouted = np.ones(y.shape, dtype=bool)
+    for j in range(window - 1):
+        hit = blocks[:, :, j, :] == y
+        hit &= unrouted
+        np.multiply(g, hit, out=grad_blocks[:, :, j, :])
+        unrouted ^= hit
+    np.multiply(g, unrouted, out=grad_blocks[:, :, window - 1, :])
+    grad_blocks += 0.0
     return grad_x if cache.batched else grad_x[0]
 
 
 # --- LSTM ---
+
+
+def _stacked(p: LstmParams):
+    """The gates stacked in _ORDER: W [4H,F], U [4H,H], b [4H]."""
+    return (
+        np.concatenate([p.w[g] for g in _ORDER]),
+        np.concatenate([p.u[g] for g in _ORDER]),
+        np.concatenate([p.b[g] for g in _ORDER]),
+    )
 
 
 def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
@@ -210,47 +249,53 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
         raise ShapeError(
             f"lstm input has {f} features but params expect {p.input_size}"
         )
-    h_size = p.hidden_size
-    gates = {g: np.empty((b, t, h_size)) for g in GATES}
-    cs = np.empty((b, t, h_size))
-    tcs = np.empty((b, t, h_size))
-    hs = np.empty((b, t, h_size))
-    h = np.zeros((b, h_size))
-    c = np.zeros((b, h_size))
-    for step in range(t):
-        x_t = x3[:, step, :]
-        pre = {g: x_t @ p.w[g].T + h @ p.u[g].T + p.b[g] for g in GATES}
-        i_t = sigmoid(pre["i"])
-        f_t = sigmoid(pre["f"])
-        o_t = sigmoid(pre["o"])
-        g_t = np.tanh(pre["g"])
-        c = f_t * c + i_t * g_t
-        tc = np.tanh(c)
-        h = o_t * tc
-        gates["i"][:, step] = i_t
-        gates["f"][:, step] = f_t
-        gates["o"][:, step] = o_t
-        gates["g"][:, step] = g_t
-        cs[:, step] = c
-        tcs[:, step] = tc
-        hs[:, step] = h
+    hs = p.hidden_size
+    w, u, bias = _stacked(p)
+    # sigmoid(z) = (tanh(z / 2) + 1) / 2: halving the o, i, f rows is exact
+    scale = np.ones((4 * hs, 1))
+    scale[: 3 * hs] = 0.5
+    u_scaled_t = (u * scale).T
+    x_tm = np.ascontiguousarray(x3.transpose(1, 0, 2)).reshape(t * b, f)
+    gates = x_tm @ (w * scale).T
+    # in place: a second array this size costs more in page faults than the sum
+    gates += bias * scale[:, 0]
+    gates = gates.reshape(t, b, 4 * hs)
+    c = np.empty((t, b, hs))
+    tanh_c = np.empty((t, b, hs))
+    h = np.empty((t, b, hs))
+    ig = np.empty((b, hs))
+    for s in range(t):
+        z = gates[s]
+        if s:
+            z += h[s - 1] @ u_scaled_t
+        np.tanh(z, out=z)
+        sig = z[:, : 3 * hs]
+        sig += 1.0
+        sig *= 0.5
+        o_t, i_t, f_t, g_t = (z[:, k * hs : (k + 1) * hs] for k in range(4))
+        if s:
+            np.multiply(f_t, c[s - 1], out=c[s])
+            np.multiply(i_t, g_t, out=ig)
+            c[s] += ig
+        else:
+            np.multiply(i_t, g_t, out=c[s])
+        np.tanh(c[s], out=tanh_c[s])
+        np.multiply(o_t, tanh_c[s], out=h[s])
     cache = LayerCache(
         "lstm",
         {
-            "x": x3,
-            "params": p,
+            "x": x_tm,
+            "w": w,
+            "u": u,
             "gates": gates,
-            "c": cs,
-            "tanh_c": tcs,
-            "h": hs,
+            "c": c,
+            "tanh_c": tanh_c,
+            "h": h,
             "return_sequence": return_sequence,
         },
         batched,
     )
-    if return_sequence:
-        out = hs
-    else:
-        out = hs[:, -1, :]
+    out = h.transpose(1, 0, 2) if return_sequence else h[-1]
     return (out if batched else out[0]), cache
 
 
@@ -258,75 +303,85 @@ def lstm_backward(grad_out: np.ndarray, cache: LayerCache):
     """Backpropagation through time over all steps.
 
     Returns ``(grad_x, grad_params)`` where grad_params mirrors LstmParams.
+    The derivatives are built in the cache's own buffers, so the cache is
+    emptied and cannot be used again.
     """
     if cache.kind != "lstm":
         raise ShapeError(f"lstm_backward got a {cache.kind!r} cache")
-    x3 = cache.data["x"]
-    p: LstmParams = cache.data["params"]
-    gates = cache.data["gates"]
-    cs = cache.data["c"]
-    tcs = cache.data["tanh_c"]
-    hs = cache.data["h"]
+    if not cache.data:
+        raise ShapeError("lstm_backward got a cache a backward pass already used")
     return_sequence = cache.data["return_sequence"]
-    b, t, _ = x3.shape
-    h_size = p.hidden_size
-
+    t, b, hs = cache.data["h"].shape
     g_out = np.asarray(grad_out, dtype=np.float64)
     if not cache.batched:
         g_out = g_out[None]
-    expected = (b, t, h_size) if return_sequence else (b, h_size)
+    expected = (b, t, hs) if return_sequence else (b, hs)
     if g_out.shape != expected:
         raise ShapeError(
             f"lstm_backward: gradient shape {grad_out.shape} does not match "
             f"cached forward output {expected}"
         )
+    if return_sequence:
+        g_out = g_out.transpose(1, 0, 2)
+    data, cache.data = cache.data, {}
+    dpre, c, tanh_c, h = data["gates"], data["c"], data["tanh_c"], data["h"]
 
-    dw = {g: np.zeros_like(p.w[g]) for g in GATES}
-    du = {g: np.zeros_like(p.u[g]) for g in GATES}
-    db = {g: np.zeros_like(p.b[g]) for g in GATES}
-    grad_x = np.empty_like(x3)
-    dh_next = np.zeros((b, h_size))
-    dc_next = np.zeros((b, h_size))
-    for step in reversed(range(t)):
-        dh = dh_next.copy()
+    # Each pre-activation derivative is dc_t (gates i, f, g) or dh_t (gate o)
+    # times a factor that needs no recurrence. The factors are formed here for
+    # every step, in place of the activations; c and tanh(c) are reused too.
+    o, i, f, g = (dpre.reshape(t, b, 4, hs)[:, :, k, :] for k in range(4))
+    forget = f.copy()  # for the loop's dc_{t-1} = dc_t * f_t
+    # f <- f (1 - f) c_{t-1}, with c_0 = 0
+    np.subtract(1.0, forget, out=f)
+    f *= forget
+    f[0] = 0.0
+    f[1:] *= c[:-1]
+    # c <- dc_t / dh_t = o (1 - tanh(c)^2)
+    dc_per_dh = c
+    np.multiply(tanh_c, tanh_c, out=dc_per_dh)
+    np.subtract(1.0, dc_per_dh, out=dc_per_dh)
+    dc_per_dh *= o
+    # o <- o (1 - o) tanh(c)
+    tanh_c *= o
+    np.subtract(1.0, o, out=o)
+    o *= tanh_c
+    # g <- i (1 - g^2) and i <- i (1 - i) g, by way of the free tanh(c) buffer
+    d_g = tanh_c
+    np.multiply(g, g, out=d_g)
+    np.subtract(1.0, d_g, out=d_g)
+    d_g *= i
+    g *= i
+    np.subtract(1.0, i, out=i)
+    i *= g
+    g[...] = d_g
+
+    u = data["u"]
+    dh = np.zeros((b, hs)) if return_sequence else g_out.copy()
+    dc = np.zeros((b, hs))
+    tmp = np.empty((b, hs))
+    for s in range(t - 1, -1, -1):
         if return_sequence:
-            dh += g_out[:, step, :]
-        elif step == t - 1:
-            dh += g_out
-        i_t = gates["i"][:, step]
-        f_t = gates["f"][:, step]
-        o_t = gates["o"][:, step]
-        g_t = gates["g"][:, step]
-        tc = tcs[:, step]
-        c_prev = cs[:, step - 1] if step > 0 else np.zeros((b, h_size))
-        h_prev = hs[:, step - 1] if step > 0 else np.zeros((b, h_size))
+            dh += g_out[s]
+        np.multiply(dh, dc_per_dh[s], out=tmp)
+        dc += tmp
+        d_ifg = dpre[s, :, hs:].reshape(b, 3, hs)
+        d_ifg *= dc[:, None, :]
+        dpre[s, :, :hs] *= dh
+        dc *= forget[s]
+        if s:
+            np.matmul(dpre[s], u, out=dh)
 
-        do = dh * tc
-        dc = dc_next + dh * o_t * (1.0 - tc * tc)
-        di = dc * g_t
-        df = dc * c_prev
-        dg = dc * i_t
-        dc_next = dc * f_t
-
-        dpre = {
-            "i": di * i_t * (1.0 - i_t),
-            "f": df * f_t * (1.0 - f_t),
-            "o": do * o_t * (1.0 - o_t),
-            "g": dg * (1.0 - g_t * g_t),
-        }
-        x_t = x3[:, step, :]
-        dx = np.zeros_like(x_t)
-        dh_next = np.zeros((b, h_size))
-        for g in GATES:
-            dw[g] += dpre[g].T @ x_t
-            du[g] += dpre[g].T @ h_prev
-            db[g] += dpre[g].sum(axis=0)
-            dx += dpre[g] @ p.w[g]
-            dh_next += dpre[g] @ p.u[g]
-        grad_x[:, step, :] = dx
-    if not cache.batched:
-        grad_x = grad_x[0]
-    return grad_x, LstmParams(w=dw, u=du, b=db)
+    dpre = dpre.reshape(t * b, 4 * hs)
+    dw = dpre.T @ data["x"]
+    du = dpre[b:].T @ h[:-1].reshape((t - 1) * b, hs)  # h_0 = 0
+    db = dpre.sum(axis=0)
+    grad_x = (dpre @ data["w"]).reshape(t, b, -1).transpose(1, 0, 2)
+    rows = {gate: slice(k * hs, (k + 1) * hs) for k, gate in enumerate(_ORDER)}
+    return (grad_x if cache.batched else grad_x[0]), LstmParams(
+        w={gate: dw[r] for gate, r in rows.items()},
+        u={gate: du[r] for gate, r in rows.items()},
+        b={gate: db[r] for gate, r in rows.items()},
+    )
 
 
 # --- Dropout (inverted: survivors scaled at train time) ---

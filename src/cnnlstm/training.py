@@ -74,45 +74,49 @@ def train(
 
     started = time.monotonic()
     train_hist, val_hist = [], []
-    for epoch in range(cfg.epochs):
-        lr = schedule_lr(epoch, cfg.optim)
-        order = shuffle_rng.permutation(train_idx) if cfg.shuffle else train_idx
-        batch_losses = []
-        for start in range(0, order.size, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            x = dataset.inputs[sel]
-            y = dataset.targets[sel]
-            preds, caches = forward(model, x, training=True, rng=dropout_rng)
-            loss = mse(preds, y)
-            if not np.isfinite(loss):
+    # a diverging run overflows before its loss turns non-finite; the checks
+    # below report that as DivergenceError, so numpy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = schedule_lr(epoch, cfg.optim)
+            order = shuffle_rng.permutation(train_idx) if cfg.shuffle else train_idx
+            batch_losses = []
+            for start in range(0, order.size, cfg.batch_size):
+                sel = order[start : start + cfg.batch_size]
+                x = dataset.inputs[sel]
+                y = dataset.targets[sel]
+                preds, caches = forward(model, x, training=True, rng=dropout_rng)
+                loss = mse(preds, y)
+                if not np.isfinite(loss):
+                    raise DivergenceError(
+                        epoch + 1, f"training diverged: non-finite loss in epoch {epoch + 1}"
+                    )
+                # backward averages over the batch, so the upstream is each
+                # sample's own squared-error derivative
+                grads = backward(model, caches, 2.0 * (preds - y))
+                if adam_state is None:
+                    model.params = sgd_step(model.params, grads, lr, cfg.optim.l2)
+                else:
+                    model.params, adam_state = adam_step(
+                        model.params,
+                        grads,
+                        adam_state,
+                        lr,
+                        cfg.optim.l2,
+                        cfg.optim.beta1,
+                        cfg.optim.beta2,
+                        cfg.optim.eps_adam,
+                    )
+                batch_losses.append(loss)
+            train_hist.append(float(np.mean(batch_losses)))
+            val_preds = _infer(model, dataset.inputs[val_idx])
+            val_loss = mse(val_preds, dataset.targets[val_idx])
+            if not np.isfinite(val_loss):
                 raise DivergenceError(
-                    epoch + 1, f"training diverged: non-finite loss in epoch {epoch + 1}"
+                    epoch + 1,
+                    f"training diverged: non-finite validation loss in epoch {epoch + 1}",
                 )
-            # backward averages over the batch, so the upstream is each
-            # sample's own squared-error derivative
-            grads = backward(model, caches, 2.0 * (preds - y))
-            if adam_state is None:
-                model.params = sgd_step(model.params, grads, lr, cfg.optim.l2)
-            else:
-                model.params, adam_state = adam_step(
-                    model.params,
-                    grads,
-                    adam_state,
-                    lr,
-                    cfg.optim.l2,
-                    cfg.optim.beta1,
-                    cfg.optim.beta2,
-                    cfg.optim.eps_adam,
-                )
-            batch_losses.append(loss)
-        train_hist.append(float(np.mean(batch_losses)))
-        val_preds = _infer(model, dataset.inputs[val_idx])
-        val_loss = mse(val_preds, dataset.targets[val_idx])
-        if not np.isfinite(val_loss):
-            raise DivergenceError(
-                epoch + 1, f"training diverged: non-finite validation loss in epoch {epoch + 1}"
-            )
-        val_hist.append(val_loss)
+            val_hist.append(val_loss)
 
     final = evaluate(model, dataset, preprocess, "test") if dataset.test_idx.size else None
     return TrainReport(

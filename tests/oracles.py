@@ -159,3 +159,119 @@ def reference_training_rows(length, train_idx, lookback, horizon):
             mask[r] = True
         mask[i + lookback + horizon - 1] = True
     return [r for r in range(length) if mask[r]]
+
+
+def _sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def reference_lstm_forward(x, w, u, b, return_sequence):
+    """The LSTM gate by gate and step by step, batch-major.
+
+    ``w``, ``u``, ``b``: gate ('i', 'f', 'o', 'g') -> [H,F], [H,H], [H].
+    ``x`` is [T,F] or [B,T,F]. Returns ``(output, state)``; ``state`` holds
+    what ``reference_lstm_backward`` needs.
+    """
+    x3 = x[None] if x.ndim == 2 else x
+    batch, steps, _ = x3.shape
+    size = b["i"].shape[0]
+    acts = {g: np.empty((batch, steps, size)) for g in "ifog"}
+    cs = np.empty((batch, steps, size))
+    tcs = np.empty((batch, steps, size))
+    hs = np.empty((batch, steps, size))
+    h = np.zeros((batch, size))
+    c = np.zeros((batch, size))
+    for step in range(steps):
+        x_t = x3[:, step, :]
+        pre = {g: x_t @ w[g].T + h @ u[g].T + b[g] for g in "ifog"}
+        i_t = _sigmoid(pre["i"])
+        f_t = _sigmoid(pre["f"])
+        o_t = _sigmoid(pre["o"])
+        g_t = np.tanh(pre["g"])
+        c = f_t * c + i_t * g_t
+        tc = np.tanh(c)
+        h = o_t * tc
+        for g, v in zip("ifog", (i_t, f_t, o_t, g_t)):
+            acts[g][:, step] = v
+        cs[:, step] = c
+        tcs[:, step] = tc
+        hs[:, step] = h
+    out = hs if return_sequence else hs[:, -1, :]
+    state = dict(x=x3, w=w, u=u, acts=acts, c=cs, tanh_c=tcs, h=hs,
+                 return_sequence=return_sequence, batched=x.ndim == 3)
+    return (out if x.ndim == 3 else out[0]), state
+
+
+def reference_lstm_backward(grad_out, state):
+    """BPTT gate by gate and step by step: ``(grad_x, dw, du, db)`` as gate dicts."""
+    x3, w, u, acts = state["x"], state["w"], state["u"], state["acts"]
+    cs, tcs, hs = state["c"], state["tanh_c"], state["h"]
+    batch, steps, _ = x3.shape
+    size = hs.shape[2]
+    g_out = grad_out if state["batched"] else grad_out[None]
+    dw = {g: np.zeros_like(w[g]) for g in "ifog"}
+    du = {g: np.zeros_like(u[g]) for g in "ifog"}
+    db = {g: np.zeros(size) for g in "ifog"}
+    grad_x = np.empty_like(x3)
+    dh_next = np.zeros((batch, size))
+    dc_next = np.zeros((batch, size))
+    for step in reversed(range(steps)):
+        dh = dh_next.copy()
+        if state["return_sequence"]:
+            dh += g_out[:, step, :]
+        elif step == steps - 1:
+            dh += g_out
+        i_t, f_t, o_t, g_t = (acts[g][:, step] for g in "ifog")
+        tc = tcs[:, step]
+        c_prev = cs[:, step - 1] if step > 0 else np.zeros((batch, size))
+        h_prev = hs[:, step - 1] if step > 0 else np.zeros((batch, size))
+        do = dh * tc
+        dc = dc_next + dh * o_t * (1.0 - tc * tc)
+        dc_next = dc * f_t
+        dpre = {
+            "i": dc * g_t * i_t * (1.0 - i_t),
+            "f": dc * c_prev * f_t * (1.0 - f_t),
+            "o": do * o_t * (1.0 - o_t),
+            "g": dc * i_t * (1.0 - g_t * g_t),
+        }
+        x_t = x3[:, step, :]
+        dx = np.zeros_like(x_t)
+        dh_next = np.zeros((batch, size))
+        for g in "ifog":
+            dw[g] += dpre[g].T @ x_t
+            du[g] += dpre[g].T @ h_prev
+            db[g] += dpre[g].sum(axis=0)
+            dx += dpre[g] @ w[g]
+            dh_next += dpre[g] @ u[g]
+        grad_x[:, step, :] = dx
+    return (grad_x if state["batched"] else grad_x[0]), dw, du, db
+
+
+def reference_maxpool(x, window):
+    """Max pooling element by element: ``(y, route)``, where ``route(grad_y)``
+    sends each gradient to the earliest position holding its window's max."""
+    x3 = x[None] if x.ndim == 2 else x
+    batch, steps, feats = x3.shape
+    t_out = steps // window
+    y = np.empty((batch, t_out, feats))
+    at = np.empty((batch, t_out, feats), dtype=int)
+    for n in range(batch):
+        for t in range(t_out):
+            for k in range(feats):
+                best = t * window
+                for pos in range(t * window + 1, (t + 1) * window):
+                    if x3[n, pos, k] > x3[n, best, k]:
+                        best = pos
+                y[n, t, k] = x3[n, best, k]
+                at[n, t, k] = best
+
+    def route(grad_y):
+        g = grad_y if x.ndim == 3 else grad_y[None]
+        grad_x = np.zeros_like(x3)
+        for n in range(batch):
+            for t in range(t_out):
+                for k in range(feats):
+                    grad_x[n, at[n, t, k], k] = g[n, t, k]
+        return grad_x if x.ndim == 3 else grad_x[0]
+
+    return (y if x.ndim == 3 else y[0]), route

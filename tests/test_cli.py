@@ -1,7 +1,14 @@
-"""Bad input reaches the CLI as exit status 2 with a one-line error, never a traceback."""
+"""Bad input (exit 2) and diverged training (exit 3) reach the CLI as a one-line
+error, never a traceback or a raw warning."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cnnlstm
 from cnnlstm import model, pipeline
 from cnnlstm.cli import main
 from cnnlstm.synth import synthetic_ohlcv, write_csv
@@ -98,3 +105,22 @@ def test_train_rejects_version_1_cache(prepared, capsys):
          "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
         "unsupported dataset version 'v1'",
     )
+
+
+
+def test_divergent_train_prints_only_the_error_line(tmp_path):
+    # a fresh interpreter, so stderr is exactly what a user of the command sees
+    write_csv(synthetic_ohlcv(rows=1200, seed=3), tmp_path / "prices.csv")
+    (tmp_path / "run.cfg").write_text("lr0=1e12\nl2=0\nepochs=2\n")
+    assert main(["prepare", "--input", str(tmp_path / "prices.csv"),
+                 "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "data.txt")]) == 0
+    src = str(Path(cnnlstm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+    run = subprocess.run(
+        [sys.executable, "-m", "cnnlstm.cli", "train", "--data", str(tmp_path / "data.txt"),
+         "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "m.ckpt"),
+         "--history", str(tmp_path / "h.csv")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 3
+    assert run.stderr == "error: training diverged: non-finite loss in epoch 1\n"

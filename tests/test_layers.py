@@ -20,7 +20,13 @@ from cnnlstm.layers import (
     maxpool1d_backward,
     maxpool1d_forward,
 )
-from oracles import finite_difference, rel_deviation
+from oracles import (
+    finite_difference,
+    reference_lstm_backward,
+    reference_lstm_forward,
+    reference_maxpool,
+    rel_deviation,
+)
 
 
 def col(values):
@@ -159,6 +165,42 @@ class TestMaxPool1d:
     def test_backward_zero_grad(self, rng):
         _, cache = maxpool1d_forward(rng.standard_normal((6, 2)), 2)
         assert not maxpool1d_backward(np.zeros((3, 2)), cache).any()
+
+    @pytest.mark.parametrize(
+        "tied",
+        [
+            pytest.param((1, 2), id="tie-at-1-2"),
+            pytest.param((0, 2), id="tie-at-0-2"),
+            pytest.param((0, 1, 2), id="all-equal"),
+        ],
+    )
+    def test_window_three_ties_go_to_earliest(self, rng, tied):
+        # 3 samples, 10 steps: three windows of 3 and a dropped remainder row
+        x = rng.standard_normal((3, 10, 4))
+        top = np.abs(x).max() + 1.0
+        x[:, 0:3, :][:, list(tied), :] = top  # first window: the max is tied
+        x[1, 3:6, 2][list(tied)] = -0.5  # a tie below other values in one column
+        x[1, 3:6, 2][[p for p in range(3) if p not in tied]] = 1.0
+        y, cache = maxpool1d_forward(x, 3)
+        want_y, route = reference_maxpool(x, 3)
+        assert y.shape == (3, 3, 4)
+        assert np.array_equal(y, want_y)
+        g = rng.standard_normal(y.shape)
+        gx = maxpool1d_backward(g, cache)
+        assert np.array_equal(gx, route(g))
+        assert np.array_equal(gx[:, tied[0], :], g[:, 0, :])
+        assert not gx[:, list(tied[1:]), :].any() and not gx[:, 9, :].any()
+
+    def test_matches_loop_oracle_with_rounded_values(self, rng):
+        # values on a coarse grid make ties common in every window size
+        for window in (1, 2, 3, 4):
+            for x in (np.round(rng.standard_normal((5, 11, 3))), np.round(rng.standard_normal((11, 3)))):
+                y, cache = maxpool1d_forward(x, window)
+                want_y, route = reference_maxpool(x, window)
+                assert np.array_equal(y, want_y)
+                g = rng.standard_normal(y.shape)
+                # bitwise: a position no gradient goes to holds +0.0
+                assert maxpool1d_backward(g, cache).tobytes() == route(g).tobytes()
 
     def test_backward_matches_finite_differences(self, rng):
         x = rng.standard_normal((9, 2))  # continuous values: ties have measure zero
@@ -320,6 +362,46 @@ class TestLstm:
         for b in range(3):
             single, _ = lstm_forward(xs[b], p, return_sequence=True)
             assert np.abs(batched[b] - single).max() <= 1e-12
+
+
+def random_lstm_params(rng, hidden, features, gain=0.3):
+    return LstmParams(
+        w={g: gain * rng.standard_normal((hidden, features)) for g in GATES},
+        u={g: gain * rng.standard_normal((hidden, hidden)) for g in GATES},
+        b={g: gain * rng.standard_normal(hidden) for g in GATES},
+    )
+
+
+class TestLstmAgainstGateLoop:
+    """The stacked kernels against the gate-by-gate loop at the paper's stage shapes."""
+
+    @pytest.mark.parametrize("steps,features", [(31, 32), (14, 64), (6, 64)])
+    @pytest.mark.parametrize("return_sequence", [True, False], ids=["sequence", "last"])
+    @pytest.mark.parametrize("batch", [32, None], ids=["batched", "unbatched"])
+    def test_outputs_and_gradients_agree(self, rng, steps, features, return_sequence, batch):
+        p = random_lstm_params(rng, 64, features)
+        shape = (steps, features) if batch is None else (batch, steps, features)
+        x = rng.standard_normal(shape)
+        out, cache = lstm_forward(x, p, return_sequence)
+        want, state = reference_lstm_forward(x, p.w, p.u, p.b, return_sequence)
+        assert out.shape == want.shape
+        assert rel_deviation(out, want) <= 1e-12
+        upstream = rng.standard_normal(out.shape)
+        gx, gp = lstm_backward(upstream, cache)
+        want_gx, dw, du, db = reference_lstm_backward(upstream, state)
+        assert gx.shape == x.shape
+        assert rel_deviation(gx, want_gx) <= 1e-12
+        for gate in GATES:
+            assert rel_deviation(gp.w[gate], dw[gate]) <= 1e-12
+            assert rel_deviation(gp.u[gate], du[gate]) <= 1e-12
+            assert rel_deviation(gp.b[gate], db[gate]) <= 1e-12
+
+    def test_cache_is_used_once(self, rng):
+        p = random_lstm_params(rng, 3, 2)
+        out, cache = lstm_forward(rng.standard_normal((4, 2)), p, return_sequence=True)
+        lstm_backward(np.ones_like(out), cache)
+        with pytest.raises(ShapeError, match="already used"):
+            lstm_backward(np.ones_like(out), cache)
 
 
 class TestDropout:
