@@ -228,15 +228,6 @@ def maxpool1d_backward(grad_y: np.ndarray, cache: LayerCache):
 # --- LSTM ---
 
 
-def _stacked(p: LstmParams):
-    """The gates stacked in _ORDER: W [4H,F], U [4H,H], b [4H]."""
-    return (
-        np.concatenate([p.w[g] for g in _ORDER]),
-        np.concatenate([p.u[g] for g in _ORDER]),
-        np.concatenate([p.b[g] for g in _ORDER]),
-    )
-
-
 def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
     """Run the gated recurrence over T steps from h_0 = c_0 = 0.
 
@@ -250,7 +241,7 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
             f"lstm input has {f} features but params expect {p.input_size}"
         )
     hs = p.hidden_size
-    w, u, bias = _stacked(p)
+    w, u, bias = (np.concatenate([part[g] for g in _ORDER]) for part in (p.w, p.u, p.b))
     # sigmoid(z) = (tanh(z / 2) + 1) / 2: halving the o, i, f rows is exact
     scale = np.ones((4 * hs, 1))
     scale[: 3 * hs] = 0.5
