@@ -24,14 +24,6 @@ def _write(path, text: str):
         fh.write(text)
 
 
-def _engineered_frame(series: pl.OhlcvSeries) -> pl.FeatureFrame:
-    """Raw series -> cleaned, imputed, feature-engineered frame (pre-scaling)."""
-    frame = pl.frame_from_series(pl.impute_mean(pl.clean_three_sigma(series)))
-    frame = pl.add_moving_averages(frame)
-    frame = pl.add_yield(frame)
-    return pl.drop_rows(frame, max(pl.SMA_WINDOWS))
-
-
 def _check_compat(ckpt_pre: pl.PreprocessState, data_pre: pl.PreprocessState, features: int, n_model_features: int):
     if ckpt_pre.selected != data_pre.selected:
         raise CompatibilityError(
@@ -131,8 +123,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     net, ckpt_pre = model_mod.load(args.checkpoint)
-    series = pl.load_ohlcv(args.input)
-    frame = _engineered_frame(series)
+    frame, _ = pl.engineer(pl.load_ohlcv(args.input))
     rows = training.predict(net, ckpt_pre, frame)
     lines = ["date,predicted"]
     lines.extend(f"{day.isoformat()},{fmt_float(price)}" for day, price in rows)

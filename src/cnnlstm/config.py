@@ -4,59 +4,34 @@ One file drives an entire run: pipeline knobs, model architecture, training
 and optimizer settings. ``#`` starts a comment, blank lines are ignored,
 unknown keys are fatal. Every key has a default, so an empty (or absent)
 config is a valid run.
+
+The keys are the fields of ``PrepareConfig``, ``ModelConfig``,
+``TrainConfig`` and ``OptimConfig`` that have a plain default (see
+``textio.key_fields``); each takes its default and its parser from the
+field, and a key two dataclasses share takes the first one's default.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .errors import ConfigError
 from .model import ModelConfig
 from .optim import OptimConfig
 from .pipeline import PrepareConfig
-from .textio import float_tuple, int_tuple
+from .textio import field_parser, key_fields
 from .training import TrainConfig
 
 
-def _bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise ValueError(f"expected on/off, got {raw!r}")
+def _schema(*classes) -> dict:
+    schema = {}
+    for cls in classes:
+        for f in key_fields(cls):
+            if f.default is not MISSING:
+                schema.setdefault(f.name, (field_parser(f), f.default))
+    return schema
 
 
 # key -> (parser, default)
-SCHEMA = {
-    # pipeline
-    "lookback": (int, 64),
-    "horizon": (int, 1),
-    "corr_threshold": (float, 0.5),
-    "pca": (_bool, True),
-    "pca_variance": (float, 0.95),
-    "split_ratios": (float_tuple, (0.7, 0.2, 0.1)),
-    "split_mode": (str, "chronological"),
-    # model
-    "conv_filters": (int_tuple, (32, 64, 64)),
-    "kernel_width": (int, 3),
-    "pool_window": (int, 2),
-    "lstm_units": (int_tuple, (64, 64, 64)),
-    "dropout_rate": (float, 0.2),
-    # training
-    "epochs": (int, 50),
-    "batch_size": (int, 32),
-    "shuffle": (_bool, True),
-    # optimizer
-    "optimizer": (str, "sgd"),
-    "lr0": (float, 0.01),
-    "decay_factor": (float, 0.96),
-    "decay_every": (int, 5),
-    "l2": (float, 1e-4),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "eps_adam": (float, 1e-8),
-    # shared
-    "seed": (int, 42),
-}
+SCHEMA = _schema(PrepareConfig, ModelConfig, TrainConfig, OptimConfig)
 
 
 @dataclass
@@ -76,50 +51,20 @@ class RunConfig:
         updated["seed"] = seed
         return replace(self, values=updated)
 
+    def build(self, cls, **given):
+        """A validated ``cls`` from the values of its fields that are keys, then ``given``."""
+        values = {f.name: self.values[f.name] for f in fields(cls) if f.name in self.values}
+        return cls(**{**values, **given}).validate()
+
     def prepare_config(self) -> PrepareConfig:
-        return PrepareConfig(
-            lookback=self.lookback,
-            horizon=self.horizon,
-            corr_threshold=self.corr_threshold,
-            pca=self.pca,
-            pca_variance=self.pca_variance,
-            ratios=self.split_ratios,
-            split_mode=self.split_mode,
-            seed=self.seed,
-        ).validate()
+        return self.build(PrepareConfig)
 
     def model_config(self, features: int, lookback: int = None) -> ModelConfig:
-        return ModelConfig(
-            features=features,
-            lookback=self.lookback if lookback is None else lookback,
-            conv_filters=self.conv_filters,
-            kernel_width=self.kernel_width,
-            pool_window=self.pool_window,
-            lstm_units=self.lstm_units,
-            dropout_rate=self.dropout_rate,
-            seed=self.seed,
-        ).validate()
-
-    def optim_config(self) -> OptimConfig:
-        return OptimConfig(
-            optimizer=self.optimizer,
-            lr0=self.lr0,
-            decay_factor=self.decay_factor,
-            decay_every=self.decay_every,
-            l2=self.l2,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps_adam=self.eps_adam,
-        ).validate()
+        lookback = self.lookback if lookback is None else lookback
+        return self.build(ModelConfig, features=features, lookback=lookback)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            optim=self.optim_config(),
-            seed=self.seed,
-            shuffle=self.shuffle,
-        ).validate()
+        return self.build(TrainConfig, optim=self.build(OptimConfig))
 
 
 def default_config() -> RunConfig:

@@ -133,7 +133,8 @@ def conv1d_forward(x: np.ndarray, p: Conv1dParams):
             f"conv1d needs at least {width} time steps, got {t}"
         )
     win = _windows(x3, width)  # [B, T', F, W]
-    y = np.tensordot(win, p.kernels, axes=([3, 2], [1, 2])) + p.bias  # [B, T', K]
+    y = np.tensordot(win, p.kernels, axes=([3, 2], [1, 2]))  # [B, T', K]
+    y += p.bias
     cache = LayerCache("conv1d", {"x": x3, "params": p}, batched)
     return (y if batched else y[0]), cache
 
@@ -389,7 +390,7 @@ def dropout(x: np.ndarray, rate: float, training: bool, rng=None):
     x = np.asarray(x, dtype=np.float64)
     if not training or rate == 0.0:
         cache = LayerCache("dropout", {"mask": None, "rate": rate, "shape": x.shape})
-        return x.copy(), cache
+        return x, cache
     if rng is None:
         raise ConfigError("dropout in training mode needs an rng")
     mask = rng.random(x.shape) >= rate
@@ -409,7 +410,7 @@ def dropout_backward(grad_y: np.ndarray, cache: LayerCache):
         )
     mask = cache.data["mask"]
     if mask is None:
-        return g.copy()
+        return g
     return g * mask / (1.0 - cache.data["rate"])
 
 

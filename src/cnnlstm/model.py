@@ -27,7 +27,7 @@ from .errors import (
 from .layers import GATES, Conv1dParams, DenseParams, LstmParams
 from .optim import mse
 from .pipeline import PreprocessState, preprocess_lines, read_preprocess_block
-from .textio import LineReader, array_lines, int_tuple, write_lines
+from .textio import LineReader, array_lines, config_lines, int_tuple, read_config, write_lines
 
 CKPT_MAGIC = "CNNLSTM-CKPT"
 CKPT_VERSION = "v2"
@@ -226,7 +226,7 @@ def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray) 
             grads[f"lstm{stage}.u_{gate}"] = lstm_grads.u[gate]
             grads[f"lstm{stage}.b_{gate}"] = lstm_grads.b[gate]
         dx = layers.maxpool1d_backward(dx, pool_cache)
-        dx = dx * (1.0 - a * a)  # tanh after conv
+        dx *= 1.0 - a * a  # tanh after conv
         dx, grad_k, grad_cb = layers.conv1d_backward(dx, conv_cache)
         grads[f"conv{stage}.kernels"] = grad_k
         grads[f"conv{stage}.bias"] = grad_cb
@@ -248,37 +248,42 @@ def loss_gradients(model: Model, batch, targets, rng_seed: int):
     return loss, grads
 
 
-def _numeric_gradients(model: Model, batch, targets, eps: float, rng_seed: int) -> dict:
-    """Central finite differences of the MSE loss for every parameter."""
+def _finite_difference(loss, arr: np.ndarray, eps: float) -> np.ndarray:
+    """Central differences of ``loss()`` with respect to every entry of ``arr``.
 
-    def loss_at():
-        preds, _ = forward(
-            model, batch, training=True, rng=np.random.default_rng(rng_seed)
-        )
-        return mse(preds, targets)
-
-    out = {}
-    for name, param in model.params.items():
-        numeric = np.zeros_like(param)
-        flat = param.reshape(-1)  # view: perturbs the live parameter, then restores
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
-            up = loss_at()
-            flat[i] = saved - eps
-            down = loss_at()
-            flat[i] = saved
-            numeric.reshape(-1)[i] = (up - down) / (2.0 * eps)
-        out[name] = numeric
+    ``arr`` is perturbed in place, one entry at a time, and restored.
+    """
+    out = np.zeros_like(arr)
+    flat = arr.reshape(-1)  # a view, so the perturbation reaches ``loss``
+    for i in range(flat.size):
+        saved = flat[i]
+        flat[i] = saved + eps
+        up = loss()
+        flat[i] = saved - eps
+        down = loss()
+        flat[i] = saved
+        out.reshape(-1)[i] = (up - down) / (2.0 * eps)
     return out
 
 
-def _compare_gradients(analytic: dict, numeric: dict):
-    report = {}
-    for name, a in analytic.items():
-        n = numeric[name]
-        scale = max(np.abs(a).max(), np.abs(n).max(), 1e-12)
-        report[name] = float(np.abs(a - n).max() / scale)
+def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
+    return float(np.abs(analytic - numeric).max() / scale)
+
+
+def _full_stack_check(model: Model, batch, targets, eps: float, rng_seed: int, corrupt=False):
+    _, analytic = loss_gradients(model, batch, targets, rng_seed)
+    if corrupt:
+        analytic["conv2.kernels"] = analytic["conv2.kernels"] + 0.05
+
+    def loss():
+        preds, _ = forward(model, batch, training=True, rng=np.random.default_rng(rng_seed))
+        return mse(preds, targets)
+
+    report = {
+        name: _relative_error(analytic[name], _finite_difference(loss, param, eps))
+        for name, param in model.params.items()
+    }
     return max(report.values()), report
 
 
@@ -293,9 +298,7 @@ def grad_check(model: Model, batch, targets=None, eps: float = 1e-6, rng_seed: i
     batch = np.asarray(batch, dtype=np.float64)
     if targets is None:
         targets = np.random.default_rng(rng_seed + 1).random(batch.shape[0])
-    _, analytic = loss_gradients(model, batch, targets, rng_seed)
-    numeric = _numeric_gradients(model, batch, targets, eps, rng_seed)
-    return _compare_gradients(analytic, numeric)
+    return _full_stack_check(model, batch, targets, eps, rng_seed)
 
 
 # --- checkpoint serialization ---
@@ -308,18 +311,9 @@ def save(model: Model, preprocess: PreprocessState, path):
     binary64 block line (see ``textio``). A failed save leaves any previous
     file at ``path`` untouched.
     """
-    cfg = model.config
-    lines = [f"{CKPT_MAGIC} {CKPT_VERSION}"]
-    lines.append(f"features={cfg.features}")
-    lines.append(f"lookback={cfg.lookback}")
-    lines.append(f"conv_filters={','.join(str(v) for v in cfg.conv_filters)}")
-    lines.append(f"kernel_width={cfg.kernel_width}")
-    lines.append(f"pool_window={cfg.pool_window}")
-    lines.append(f"lstm_units={','.join(str(v) for v in cfg.lstm_units)}")
-    lines.append(f"dropout_rate={cfg.dropout_rate:.17g}")
-    lines.append(f"seed={cfg.seed}")
+    lines = [f"{CKPT_MAGIC} {CKPT_VERSION}", *config_lines(model.config)]
     lines.extend(preprocess_lines(preprocess))
-    for name, shape in parameter_shapes(cfg).items():
+    for name, shape in parameter_shapes(model.config).items():
         lines.append(f"param {name} {','.join(str(d) for d in shape)}")
         lines.extend(array_lines(model.params[name]))
     write_lines(path, lines)
@@ -343,16 +337,7 @@ def load(path):
         raise CheckpointVersionError(
             f"{path}: unsupported checkpoint version {' '.join(head[1:])!r}"
         )
-    config = ModelConfig(
-        features=reader.expect("features", int),
-        lookback=reader.expect("lookback", int),
-        conv_filters=reader.expect("conv_filters", int_tuple),
-        kernel_width=reader.expect("kernel_width", int),
-        pool_window=reader.expect("pool_window", int),
-        lstm_units=reader.expect("lstm_units", int_tuple),
-        dropout_rate=reader.expect("dropout_rate", float),
-        seed=reader.expect("seed", int),
-    ).validate()
+    config = read_config(reader, ModelConfig).validate()
     preprocess = read_preprocess_block(reader)
     params = {}
     for name, shape in parameter_shapes(config).items():
@@ -398,42 +383,30 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
     rng = np.random.default_rng(seed)
     results = []
 
-    def rel(analytic, numeric):
-        scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
-        return float(np.abs(analytic - numeric).max() / scale)
-
-    def fd(loss, arr):
-        out = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
-            up = loss()
-            flat[i] = saved - eps
-            down = loss()
-            flat[i] = saved
-            out.reshape(-1)[i] = (up - down) / (2.0 * eps)
-        return out
+    def worst(loss, pairs):
+        """Largest error over (analytic gradient, the array it is taken against)."""
+        return max(_relative_error(g, _finite_difference(loss, arr, eps)) for g, arr in pairs)
 
     # conv1d: weight the outputs with a fixed random sheet so the loss is scalar
     x = rng.standard_normal((8, 3))
     p = Conv1dParams(kernels=rng.standard_normal((2, 3, 3)), bias=rng.standard_normal(2))
     w_out = rng.standard_normal((6, 2))
-    y, cache = layers.conv1d_forward(x, p)
-    gx, gk, gb = layers.conv1d_backward(w_out, cache)
-    worst = rel(gx, fd(lambda: float((layers.conv1d_forward(x, p)[0] * w_out).sum()), x))
-    worst = max(worst, rel(gk, fd(lambda: float((layers.conv1d_forward(x, p)[0] * w_out).sum()), p.kernels)))
-    worst = max(worst, rel(gb, fd(lambda: float((layers.conv1d_forward(x, p)[0] * w_out).sum()), p.bias)))
-    results.append(("conv1d", worst))
+    gx, gk, gb = layers.conv1d_backward(w_out, layers.conv1d_forward(x, p)[1])
+
+    def conv_loss():
+        return float((layers.conv1d_forward(x, p)[0] * w_out).sum())
+
+    results.append(("conv1d", worst(conv_loss, [(gx, x), (gk, p.kernels), (gb, p.bias)])))
 
     # maxpool1d: continuous random input, ties have probability zero
     x = rng.standard_normal((9, 2))
     w_out = rng.standard_normal((4, 2))
-    _, cache = layers.maxpool1d_forward(x, 2)
-    gx = layers.maxpool1d_backward(w_out, cache)
-    results.append(
-        ("maxpool1d", rel(gx, fd(lambda: float((layers.maxpool1d_forward(x, 2)[0] * w_out).sum()), x)))
-    )
+    gx = layers.maxpool1d_backward(w_out, layers.maxpool1d_forward(x, 2)[1])
+
+    def pool_loss():
+        return float((layers.maxpool1d_forward(x, 2)[0] * w_out).sum())
+
+    results.append(("maxpool1d", worst(pool_loss, [(gx, x)])))
 
     # lstm: T=8, H=4, all params and input
     x = rng.standard_normal((8, 3))
@@ -447,14 +420,11 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
     def lstm_loss():
         return float((layers.lstm_forward(x, p, return_sequence=True)[0] * w_out).sum())
 
-    _, cache = layers.lstm_forward(x, p, return_sequence=True)
-    gx, gp = layers.lstm_backward(w_out, cache)
-    worst = rel(gx, fd(lstm_loss, x))
+    gx, gp = layers.lstm_backward(w_out, layers.lstm_forward(x, p, return_sequence=True)[1])
+    pairs = [(gx, x)]
     for gate in GATES:
-        worst = max(worst, rel(gp.w[gate], fd(lstm_loss, p.w[gate])))
-        worst = max(worst, rel(gp.u[gate], fd(lstm_loss, p.u[gate])))
-        worst = max(worst, rel(gp.b[gate], fd(lstm_loss, p.b[gate])))
-    results.append(("lstm", worst))
+        pairs += [(gp.w[gate], p.w[gate]), (gp.u[gate], p.u[gate]), (gp.b[gate], p.b[gate])]
+    results.append(("lstm", worst(lstm_loss, pairs)))
 
     # dense
     x = rng.standard_normal(5)
@@ -464,12 +434,8 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
     def dense_loss():
         return float((layers.dense_forward(x, p)[0] * w_out).sum())
 
-    _, cache = layers.dense_forward(x, p)
-    gx, gw, gb = layers.dense_backward(w_out, cache)
-    worst = rel(gx, fd(dense_loss, x))
-    worst = max(worst, rel(gw, fd(dense_loss, p.weight)))
-    worst = max(worst, rel(gb, fd(dense_loss, p.bias)))
-    results.append(("dense", worst))
+    gx, gw, gb = layers.dense_backward(w_out, layers.dense_forward(x, p)[1])
+    results.append(("dense", worst(dense_loss, [(gx, x), (gw, p.weight), (gb, p.bias)])))
 
     # dropout: identical seed reproduces the mask inside the loss closure
     x = rng.standard_normal((6, 3))
@@ -480,8 +446,7 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
         return float((y * w_out).sum())
 
     _, cache = layers.dropout(x, 0.4, training=True, rng=np.random.default_rng(seed + 7))
-    gx = layers.dropout_backward(w_out, cache)
-    results.append(("dropout", rel(gx, fd(drop_loss, x))))
+    results.append(("dropout", worst(drop_loss, [(layers.dropout_backward(w_out, cache), x)])))
 
     # full stack; the corrupt hook falsifies one analytic gradient so the
     # comparison must fail (negative control for the verification command)
@@ -489,10 +454,5 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
     net = build(config)
     batch = rng.standard_normal((2, config.lookback, config.features))
     targets = rng.random(2)
-    _, analytic = loss_gradients(net, batch, targets, seed)
-    if corrupt:
-        analytic["conv2.kernels"] = analytic["conv2.kernels"] + 0.05
-    numeric = _numeric_gradients(net, batch, targets, eps, seed)
-    worst_stack, _ = _compare_gradients(analytic, numeric)
-    results.append(("full_stack", worst_stack))
+    results.append(("full_stack", _full_stack_check(net, batch, targets, eps, seed, corrupt)[0]))
     return results

@@ -36,6 +36,12 @@ class OptimConfig:
             raise ConfigError(f"decay_every must be >= 1, got {self.decay_every}")
         if self.l2 < 0:
             raise ConfigError(f"l2 must be >= 0, got {self.l2}")
+        # checked whichever optimizer runs; a beta of 1 divides by zero in
+        # Adam's bias correction
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must be in [0,1), got {self.beta1}, {self.beta2}")
+        if not self.eps_adam > 0.0:
+            raise ConfigError(f"eps_adam must be > 0, got {self.eps_adam}")
         return self
 
 

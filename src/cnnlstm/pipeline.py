@@ -26,7 +26,7 @@ from .errors import (
     DataError,
     PipelineError,
 )
-from .textio import LineReader, array_lines, float_tuple, fmt_vector, write_lines
+from .textio import LineReader, array_lines, config_lines, fmt_vector, read_config, write_lines
 
 OHLCV_COLUMNS = ("open", "high", "low", "close", "volume")
 CSV_HEADER = ("Date", "Open", "High", "Low", "Close", "Volume")
@@ -229,6 +229,19 @@ def drop_rows(frame: FeatureFrame, head: int) -> FeatureFrame:
         dates=list(frame.dates[head:]),
         columns={n: c[head:].copy() for n, c in frame.columns.items()},
     )
+
+
+def engineer(series: OhlcvSeries, sma_windows=SMA_WINDOWS):
+    """Raw series -> the engineered (pre-scaling) frame and the count of cells imputed.
+
+    Cleaning, imputation, moving averages and yield, then the warm-up cut
+    of the longest moving-average window.
+    """
+    cleaned = clean_three_sigma(series)
+    imputed_cells = sum(int((~np.isfinite(c)).sum()) for c in cleaned.columns.values())
+    frame = frame_from_series(impute_mean(cleaned))
+    frame = add_yield(add_moving_averages(frame, sma_windows))
+    return drop_rows(frame, max(sma_windows)), imputed_cells
 
 
 def restrict(frame: FeatureFrame, names) -> FeatureFrame:
@@ -480,11 +493,6 @@ def split_indices(n: int, ratios=(0.7, 0.2, 0.1), mode="chronological", seed=0):
     return train, val, test
 
 
-def split(dataset: WindowedDataset, ratios=(0.7, 0.2, 0.1), mode="chronological", seed=0) -> WindowedDataset:
-    train, val, test = split_indices(dataset.n, ratios, mode, seed)
-    return replace(dataset, train_idx=train, val_idx=val, test_idx=test)
-
-
 @dataclass
 class PreprocessState:
     """Frozen fit-time state a checkpoint needs for exact inference replay."""
@@ -502,23 +510,25 @@ class PrepareConfig:
     corr_threshold: float = 0.5
     pca: bool = True
     pca_variance: float = 0.95
-    ratios: tuple = (0.7, 0.2, 0.1)
+    split_ratios: tuple = (0.7, 0.2, 0.1)
     split_mode: str = "chronological"
     seed: int = 42
-    sma_windows: tuple = SMA_WINDOWS
+    # neither a config key nor written to a cache: a checkpoint does not
+    # carry it either, so predict could not replay a run that changed it
+    sma_windows: tuple = field(default=SMA_WINDOWS, metadata={"persisted": False})
 
     def validate(self):
         if self.lookback < 1 or self.horizon < 1:
             raise ConfigError("lookback and horizon must be >= 1")
         if not 0.0 <= self.corr_threshold <= 1.0:
             raise ConfigError(f"corr_threshold must be in [0,1], got {self.corr_threshold}")
-        if len(self.ratios) != 3 or not all(r >= 0.0 for r in self.ratios):
+        if len(self.split_ratios) != 3 or not all(r >= 0.0 for r in self.split_ratios):
             raise ConfigError(
                 f"split ratios must be three non-negative shares (train, val, test), "
-                f"got {self.ratios}"
+                f"got {self.split_ratios}"
             )
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios must sum to 1, got {self.ratios}")
+        if abs(sum(self.split_ratios) - 1.0) > 1e-9:
+            raise ConfigError(f"split ratios must sum to 1, got {self.split_ratios}")
         if self.split_mode not in ("chronological", "random"):
             raise ConfigError(f"split mode must be chronological or random, got {self.split_mode!r}")
         return self
@@ -600,25 +610,17 @@ def prepare_dataset(series: OhlcvSeries, cfg: PrepareConfig) -> PreparedData:
     """Run the whole preprocessing chain on a raw series."""
     cfg.validate()
     missing_before = sum(int((~np.isfinite(c)).sum()) for c in series.columns.values())
-    cleaned = clean_three_sigma(series)
-    missing_after_clean = sum(int((~np.isfinite(c)).sum()) for c in cleaned.columns.values())
-    imputed = impute_mean(cleaned)
-
-    frame = frame_from_series(imputed)
-    frame = add_moving_averages(frame, cfg.sma_windows)
-    frame = add_yield(frame)
-    warmup = max(cfg.sma_windows)
-    frame = drop_rows(frame, warmup)
+    frame, imputed_cells = engineer(series, cfg.sma_windows)
 
     length = len(frame)
     if length < cfg.lookback + cfg.horizon:
         raise PipelineError(
-            f"series too short: {length} rows remain after the {warmup}-row warm-up "
-            f"cut, need at least {cfg.lookback + cfg.horizon}"
+            f"series too short: {length} rows remain after the {max(cfg.sma_windows)}-row "
+            f"warm-up cut, need at least {cfg.lookback + cfg.horizon}"
         )
     n_windows = length - cfg.lookback - cfg.horizon + 1
     train_idx, val_idx, test_idx = split_indices(
-        n_windows, cfg.ratios, cfg.split_mode, cfg.seed
+        n_windows, cfg.split_ratios, cfg.split_mode, cfg.seed
     )
     fit_rows = training_rows(length, train_idx, cfg.lookback, cfg.horizon)
 
@@ -646,8 +648,8 @@ def prepare_dataset(series: OhlcvSeries, cfg: PrepareConfig) -> PreparedData:
 
     summary = PrepareSummary(
         rows_loaded=len(series),
-        outlier_cells=missing_after_clean - missing_before,
-        imputed_cells=missing_after_clean,
+        outlier_cells=imputed_cells - missing_before,
+        imputed_cells=imputed_cells,
         rows_after_warmup=length,
         correlations=rs,
         selected=selected,
@@ -769,15 +771,7 @@ def save_dataset(prepared: PreparedData, cfg: PrepareConfig, path):
     frame = prepared.frame
     if frame is None:
         raise PipelineError("prepared data lacks the transformed frame")
-    lines = [f"{DATA_MAGIC} {DATA_VERSION}"]
-    lines.append(f"lookback={cfg.lookback}")
-    lines.append(f"horizon={cfg.horizon}")
-    lines.append(f"corr_threshold={cfg.corr_threshold:.17g}")
-    lines.append(f"pca={'on' if cfg.pca else 'off'}")
-    lines.append(f"pca_variance={cfg.pca_variance:.17g}")
-    lines.append(f"split_ratios={','.join(format(r, '.17g') for r in cfg.ratios)}")
-    lines.append(f"split_mode={cfg.split_mode}")
-    lines.append(f"seed={cfg.seed}")
+    lines = [f"{DATA_MAGIC} {DATA_VERSION}", *config_lines(cfg)]
     lines.extend(preprocess_lines(prepared.preprocess))
     lines.append("[frame]")
     lines.append(f"rows={len(frame)}")
@@ -818,16 +812,7 @@ def load_dataset(path):
         raise CheckpointVersionError(
             f"{path}: unsupported dataset version {' '.join(head[1:])!r}"
         )
-    cfg = PrepareConfig(
-        lookback=reader.expect("lookback", int),
-        horizon=reader.expect("horizon", int),
-        corr_threshold=reader.expect("corr_threshold", float),
-        pca=reader.expect("pca") == "on",
-        pca_variance=reader.expect("pca_variance", float),
-        ratios=reader.expect("split_ratios", float_tuple),
-        split_mode=reader.expect("split_mode"),
-        seed=reader.expect("seed", int),
-    )
+    cfg = read_config(reader, PrepareConfig)
     preprocess = read_preprocess_block(reader)
     if reader.next() != "[frame]":
         raise reader.error("expected [frame] section")

@@ -2,8 +2,8 @@
 
 Every numeric value in the toolkit lives in a rank-1/2/3 row-major
 (C-contiguous) ``numpy.ndarray`` of float64. The helpers here are the only
-sanctioned constructors and the elementwise/matrix primitives the layers
-build on. All operations are pure: inputs are never mutated and outputs are
+sanctioned constructors and the matrix and reduction primitives the
+layers build on. All operations are pure: inputs are never mutated and outputs are
 freshly allocated.
 """
 
@@ -38,29 +38,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     return ensure_finite(a @ b, "matmul")
-
-
-def sigmoid(x):
-    # tanh form is overflow-free and keeps sigmoid(0) == 0.5 exact
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
-
-
-def tanh(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def identity(x):
-    return np.array(x, dtype=np.float64, copy=True)
-
-
-_UNARY = {"sigmoid": sigmoid, "tanh": tanh, "identity": identity}
-
-
-def map_unary(x: np.ndarray, fn: str) -> np.ndarray:
-    """Apply ``fn`` (one of sigmoid/tanh/identity) elementwise, shape preserved."""
-    if fn not in _UNARY:
-        raise ConfigError(f"unknown unary function {fn!r}, expected one of {sorted(_UNARY)}")
-    return ensure_finite(_UNARY[fn](x), f"map_unary({fn})")
 
 
 def reduce(x: np.ndarray, op: str, axis: int = 0, with_argmax: bool = False):

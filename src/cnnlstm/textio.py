@@ -8,12 +8,15 @@ bitwise, NaN payloads included, and parses without converting decimal
 text. Integer and date blocks are whitespace-separated tokens, parsed a
 whole block at a time; a block is scanned token by token only when it
 fails to parse, to name the line and token at fault. Files are replaced
-whole, never rewritten in place.
+whole, never rewritten in place. The ``key=value`` header of a checkpoint
+or a dataset cache is one line per field of its config dataclass, and the
+run config's keys are those same fields (``key_fields``).
 """
 
 import binascii
 import os
 import stat
+from dataclasses import MISSING, fields
 from datetime import date
 
 import numpy as np
@@ -199,6 +202,57 @@ def int_tuple(value: str) -> tuple:
 
 def float_tuple(value: str) -> tuple:
     return tuple(float(v) for v in value.split(","))
+
+
+def on_off(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("on", "true", "1", "yes"):
+        return True
+    if lowered in ("off", "false", "0", "no"):
+        return False
+    raise ValueError(f"expected on/off, got {raw!r}")
+
+
+def fmt_value(value) -> str:
+    """A ``key=value`` value as written: on/off, 17 significant digits, tuples comma-joined."""
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(fmt_value, value))
+    return str(value)
+
+
+def key_fields(cls) -> list:
+    """The fields of a config dataclass that are ``key=value`` lines, in order.
+
+    A field built by a factory (a nested config) is not one, nor is a field
+    whose metadata sets ``persisted`` to false.
+    """
+    return [
+        f for f in fields(cls)
+        if f.default_factory is MISSING and f.metadata.get("persisted", True)
+    ]
+
+
+def field_parser(f):
+    """The parser of a key field: its type, on/off for a bool, and for a
+    tuple the int or float form its default holds."""
+    if f.type is bool:
+        return on_off
+    if f.type is tuple:
+        return float_tuple if any(isinstance(v, float) for v in f.default) else int_tuple
+    return f.type
+
+
+def config_lines(config) -> list:
+    return [f"{f.name}={fmt_value(getattr(config, f.name))}" for f in key_fields(type(config))]
+
+
+def read_config(reader: LineReader, cls):
+    """A ``cls`` from the lines ``config_lines`` writes, unvalidated."""
+    return cls(**{f.name: reader.expect(f.name, field_parser(f)) for f in key_fields(cls)})
 
 
 def parse_kv(line: str, reader: LineReader):

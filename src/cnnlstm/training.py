@@ -127,6 +127,18 @@ def train(
     )
 
 
+def _split_prices(
+    model: Model, dataset: pl.WindowedDataset, preprocess: pl.PreprocessState, split: str
+):
+    """Indices, actual prices and predicted prices of one split."""
+    idx = dataset.indices(split)
+    if idx.size == 0:
+        raise CompatibilityError(f"{split} split is empty")
+    preds = _infer(model, dataset.inputs[idx])
+    actual = pl.invert_minmax(dataset.targets[idx], preprocess.scaler, "close")
+    return idx, actual, pl.invert_minmax(preds, preprocess.scaler, "close")
+
+
 def evaluate(
     model: Model,
     dataset: pl.WindowedDataset,
@@ -134,12 +146,7 @@ def evaluate(
     split: str = "test",
 ) -> metrics_mod.MetricsReport:
     """Inference over one split, metrics in inverse-scaled price space."""
-    idx = dataset.indices(split)
-    if idx.size == 0:
-        raise CompatibilityError(f"{split} split is empty")
-    preds = _infer(model, dataset.inputs[idx])
-    actual = pl.invert_minmax(dataset.targets[idx], preprocess.scaler, "close")
-    predicted = pl.invert_minmax(preds, preprocess.scaler, "close")
+    _, actual, predicted = _split_prices(model, dataset, preprocess, split)
     return metrics_mod.report(actual, predicted)
 
 
@@ -150,12 +157,7 @@ def split_predictions(
     split: str = "test",
 ):
     """(date, actual price, predicted price) rows for one split."""
-    idx = dataset.indices(split)
-    if idx.size == 0:
-        raise CompatibilityError(f"{split} split is empty")
-    preds = _infer(model, dataset.inputs[idx])
-    actual = pl.invert_minmax(dataset.targets[idx], preprocess.scaler, "close")
-    predicted = pl.invert_minmax(preds, preprocess.scaler, "close")
+    idx, actual, predicted = _split_prices(model, dataset, preprocess, split)
     dates = [dataset.target_dates[i] for i in idx]
     return list(zip(dates, actual.tolist(), predicted.tolist()))
 
@@ -178,11 +180,7 @@ def predict(model: Model, preprocess: pl.PreprocessState, frame: pl.FeatureFrame
         raise PipelineError(
             f"need at least {lookback} prepared rows, got {len(frame)}"
         )
-    narrowed = pl.FeatureFrame(
-        dates=list(frame.dates),
-        columns={n: frame.columns[n].copy() for n in preprocess.selected},
-    )
-    scaled = pl.apply_minmax(narrowed, preprocess.scaler)
+    scaled = pl.apply_minmax(pl.restrict(frame, preprocess.selected), preprocess.scaler)
     modeled = pl.pca_transform(scaled, preprocess.pca) if preprocess.pca else scaled
     x = modeled.matrix(list(modeled.columns))
     if x.shape[1] != model.config.features:

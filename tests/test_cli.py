@@ -51,6 +51,19 @@ def test_prepare_rejects_two_split_ratios(prepared, capsys):
     )
 
 
+def test_train_rejects_adam_beta1_of_one(prepared, capsys):
+    # a beta of 1 divides by zero in Adam's bias correction: bad input, not divergence
+    (prepared / "adam.cfg").write_text(
+        SMALL + "kernel_width=2\npool_window=1\noptimizer=adam\nbeta1=1.0\nepochs=1\n"
+    )
+    assert_input_error(
+        capsys,
+        ["train", "--data", str(prepared / "data.txt"), "--config", str(prepared / "adam.cfg"),
+         "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
+        "beta1 and beta2 must be in [0,1), got 1.0, 0.999",
+    )
+
+
 def test_train_rejects_out_of_range_split_index(prepared, capsys):
     path = prepared / "data.txt"
     lines = path.read_text().splitlines()

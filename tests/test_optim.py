@@ -201,7 +201,14 @@ class TestOptimConfig:
             OptimConfig(decay_every=0).validate()
         with pytest.raises(ConfigError):
             OptimConfig(l2=-1e-4).validate()
+        # Adam's settings are checked whichever optimizer is chosen
+        for bad in (dict(beta1=1.0), dict(beta2=1.0), dict(beta1=2.0), dict(beta1=-0.5),
+                    dict(beta2=float("nan")), dict(eps_adam=-1.0), dict(eps_adam=0.0)):
+            for optimizer in ("sgd", "adam"):
+                with pytest.raises(ConfigError):
+                    OptimConfig(optimizer=optimizer, **bad).validate()
         OptimConfig().validate()
+        OptimConfig(optimizer="adam", beta1=0.0, beta2=0.0).validate()
         OptimConfig(lr0=0.0).validate()  # degenerate no-op runs are allowed
 
     def test_is_bias_naming(self):

@@ -32,7 +32,6 @@ from cnnlstm.pipeline import (
     prepare_dataset,
     save_dataset,
     select_by_correlation,
-    split,
     split_indices,
 )
 from cnnlstm.synth import synthetic_ohlcv, write_csv
@@ -463,8 +462,8 @@ class TestWindows:
 class TestSplit:
     def test_ten_windows_split_7_2_1(self, rng):
         frame = frame_of(close=rng.random(13), x=rng.random(13))
-        ds = split(make_windows(frame, 3, 1))
-        assert (ds.train_idx.size, ds.val_idx.size, ds.test_idx.size) == (7, 2, 1)
+        train, val, test = split_indices(make_windows(frame, 3, 1).n)
+        assert (train.size, val.size, test.size) == (7, 2, 1)
 
     def test_hundred_windows_split_70_20_10(self):
         train, val, test = split_indices(100)
@@ -472,12 +471,13 @@ class TestSplit:
 
     def test_chronological_ordering(self, rng):
         frame = frame_of(close=rng.random(23), x=rng.random(23))
-        ds = split(make_windows(frame, 3, 1))
-        last_train = max(ds.target_dates[i] for i in ds.train_idx)
-        first_val = min(ds.target_dates[i] for i in ds.val_idx)
-        first_test = min(ds.target_dates[i] for i in ds.test_idx)
+        ds = make_windows(frame, 3, 1)
+        train, val, test = split_indices(ds.n)
+        last_train = max(ds.target_dates[i] for i in train)
+        first_val = min(ds.target_dates[i] for i in val)
+        first_test = min(ds.target_dates[i] for i in test)
         assert last_train < first_val
-        assert max(ds.target_dates[i] for i in ds.val_idx) < first_test
+        assert max(ds.target_dates[i] for i in val) < first_test
 
     def test_random_mode_disjoint_exhaustive(self):
         train, val, test = split_indices(57, mode="random", seed=4)
@@ -539,7 +539,7 @@ class TestPrepareDataset:
                                         (math.nan, 0.5, 0.5)])
     def test_split_ratios_must_be_three_non_negative_shares(self, ratios):
         with pytest.raises(ConfigError, match="three non-negative"):
-            small_prepare_config(ratios=ratios).validate()
+            small_prepare_config(split_ratios=ratios).validate()
 
     def test_pca_off_keeps_selected_columns(self):
         prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config(pca=False))

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cnnlstm.errors import ConfigError, NumericError, ShapeError
-from cnnlstm.tensor import map_unary, matmul, reduce, tensor
+from cnnlstm.tensor import matmul, reduce, tensor
 
 
 class TestTensorConstructor:
@@ -63,37 +61,6 @@ class TestMatmul:
         a0, b0 = a.copy(), b.copy()
         matmul(a, b)
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
-
-
-class TestMapUnary:
-    def test_sigmoid_at_zero(self):
-        assert map_unary(np.array([0.0]), "sigmoid")[0] == 0.5
-
-    def test_tanh_at_zero(self):
-        assert map_unary(np.array([0.0]), "tanh")[0] == 0.0
-
-    @settings(max_examples=50)
-    @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
-    def test_sigmoid_symmetry(self, x):
-        arr = np.array([x, -x])
-        s = map_unary(arr, "sigmoid")
-        assert s[0] + s[1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_identity_is_bitwise_identity_and_fresh(self, rng):
-        x = rng.standard_normal((3, 4))
-        y = map_unary(x, "identity")
-        assert np.array_equal(x, y)
-        assert y is not x
-        y[0, 0] = 99.0
-        assert x[0, 0] != 99.0
-
-    def test_unknown_function(self):
-        with pytest.raises(ConfigError):
-            map_unary(np.ones(2), "relu")
-
-    def test_extreme_inputs_stay_finite(self):
-        out = map_unary(np.array([-1e6, 1e6]), "sigmoid")
-        assert out[0] == 0.0 and out[1] == 1.0
 
 
 class TestReduce:
