@@ -28,14 +28,14 @@ class OptimConfig:
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
         # zero is allowed: an lr=0 run is the canonical no-op training check
-        if self.lr0 < 0:
-            raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
+        if not 0.0 <= self.lr0 < float("inf"):
+            raise ConfigError(f"lr0 must be finite and >= 0, got {self.lr0}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ConfigError(f"decay_factor must be in (0,1], got {self.decay_factor}")
         if self.decay_every < 1:
             raise ConfigError(f"decay_every must be >= 1, got {self.decay_every}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
+        if not 0.0 <= self.l2 < float("inf"):
+            raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
         # checked whichever optimizer runs; a beta of 1 divides by zero in
         # Adam's bias correction
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

@@ -12,6 +12,7 @@ them.
 """
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -76,15 +77,65 @@ class FeatureFrame:
 def load_ohlcv(path) -> OhlcvSeries:
     """Parse the documented CSV format, sorting rows by ascending date.
 
-    Header must be exactly ``Date,Open,High,Low,Close,Volume``; dates are
-    ISO-8601; an empty numeric cell becomes a missing marker. Errors name
-    the offending line.
+    Header must be exactly ``Date,Open,High,Low,Close,Volume`` (after any
+    UTF-8 byte-order mark); dates are ISO-8601; an empty numeric cell becomes
+    a missing marker. Errors name the offending line. Two tokenisers, chosen
+    by the input, give the same series: one ``str.split`` of the whole body
+    for unquoted text whose rows all parse, else ``csv.reader``.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+        physical, dates, data = _split_plain(text) or _split_csv(path, text)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+    ordinals = np.array(list(map(_date.toordinal, dates)))
+    order = np.argsort(ordinals, kind="stable")
+    repeats = np.flatnonzero(np.diff(ordinals[order]) == 0) + 1
+    if repeats.size:
+        # within a run of equal dates the stable sort keeps file order, so
+        # the repeat that comes first in the file follows its first sighting
+        k = repeats[np.argmin(order[repeats])]
+        lines = np.flatnonzero(list(map(len, physical))) + 2
+        raise DataError(
+            f"{path}, line {lines[order[k]]}: duplicate date {dates[order[k]].isoformat()} "
+            f"(first seen on line {lines[order[k - 1]]})"
+        )
+    data = data[order]
+    columns = {name: np.ascontiguousarray(data[:, j]) for j, name in enumerate(OHLCV_COLUMNS)}
+    if not np.isfinite(columns["close"]).any():
+        raise DataError(f"{path}: close column has no observed values")
+    return OhlcvSeries(dates=[dates[i] for i in order.tolist()], columns=columns)
+
+
+def _split_plain(text):
+    """``_split_csv``'s result for text that ``csv.reader`` splits at every
+    comma and line break and whose rows all parse; None for any other text."""
+    if "\r" in text:  # the line breaks csv.reader sees in a file opened with newline=""
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    rows = text.split("\n")  # a final line break leaves an empty last row: a blank line
+    body = list(filter(None, rows[1:]))
+    if not body or '"' in text or "\0" in text or max(map(len, rows)) > csv.field_size_limit():
+        return None
+    header = tuple(c.strip() for c in rows[0].split(","))
+    if header != CSV_HEADER or set(map(str.count, body, [","] * len(body))) != {5}:
+        return None
+    tokens = ",".join(body).split(",")
+    try:
+        dates = list(map(_date.fromisoformat, map(str.strip, tokens[0::6])))
+        del tokens[0::6]
+        # numpy's conversion accepts padded numbers; a blank cell fails it
+        data = np.array([t or "nan" for t in tokens], dtype=np.float64)
+    except ValueError:
+        return None
+    return rows[1:], dates, data.reshape(-1, len(OHLCV_COLUMNS))
+
+
+def _split_csv(path, text):
+    """The rows after the header (blank ones too), their dates and their [N,5]
+    cells, read by ``csv.reader``; raises at the first fault."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise DataError(f"{path}: empty file")
     if tuple(c.strip() for c in rows[0]) != CSV_HEADER:
@@ -107,23 +158,7 @@ def load_ohlcv(path) -> OhlcvSeries:
         raise
     if not body:
         raise DataError(f"{path}: no data rows")
-
-    ordinals = np.array(list(map(_date.toordinal, dates)))
-    order = np.argsort(ordinals, kind="stable")
-    repeats = np.flatnonzero(np.diff(ordinals[order]) == 0) + 1
-    if repeats.size:
-        # within a run of equal dates the stable sort keeps file order, so
-        # the repeat that comes first in the file follows its first sighting
-        k = repeats[np.argmin(order[repeats])]
-        raise DataError(
-            f"{path}, line {lines[order[k]]}: duplicate date {dates[order[k]].isoformat()} "
-            f"(first seen on line {lines[order[k - 1]]})"
-        )
-    data = data[order]
-    columns = {name: np.ascontiguousarray(data[:, j]) for j, name in enumerate(OHLCV_COLUMNS)}
-    if not np.isfinite(columns["close"]).any():
-        raise DataError(f"{path}: close column has no observed values")
-    return OhlcvSeries(dates=[dates[i] for i in order.tolist()], columns=columns)
+    return rows[1:], dates, data
 
 
 def _raise_first_bad_row(path, body, lines):
@@ -422,7 +457,7 @@ def pca_transform(frame: FeatureFrame, state: PcaState) -> FeatureFrame:
 
 @dataclass
 class WindowedDataset:
-    """Supervised samples: input windows [N,T,F] and scalar targets [N]."""
+    """Supervised samples: input windows [N,T,F], a read-only ``window_view``, and targets [N]."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -445,6 +480,11 @@ class WindowedDataset:
         return idx
 
 
+def window_view(x: np.ndarray, lookback: int) -> np.ndarray:
+    """Every ``lookback``-row window of ``x`` [L, F] as a read-only [N, T, F] view, not a copy."""
+    return np.lib.stride_tricks.sliding_window_view(x, lookback, axis=0).transpose(0, 2, 1)
+
+
 def make_windows(frame: FeatureFrame, lookback: int, horizon: int = 1, target="close") -> WindowedDataset:
     """Build sample i from input rows [i, i+T) and the target at i+T+horizon-1."""
     if lookback < 1 or horizon < 1:
@@ -459,15 +499,11 @@ def make_windows(frame: FeatureFrame, lookback: int, horizon: int = 1, target="c
         raise PipelineError("no feature columns besides the target")
     if target not in frame.columns:
         raise PipelineError(f"target column {target!r} not in frame")
-    x = frame.matrix(features)  # [L, F]
     n = length - lookback - horizon + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, lookback, axis=0)
-    inputs = np.ascontiguousarray(windows[:n].transpose(0, 2, 1))  # [N, T, F]
     t0 = lookback + horizon - 1
-    targets = frame.columns[target][t0 : t0 + n].copy()
     return WindowedDataset(
-        inputs=inputs,
-        targets=targets,
+        inputs=window_view(frame.matrix(features), lookback)[:n],
+        targets=frame.columns[target][t0 : t0 + n].copy(),
         target_dates=list(frame.dates[t0 : t0 + n]),
         feature_names=features,
         lookback=lookback,
@@ -777,19 +813,25 @@ def save_dataset(prepared: PreparedData, cfg: PrepareConfig, path):
     lines.append(f"rows={len(frame)}")
     lines.append(f"columns={','.join(frame.columns)}")
     lines.append("dates")
-    lines.extend(_token_lines(list(map(_date.isoformat, frame.dates)), 8))
+    # each date cast to its ten ISO-8601 bytes, then a space or, after every eighth, a newline
+    days = np.array(list(map(_date.toordinal, frame.dates)), np.int64) + np.datetime64("0000-12-31")
+    seps = np.where(np.arange(days.size) % 8 == 7, b"\n", b" ").view(np.uint8)
+    block = np.column_stack([days.astype("S10").view(np.uint8).reshape(-1, 10), seps]).tobytes()
+    lines.extend([block.decode("ascii")[:-1]] if days.size else [])
     for name, col in frame.columns.items():
         lines.append(f"column {name}")
         lines.extend(array_lines(col))
     lines.append("[split]")
     for name, idx in (("train", ds.train_idx), ("val", ds.val_idx), ("test", ds.test_idx)):
         lines.append(f"{name} {idx.size}")
-        lines.extend(_token_lines(list(map(str, idx.tolist())), 16))
+        lines.extend(_int_lines(idx.tolist(), 16))
     write_lines(path, lines)
 
 
-def _token_lines(tokens: list, per_line: int) -> list:
-    return [" ".join(tokens[i : i + per_line]) for i in range(0, len(tokens), per_line)]
+def _int_lines(values: list, per_line: int) -> list:
+    full, rest = divmod(len(values), per_line)  # one template for all lines, filled in one call
+    rows = [" ".join(["%d"] * per_line)] * full + [" ".join(["%d"] * rest)] * bool(rest)
+    return ["\n".join(rows) % tuple(values)] if values else []
 
 
 def load_dataset(path):

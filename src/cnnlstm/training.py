@@ -188,9 +188,7 @@ def predict(model: Model, preprocess: pl.PreprocessState, frame: pl.FeatureFrame
             f"prepared frame has {x.shape[1]} model features, "
             f"checkpoint expects {model.config.features}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(x, lookback, axis=0)
-    inputs = np.ascontiguousarray(windows.transpose(0, 2, 1))  # [N', T, F]
-    preds = _infer(model, inputs)
+    preds = _infer(model, pl.window_view(x, lookback))
     prices = pl.invert_minmax(preds, preprocess.scaler, "close")
     as_of = frame.dates[lookback - 1 :]
     return list(zip(as_of, prices.tolist()))

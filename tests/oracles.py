@@ -6,8 +6,10 @@ rules from explicit per-cell loops.
 """
 
 import base64
+import csv
 import math
 import struct
+from datetime import date
 
 import numpy as np
 
@@ -149,6 +151,89 @@ def reference_read_values(lines, count, convert=float):
     if len(out) < count:
         raise ValueError(None, "unexpected end of file")
     return out
+
+
+class ReferenceCsvError(Exception):
+    """The fault ``reference_load_ohlcv`` stops at; its message is the loader's."""
+
+
+_CSV_HEADER = ("Date", "Open", "High", "Low", "Close", "Volume")
+_OHLCV = ("open", "high", "low", "close", "volume")
+
+
+def reference_load_ohlcv(path):
+    """The CSV loader as it was before its plain-text tokeniser: every file
+    through ``csv.reader``, one row list at a time, each cell stripped.
+
+    Returns ``(dates, columns)`` sorted by date, or raises
+    ``ReferenceCsvError`` with the message ``load_ohlcv`` gives. It reads
+    with ``utf-8-sig``, as the loader does now, so that a byte-order mark
+    is the only difference it does not model.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ReferenceCsvError(f"cannot read {path}: {exc}") from None
+    if not rows:
+        raise ReferenceCsvError(f"{path}: empty file")
+    if tuple(c.strip() for c in rows[0]) != _CSV_HEADER:
+        raise ReferenceCsvError(
+            f"{path}, line 1: expected header {','.join(_CSV_HEADER)!r}, "
+            f"got {','.join(rows[0])!r}"
+        )
+    parsed = []  # (date, cells, line)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 6:
+            raise ReferenceCsvError(f"{path}, line {lineno}: expected 6 cells, got {len(row)}")
+        try:
+            day = date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise ReferenceCsvError(f"{path}, line {lineno}: unparseable date {row[0]!r}") from None
+        cells = []
+        for name, cell in zip(_OHLCV, row[1:]):
+            cell = cell.strip()
+            try:
+                cells.append(np.array([cell or "nan"], dtype=np.float64)[0])
+            except ValueError:
+                raise ReferenceCsvError(
+                    f"{path}, line {lineno}: unparseable number {cell!r} in column {name}"
+                ) from None
+        parsed.append((day, cells, lineno))
+    if not parsed:
+        raise ReferenceCsvError(f"{path}: no data rows")
+    seen = {}
+    first_repeat = None
+    for day, _, lineno in parsed:
+        if day in seen and first_repeat is None:
+            first_repeat = (lineno, day, seen[day])
+        seen.setdefault(day, lineno)
+    if first_repeat:
+        lineno, day, first = first_repeat
+        raise ReferenceCsvError(
+            f"{path}, line {lineno}: duplicate date {day.isoformat()} (first seen on line {first})"
+        )
+    parsed.sort(key=lambda entry: entry[0])
+    columns = {
+        name: np.array([cells[j] for _, cells, _ in parsed], dtype=np.float64)
+        for j, name in enumerate(_OHLCV)
+    }
+    if not np.isfinite(columns["close"]).any():
+        raise ReferenceCsvError(f"{path}: close column has no observed values")
+    return [day for day, _, _ in parsed], columns
+
+
+def reference_token_lines(tokens, per_line):
+    """A block of text tokens written value by value, ``per_line`` to a line."""
+    lines, line = [], []
+    for token in tokens:
+        line.append(str(token))
+        if len(line) == per_line:
+            lines.append(" ".join(line))
+            line = []
+    return lines + ([" ".join(line)] if line else [])
 
 
 def reference_training_rows(length, train_idx, lookback, horizon):

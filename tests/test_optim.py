@@ -201,9 +201,11 @@ class TestOptimConfig:
             OptimConfig(decay_every=0).validate()
         with pytest.raises(ConfigError):
             OptimConfig(l2=-1e-4).validate()
-        # Adam's settings are checked whichever optimizer is chosen
+        # Adam's settings, and NaN or infinite lr0 and l2, fail whichever optimizer is chosen
         for bad in (dict(beta1=1.0), dict(beta2=1.0), dict(beta1=2.0), dict(beta1=-0.5),
-                    dict(beta2=float("nan")), dict(eps_adam=-1.0), dict(eps_adam=0.0)):
+                    dict(beta2=float("nan")), dict(eps_adam=-1.0), dict(eps_adam=0.0),
+                    dict(lr0=float("nan")), dict(lr0=float("inf")), dict(l2=float("nan")),
+                    dict(l2=float("inf"))):
             for optimizer in ("sgd", "adam"):
                 with pytest.raises(ConfigError):
                     OptimConfig(optimizer=optimizer, **bad).validate()

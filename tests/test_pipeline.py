@@ -1,8 +1,12 @@
+import csv
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cnnlstm.errors import (
     CheckpointFormatError,
@@ -35,7 +39,14 @@ from cnnlstm.pipeline import (
     split_indices,
 )
 from cnnlstm.synth import synthetic_ohlcv, write_csv
-from oracles import jacobi_eigh, pearson, reference_clean_impute
+from oracles import (
+    ReferenceCsvError,
+    jacobi_eigh,
+    pearson,
+    reference_clean_impute,
+    reference_load_ohlcv,
+    reference_token_lines,
+)
 
 
 def days(n, start=date(2020, 1, 1)):
@@ -168,6 +179,117 @@ class TestLoadOhlcv:
         assert s.dates == [date(2020, 1, 1), date(2020, 1, 2)]
         assert np.array_equal(s.columns["open"], [1.0, 1.5])
         assert np.isnan(s.columns["low"][1])
+
+
+HEADERS = [
+    "Date,Open,High,Low,Close,Volume",
+    " Date , Open,High,Low,Close,Volume ",
+    "Date,Open,High,Low,Adj Close,Volume",
+    '"Date",Open,High,Low,Close,Volume',
+    "",
+]
+GOOD_CELLS = ["1.5", "64.25", "-0.0", "1e5", "nan", "-inf", "0.1", "", " 2.5 ", "1_0", "1.5\u2003"]
+ODD_CELLS = ["  ", "\t", "x", "\xa03", "\x1c4", '"7.5"', '"1,5"', "1\x002", "\x00"]
+# csv.reader's limit is 131,072 characters a field: one at the limit, one past it
+LONG_CELLS = ["1" * csv.field_size_limit(), "1" * (csv.field_size_limit() + 1)]
+ODD_DATES = ["", "2020-13-01", '"2020-01-05"', "2020-01-05 x", "01/02/2020"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text in the documented format with up to two faults: an odd cell,
+    date, header or row length, a cell at or past csv.reader's size limit, or
+    a quoted cell, which sends the text down the ``csv.reader`` path. Dates
+    may repeat, and line breaks are mixed."""
+    start = draw(st.sampled_from([date(2019, 1, 1), date(999, 12, 20)]))
+
+    def day(offset):
+        d = start + timedelta(days=offset)
+        return draw(st.sampled_from(
+            [d.isoformat(), f" {d.isoformat()} ", f"{d.year:04d}{d.month:02d}{d.day:02d}"]
+        ))
+
+    cell = st.sampled_from(GOOD_CELLS)
+    offsets = draw(st.lists(st.integers(0, 40), max_size=12, unique=draw(st.booleans())))
+    rows = [[day(o)] + [draw(cell) for _ in range(5)] for o in offsets]
+    header = HEADERS[0]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(
+            ["header", "cell", "date", "short", "long", "long+short", "quote", "long cell"]
+        ))
+        if fault == "header":
+            header = draw(st.sampled_from(HEADERS[1:]))
+            continue
+        if not rows:
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(1, len(rows[i]) - 1))
+        if fault in ("cell", "long cell"):
+            rows[i][j] = draw(st.sampled_from(ODD_CELLS if fault == "cell" else LONG_CELLS))
+        elif fault == "date":
+            rows[i][0] = draw(st.sampled_from(ODD_DATES))
+        elif fault == "short":
+            del rows[i][j]
+        elif fault == "long":
+            rows[i].insert(j, draw(cell))
+        elif fault == "long+short":  # flattened, the two rows' tokens line up as two good rows
+            rows[i].append(day(41))
+            rows.insert(i + 1, [draw(cell) for _ in range(5)])
+        else:
+            rows[i][j] = f'"{rows[i][j]}"'
+    lines = [header]
+    for row in rows:
+        lines.extend([""] * draw(st.integers(0, 1)) + [",".join(row)])
+    breaks = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(breaks) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def load_outcome(load, path):
+    try:
+        return load(path)
+    except (DataError, ReferenceCsvError) as exc:
+        return type(exc).__name__ == "DataError", str(exc)
+
+
+class TestLoadOhlcvAgainstRowByRowReader:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(text=csv_texts())
+    def test_same_series_or_same_error(self, tmp_path, text):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = load_outcome(load_ohlcv, path)
+        want = load_outcome(reference_load_ohlcv, path)
+        if isinstance(want, tuple) and isinstance(want[1], str):
+            assert got == (True, want[1])
+        else:
+            dates, columns = want
+            assert got.dates == dates
+            for name, col in columns.items():
+                assert np.array_equal(got.columns[name].view(np.uint64), col.view(np.uint64)), name
+
+    def test_unquoted_text_does_not_need_csv_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "prices.csv"
+        path.write_text("Date,Open,High,Low,Close,Volume\r\n 2020-01-02 , 1.5,,2,1_0,7\r\n\r\n"
+                        "2020-01-01,1,2,3,4,5\r\n")
+        want = reference_load_ohlcv(path)
+        monkeypatch.setattr(csv, "reader", None)  # any call would raise TypeError
+        got = load_ohlcv(path)
+        assert got.dates == want[0]
+        assert all(np.array_equal(got.columns[n], want[1][n], equal_nan=True) for n in want[1])
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, quote):
+        # Excel's "CSV UTF-8" starts the file with one
+        body = f"{quote}2020-01-01{quote},1,2,0.5,1.5,100\n2020-01-02,1,2,0.5,,100\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("Date,Open,High,Low,Close,Volume\n" + body, encoding="utf-8")
+        marked.write_text("Date,Open,High,Low,Close,Volume\n" + body, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfDate,")
+        a, b = load_ohlcv(plain), load_ohlcv(marked)
+        assert a.dates == b.dates == [date(2020, 1, 1), date(2020, 1, 2)]
+        assert all(np.array_equal(a.columns[n], b.columns[n], equal_nan=True) for n in a.columns)
 
 
 class TestCleanThreeSigma:
@@ -458,6 +580,20 @@ class TestWindows:
         with pytest.raises(PipelineError):
             make_windows(frame, lookback=3, horizon=1)
 
+    def test_inputs_are_a_read_only_view_of_the_feature_rows(self, rng):
+        frame = frame_of(close=rng.random(50), x=rng.random(50), y=rng.random(50))
+        ds = make_windows(frame, lookback=8, horizon=2)
+        assert np.shares_memory(ds.inputs[0], ds.inputs[1])  # overlapping windows, one copy of the rows
+        root = ds.inputs
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == 50 * 2 * 8  # the [L, F] feature matrix, not [N, T, F]
+        assert not ds.inputs.flags.writeable
+        with pytest.raises(ValueError):
+            ds.inputs[0, 0, 0] = 1.0
+        batch = ds.inputs[[3, 0]]  # indexing a batch copies just it
+        assert batch.flags.writeable and batch.flags.c_contiguous
+
 
 class TestSplit:
     def test_ten_windows_split_7_2_1(self, rng):
@@ -610,6 +746,45 @@ class TestDatasetCache:
             save_dataset(prepared, small_prepare_config(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left
+
+    @pytest.mark.parametrize("start", [date(1, 1, 1), date(999, 11, 1), date(1969, 11, 3), date(9998, 12, 1)])
+    def test_date_and_split_lines_match_value_by_value_writer(self, tmp_path, start):
+        prepared = prepare_dataset(
+            synthetic_ohlcv(rows=260, seed=2, start=start), small_prepare_config(split_mode="random")
+        )
+        path = tmp_path / "data.txt"
+        save_dataset(prepared, small_prepare_config(split_mode="random"), path)
+        lines = path.read_text().splitlines()
+        at = lines.index("dates") + 1
+        want = reference_token_lines([d.isoformat() for d in prepared.frame.dates], 8)
+        assert lines[at : at + len(want)] == want
+        assert lines[at + len(want)].startswith("column ")
+        ds = prepared.dataset
+        at = lines.index("[split]") + 1
+        for name, idx in (("train", ds.train_idx), ("val", ds.val_idx), ("test", ds.test_idx)):
+            want = reference_token_lines(idx.tolist(), 16)
+            assert lines[at : at + 1 + len(want)] == [f"{name} {idx.size}", *want]
+            at += 1 + len(want)
+        assert at == len(lines)
+
+    def test_train_on_loaded_windows_matches_a_contiguous_copy(self, tmp_path):
+        from cnnlstm.model import ModelConfig, build
+        from cnnlstm.optim import OptimConfig
+        from cnnlstm.training import TrainConfig, train
+
+        path = tmp_path / "data.txt"
+        cfg = small_prepare_config()
+        save_dataset(prepare_dataset(synthetic_ohlcv(rows=300, seed=2), cfg), cfg, path)
+        loaded, _ = load_dataset(path)
+        view = loaded.dataset
+        copy = replace(view, inputs=np.ascontiguousarray(view.inputs))
+        assert not view.inputs.flags.c_contiguous and copy.inputs.flags.c_contiguous
+        model_cfg = ModelConfig(features=len(view.feature_names), lookback=8, conv_filters=(4, 4, 4),
+                                kernel_width=2, pool_window=1, lstm_units=(6, 6, 6), seed=3)
+        train_cfg = TrainConfig(epochs=2, batch_size=16, seed=9, optim=OptimConfig(optimizer="adam"))
+        reports = [train(build(model_cfg), ds, loaded.preprocess, train_cfg) for ds in (view, copy)]
+        assert reports[0].train_loss == reports[1].train_loss
+        assert reports[0].val_loss == reports[1].val_loss
 
     def test_save_is_byte_stable(self, tmp_path):
         prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config())
