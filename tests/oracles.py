@@ -191,7 +191,9 @@ def reference_load_ohlcv(path):
         try:
             day = date.fromisoformat(row[0].strip())
         except ValueError:
-            raise ReferenceCsvError(f"{path}, line {lineno}: unparseable date {row[0]!r}") from None
+            raise ReferenceCsvError(
+                f"{path}, line {lineno}: unparseable date {row[0]!r}"
+            ) from None
         cells = []
         for name, cell in zip(_OHLCV, row[1:]):
             cell = cell.strip()

@@ -67,7 +67,9 @@ def test_train_rejects_adam_beta1_of_one(prepared, capsys):
 @pytest.mark.parametrize("setting", ["lr0=nan", "l2=nan", "lr0=inf", "l2=inf"])
 def test_train_rejects_non_finite_rate_or_penalty(prepared, capsys, setting):
     # these ran and exited 3 ("training diverged"), but they are bad input
-    (prepared / "bad.cfg").write_text(SMALL + f"kernel_width=2\npool_window=1\n{setting}\nepochs=1\n")
+    (prepared / "bad.cfg").write_text(
+        SMALL + f"kernel_width=2\npool_window=1\n{setting}\nepochs=1\n"
+    )
     assert_input_error(
         capsys,
         ["train", "--data", str(prepared / "data.txt"), "--config", str(prepared / "bad.cfg"),

@@ -5,7 +5,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cnnlstm.errors import (
@@ -38,7 +38,10 @@ from cnnlstm.pipeline import (
     select_by_correlation,
     split_indices,
 )
+from cnnlstm.model import ModelConfig, build
+from cnnlstm.optim import OptimConfig
 from cnnlstm.synth import synthetic_ohlcv, write_csv
+from cnnlstm.training import TrainConfig, train
 from oracles import (
     ReferenceCsvError,
     jacobi_eigh,
@@ -246,28 +249,28 @@ def csv_texts(draw):
 
 
 def load_outcome(load, path):
+    """``("error", message)``, or ``("series", dates, columns as raw 64-bit words)``."""
     try:
-        return load(path)
+        result = load(path)
     except (DataError, ReferenceCsvError) as exc:
-        return type(exc).__name__ == "DataError", str(exc)
+        return "error", str(exc)
+    dates, columns = (result.dates, result.columns) if isinstance(result, OhlcvSeries) else result
+    return "series", dates, {name: col.view(np.uint64).tolist() for name, col in columns.items()}
 
 
 class TestLoadOhlcvAgainstRowByRowReader:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
     @given(text=csv_texts())
+    # the cases that decide between the tokenisers, always run
+    @example(text=HEADERS[0] + "\n2020-01-01,1,2,3,4,5,2020-01-02\n6,7,8,9,10\n")
+    @example(text=HEADERS[0] + "\n2020-01-01,1," + LONG_CELLS[1] + ",3,4,5\n")
+    @example(text=HEADERS[0] + "\n\r2020-01-01,1,2,3,4,5\r\n2020-01-01,1,,3,4,5\r")
+    @example(text=HEADERS[0] + '\n2020-01-01,"1",2,3,4,5\n2020-01-02,1,  ,3,4,5')
     def test_same_series_or_same_error(self, tmp_path, text):
         path = tmp_path / "prices.csv"
         path.write_bytes(text.encode("utf-8"))
-        got = load_outcome(load_ohlcv, path)
-        want = load_outcome(reference_load_ohlcv, path)
-        if isinstance(want, tuple) and isinstance(want[1], str):
-            assert got == (True, want[1])
-        else:
-            dates, columns = want
-            assert got.dates == dates
-            for name, col in columns.items():
-                assert np.array_equal(got.columns[name].view(np.uint64), col.view(np.uint64)), name
+        assert load_outcome(load_ohlcv, path) == load_outcome(reference_load_ohlcv, path)
 
     def test_unquoted_text_does_not_need_csv_reader(self, tmp_path, monkeypatch):
         path = tmp_path / "prices.csv"
@@ -583,7 +586,8 @@ class TestWindows:
     def test_inputs_are_a_read_only_view_of_the_feature_rows(self, rng):
         frame = frame_of(close=rng.random(50), x=rng.random(50), y=rng.random(50))
         ds = make_windows(frame, lookback=8, horizon=2)
-        assert np.shares_memory(ds.inputs[0], ds.inputs[1])  # overlapping windows, one copy of the rows
+        # overlapping windows share one copy of the rows
+        assert np.shares_memory(ds.inputs[0], ds.inputs[1])
         root = ds.inputs
         while root.base is not None:
             root = root.base
@@ -747,13 +751,14 @@ class TestDatasetCache:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left
 
-    @pytest.mark.parametrize("start", [date(1, 1, 1), date(999, 11, 1), date(1969, 11, 3), date(9998, 12, 1)])
+    @pytest.mark.parametrize(
+        "start", [date(1, 1, 1), date(999, 11, 1), date(1969, 11, 3), date(9998, 12, 1)]
+    )
     def test_date_and_split_lines_match_value_by_value_writer(self, tmp_path, start):
-        prepared = prepare_dataset(
-            synthetic_ohlcv(rows=260, seed=2, start=start), small_prepare_config(split_mode="random")
-        )
+        cfg = small_prepare_config(split_mode="random")
+        prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2, start=start), cfg)
         path = tmp_path / "data.txt"
-        save_dataset(prepared, small_prepare_config(split_mode="random"), path)
+        save_dataset(prepared, cfg, path)
         lines = path.read_text().splitlines()
         at = lines.index("dates") + 1
         want = reference_token_lines([d.isoformat() for d in prepared.frame.dates], 8)
@@ -768,10 +773,6 @@ class TestDatasetCache:
         assert at == len(lines)
 
     def test_train_on_loaded_windows_matches_a_contiguous_copy(self, tmp_path):
-        from cnnlstm.model import ModelConfig, build
-        from cnnlstm.optim import OptimConfig
-        from cnnlstm.training import TrainConfig, train
-
         path = tmp_path / "data.txt"
         cfg = small_prepare_config()
         save_dataset(prepare_dataset(synthetic_ohlcv(rows=300, seed=2), cfg), cfg, path)
@@ -779,10 +780,14 @@ class TestDatasetCache:
         view = loaded.dataset
         copy = replace(view, inputs=np.ascontiguousarray(view.inputs))
         assert not view.inputs.flags.c_contiguous and copy.inputs.flags.c_contiguous
-        model_cfg = ModelConfig(features=len(view.feature_names), lookback=8, conv_filters=(4, 4, 4),
-                                kernel_width=2, pool_window=1, lstm_units=(6, 6, 6), seed=3)
+        model_cfg = ModelConfig(
+            features=len(view.feature_names), lookback=8, conv_filters=(4, 4, 4),
+            kernel_width=2, pool_window=1, lstm_units=(6, 6, 6), seed=3,
+        )
         train_cfg = TrainConfig(epochs=2, batch_size=16, seed=9, optim=OptimConfig(optimizer="adam"))
-        reports = [train(build(model_cfg), ds, loaded.preprocess, train_cfg) for ds in (view, copy)]
+        reports = [
+            train(build(model_cfg), ds, loaded.preprocess, train_cfg) for ds in (view, copy)
+        ]
         assert reports[0].train_loss == reports[1].train_loss
         assert reports[0].val_loss == reports[1].val_loss
 

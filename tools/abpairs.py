@@ -1,20 +1,15 @@
 """Alternating parent/change benchmark pairs, summarised into one JSON file.
 
-Run from the repository root:
+    python3 tools/abpairs.py --parent REV [--change REV] --workload prepare \
+        --seeds 7301-7310 --seconds 35 --claim op_ms_min --out BENCH_7.json
 
-    python3 tools/abpairs.py --parent REV --workload prepare --seeds 7301-7310 \
-        --seconds 35 --claim op_ms_min --out BENCH_7.json
-
-The parent revision is exported with ``git archive`` into a temporary
-directory, so the working tree and ``.git`` are left as they are; the change
-is the working tree, or ``--change REV`` exported the same way. For each
-seed, ``perfbench/run.py`` runs once on each side, the parent first on even
-pairs and the change first on odd ones. The output holds every pair, each
-end-to-end metric's medians, quartiles and wins, the environment the
-benchmark recorded, and the verdict on ``--claim``: a gain is claimed only
-when the change wins at least nine tenths of the pairs (ties count for
-neither side) and its median beats the parent's by more than the distance
-between the parent's quartiles.
+Run from the repository root. Each revision is exported with ``git archive``
+into a temporary directory (the change defaults to the working tree), and
+``perfbench/run.py`` runs once per seed on each side, the parent first on
+even pairs. The output holds every pair, each end-to-end metric's medians,
+quartiles and wins, the environment, and the verdict on ``--claim``: a gain
+only when the change wins at least nine tenths of the pairs (ties count for
+neither) and its median beats the parent's by more than the parent's IQR.
 """
 
 import argparse
@@ -28,11 +23,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def git(*args, text=True):
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
+                          text=text).stdout
+
+
 def export(rev, into):
     """Write the files of ``rev`` into the new directory ``into``."""
     into.mkdir()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
-                             capture_output=True).stdout
+    archive = git("archive", rev, text=False)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return into
 
@@ -48,12 +47,9 @@ def run(tree, workload, seed, seconds):
 
 
 def seeds(spec):
-    """``7301-7310,7401`` -> [7301, ..., 7310, 7401]."""
-    out = []
-    for part in spec.split(","):
-        first, _, last = part.partition("-")
-        out.extend(range(int(first), int(last or first) + 1))
-    return out
+    """``7301-7310`` -> 7301, ..., 7310; a single number is one seed."""
+    first, _, last = spec.partition("-")
+    return range(int(first), int(last or first) + 1)
 
 
 def summary(values):
@@ -92,8 +88,9 @@ def main(argv=None):
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": export(args.parent, Path(tmp, "parent").resolve()),
-                 "change": export(args.change, Path(tmp, "change").resolve()) if args.change else ROOT}
+        trees = {"parent": export(args.parent, Path(tmp, "parent").resolve()), "change": ROOT}
+        if args.change:
+            trees["change"] = export(args.change, Path(tmp, "change").resolve())
         pairs, env = [], {}
         for i, seed in enumerate(seeds(args.seeds)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -106,8 +103,10 @@ def main(argv=None):
                               for k in ("parent", "change")} | {"seed": seed}), flush=True)
     metrics = summarise(pairs, better)
     result = {
-        "workload": args.workload, "seconds": args.seconds, "parent": args.parent,
-        "change": args.change or "working tree", "environment": env,
+        "workload": args.workload, "seconds": args.seconds,
+        "parent": git("rev-parse", args.parent).strip(),
+        "change": git("rev-parse", args.change).strip() if args.change else "working tree",
+        "environment": env,
         "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in ("parent", "change")},
         "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("parent", "change")},
         "metrics": metrics, "pairs": pairs,
