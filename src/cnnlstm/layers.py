@@ -2,13 +2,33 @@
 
 Conventions shared by every op here:
 
-* A single sample is rank-2 ``[T, features]`` (rank-1 ``[features]`` for the
-  dense layer). Each op also accepts the same input with a leading batch
-  axis; outputs and input-gradients then carry the batch axis too, while
-  parameter gradients are *summed* over the batch (the model averages).
+* The API is batch-major. A single sample is rank-2 ``[T, features]``
+  (rank-1 ``[features]`` for the dense layer). Each op also accepts the same
+  input with a leading batch axis; outputs and input-gradients then carry the
+  batch axis too, while parameter gradients are *summed* over the batch (the
+  model averages).
+* Storage is time-major and batch-minor. Each op keeps its input, cache,
+  output and input-gradient as contiguous ``[T, C, B]`` arrays (``[C, B]``
+  for the dense layer; a single sample is B = 1) and returns the caller's
+  batch-major view of its result, not a copy. An op copies an argument only
+  when the argument's ``[T, C, B]`` view is not contiguous, so the layers of
+  ``model.forward`` and ``model.backward`` hand each other views and nothing
+  is copied between them. In this layout one time step of the batch is one
+  contiguous ``[C, B]`` block: the conv's windows, the LSTM's gates and
+  state, and each step's GEMM operands are contiguous, with the batch axis
+  innermost.
+* numpy reports arbitrary strides (often 0) for a size-1 axis such as
+  B = 1 or C = 1, so a strided view of the storage takes its strides from
+  the shape, never from the array's ``strides``.
 * ``forward`` returns ``(output, cache)``; the cache holds exactly the
-  intermediates the matching ``backward`` needs and is consumed by it.
+  intermediates the matching ``backward`` needs and is consumed by it. No op
+  writes into its input or its upstream gradient.
 * Backward passes are exact analytic gradients of the forward map.
+
+Conv1d lowers the convolution to one GEMM over unfolded windows: window t of
+``[T, C, B]`` storage is rows t..t+W-1, one contiguous ``[W*C, B]`` block, so
+im2col is a read-only strided view ``[T', W*C, B]`` and the output is one
+batched matmul with the kernels as ``[K, W*C]``.
 
 LSTM cell, gate order i, f, o, g:
 
@@ -20,15 +40,14 @@ with h_0 = c_0 = 0.
 The LSTM kernels keep ``LstmParams`` per gate but stack it on each call into
 W [4H,F], U [4H,H] and b [4H], gates in the order o, i, f, g. The rows of
 the three sigmoid gates are multiplied by 0.5, which is exact because the
-factor is a power of two, so one ``tanh`` over a step's [B,4H] block gives
+factor is a power of two, so one ``tanh`` over a step's [4H,B] block gives
 every gate: sigmoid(z) = (tanh(z/2) + 1) / 2 for o, i, f and tanh(z) for g.
-The input is projected for all steps by one GEMM over [T*B,F]. The gate, c,
-tanh(c) and h buffers are time-major ([T,B,.]), so a step reads and writes
-contiguous blocks with one recurrent GEMM and in-place elementwise calls;
-outputs are batch-major views. Backward forms every gate's derivative factor
-for all steps before the loop, keeps only the [B,H] chain and one
-``dpre_t @ U`` GEMM inside it, and then gets dW, dU, db and grad_x as one
-GEMM or sum each over dpre [T*B,4H].
+The input is projected for all steps by one batched matmul of W with the
+[T,F,B] input. A step is one ``U @ h_{t-1}`` GEMM and in-place elementwise
+calls, each gate a contiguous [H,B] block. Backward forms every gate's
+derivative factor for all steps before the loop, keeps only the [H,B] chain
+and one ``U.T @ dpre_t`` GEMM inside it, and then gets dW, dU, db and grad_x
+after it.
 
 Max pooling keeps its input and output; backward sends each gradient to the
 earliest position in its window that equals the max.
@@ -102,18 +121,46 @@ class LayerCache:
     batched: bool = True  # False when forward saw a single unbatched sample
 
 
-def _as_batch3(x: np.ndarray, what: str):
+def _stored(x: np.ndarray, rank: int, what: str):
+    """``x`` (one rank-``rank`` sample, or a batch of them) as contiguous
+    batch-minor storage, and whether it had the batch axis."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[None, :, :], False
-    if x.ndim == 3:
-        return x, True
-    raise ShapeError(f"{what} expects [T,F] or [B,T,F], got shape {x.shape}")
+    if x.ndim == rank:
+        xf = x[..., None]
+    elif x.ndim == rank + 1:
+        xf = x.transpose(*range(1, rank + 1), 0)
+    else:
+        raise ShapeError(
+            f"{what} expects a rank-{rank} sample or a batch of them, got shape {x.shape}"
+        )
+    return np.ascontiguousarray(xf), x.ndim > rank
 
 
-def _windows(x3: np.ndarray, width: int) -> np.ndarray:
-    # view [B, T-W+1, F, W]; zero-copy
-    return np.lib.stride_tricks.sliding_window_view(x3, width, axis=1)
+def _caller(yf: np.ndarray, batched: bool) -> np.ndarray:
+    """The batch-major view of batch-minor storage ``yf`` that callers see."""
+    return yf.transpose(yf.ndim - 1, *range(yf.ndim - 1)) if batched else yf[..., 0]
+
+
+def _upstream(grad: np.ndarray, cache: LayerCache, shape: tuple, what: str) -> np.ndarray:
+    """The upstream gradient as storage, checked against the storage ``shape``
+    of the cached forward output. The result may share memory with ``grad``."""
+    g = np.asarray(grad, dtype=np.float64)
+    expected = (shape[-1], *shape[:-1]) if cache.batched else shape[:-1]
+    if g.shape != expected:
+        raise ShapeError(
+            f"{what}: gradient shape {g.shape} does not match cached forward output {expected}"
+        )
+    return _stored(g, len(shape) - 1, what)[0]
+
+
+def _im2col(xf: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view [T-W+1, W*C, B] of contiguous [T,C,B] storage; its
+    strides come from the shape, as a size-1 axis may report any stride."""
+    t, c, b = xf.shape
+    item = xf.itemsize
+    return np.lib.stride_tricks.as_strided(
+        xf, (t - width + 1, width * c, b), (c * b * item, b * item, item), writeable=False
+    )
 
 
 # --- Conv1D (valid padding, stride 1) ---
@@ -121,50 +168,44 @@ def _windows(x3: np.ndarray, width: int) -> np.ndarray:
 
 def conv1d_forward(x: np.ndarray, p: Conv1dParams):
     """y[t,k] = b[k] + sum_{w,f} kernels[k,w,f] * x[t+w,f]; output length T-W+1."""
-    x3, batched = _as_batch3(x, "conv1d_forward")
+    xf, batched = _stored(x, 2, "conv1d_forward")
     k_out, width, f_in = p.kernels.shape
-    if x3.shape[2] != f_in:
-        raise ShapeError(
-            f"conv1d input has {x3.shape[2]} features but kernels expect {f_in}"
-        )
-    t = x3.shape[1]
+    t, f, _ = xf.shape
+    if f != f_in:
+        raise ShapeError(f"conv1d input has {f} features but kernels expect {f_in}")
     if t < width:
         raise SequenceTooShortError(
             f"conv1d needs at least {width} time steps, got {t}"
         )
-    win = _windows(x3, width)  # [B, T', F, W]
-    y = np.tensordot(win, p.kernels, axes=([3, 2], [1, 2]))  # [B, T', K]
-    y += p.bias
-    cache = LayerCache("conv1d", {"x": x3, "params": p}, batched)
-    return (y if batched else y[0]), cache
+    yf = np.matmul(p.kernels.reshape(k_out, width * f_in), _im2col(xf, width))
+    yf += p.bias[:, None]
+    cache = LayerCache("conv1d", {"x": xf, "params": p}, batched)
+    return _caller(yf, batched), cache
 
 
 def conv1d_backward(grad_y: np.ndarray, cache: LayerCache):
     """Gradients of conv1d_forward: returns (grad_x, grad_kernels, grad_bias)."""
     if cache.kind != "conv1d":
         raise ShapeError(f"conv1d_backward got a {cache.kind!r} cache")
-    x3 = cache.data["x"]
+    xf = cache.data["x"]
     p: Conv1dParams = cache.data["params"]
     k_out, width, f_in = p.kernels.shape
-    t_out = x3.shape[1] - width + 1
-    g = np.asarray(grad_y, dtype=np.float64)
-    if not cache.batched:
-        g = g[None]
-    if g.shape != (x3.shape[0], t_out, k_out):
-        raise ShapeError(
-            f"conv1d_backward: gradient shape {grad_y.shape} does not match "
-            f"cached forward output {(x3.shape[0], t_out, k_out)}"
-        )
-    win = _windows(x3, width)  # [B, T', F, W]
-    grad_bias = g.sum(axis=(0, 1))
-    # [K, F, W] -> [K, W, F]
-    grad_kernels = np.tensordot(g, win, axes=([0, 1], [0, 1])).transpose(0, 2, 1)
-    grad_x = np.zeros_like(x3)
+    t, _, b = xf.shape
+    t_out = t - width + 1
+    g = _upstream(grad_y, cache, (t_out, k_out, b), "conv1d_backward")
+    # g and the windows as [K, T'*B] and [W*C, T'*B] copies: one GEMM, and
+    # a bias sum along contiguous rows
+    g2 = g.transpose(1, 0, 2).reshape(k_out, t_out * b)
+    cols = _im2col(xf, width).transpose(1, 0, 2).reshape(width * f_in, t_out * b)
+    grad_kernels = g2 @ cols.T
+    grad_bias = g2.sum(axis=1)
+    # each window's gradient, [T', W, C, B], added back at its W shifts
+    grad_cols = np.matmul(p.kernels.reshape(k_out, width * f_in).T, g)
+    grad_cols = grad_cols.reshape(t_out, width, f_in, b)
+    grad_x = np.zeros_like(xf)
     for w in range(width):
-        grad_x[:, w : w + t_out, :] += g @ p.kernels[:, w, :]
-    if not cache.batched:
-        grad_x = grad_x[0]
-    return grad_x, np.ascontiguousarray(grad_kernels), grad_bias
+        grad_x[w : w + t_out] += grad_cols[:, w]
+    return _caller(grad_x, cache.batched), grad_kernels.reshape(p.kernels.shape), grad_bias
 
 
 # --- MaxPooling1D (non-overlapping windows, remainder dropped) ---
@@ -174,56 +215,48 @@ def maxpool1d_forward(x: np.ndarray, window: int):
     """Max over consecutive windows; output length floor(T/window), ties -> earliest."""
     if window < 1:
         raise ConfigError(f"pool window must be >= 1, got {window}")
-    x3, batched = _as_batch3(x, "maxpool1d_forward")
-    b, t, k = x3.shape
+    xf, batched = _stored(x, 2, "maxpool1d_forward")
+    t = xf.shape[0]
     if t < window:
         raise SequenceTooShortError(
             f"maxpool1d needs at least {window} time steps, got {t}"
         )
     t_out = t // window
-    blocks = x3[:, : t_out * window, :].reshape(b, t_out, window, k)
+    blocks = xf[: t_out * window].reshape(t_out, window, *xf.shape[1:])
     # folded from the last position: np.maximum returns its second operand
     # on a tie, so an exact tie (e.g. -0.0 against 0.0) keeps the earliest
-    y = blocks[:, :, window - 1, :].copy()
+    y = blocks[:, window - 1].copy()
     for j in range(window - 2, -1, -1):
-        np.maximum(y, blocks[:, :, j, :], out=y)
-    cache = LayerCache("maxpool1d", {"x": x3, "y": y, "window": window}, batched)
-    return (y if batched else y[0]), cache
+        np.maximum(y, blocks[:, j], out=y)
+    cache = LayerCache("maxpool1d", {"x": xf, "y": y, "window": window}, batched)
+    return _caller(y, batched), cache
 
 
 def maxpool1d_backward(grad_y: np.ndarray, cache: LayerCache):
     """Route each output gradient to the earliest input position holding the max."""
     if cache.kind != "maxpool1d":
         raise ShapeError(f"maxpool1d_backward got a {cache.kind!r} cache")
-    x3 = cache.data["x"]
+    xf = cache.data["x"]
     y = cache.data["y"]
     window = cache.data["window"]
-    b, t, k = x3.shape
-    t_out = y.shape[1]
-    g = np.asarray(grad_y, dtype=np.float64)
-    if not cache.batched:
-        g = g[None]
-    if g.shape != y.shape:
-        raise ShapeError(
-            f"maxpool1d_backward: gradient shape {grad_y.shape} does not match "
-            f"cached forward output {y.shape}"
-        )
-    blocks = x3[:, : t_out * window, :].reshape(b, t_out, window, k)
-    grad_x = np.zeros((b, t, k))
+    g = _upstream(grad_y, cache, y.shape, "maxpool1d_backward")
+    t_out = y.shape[0]
+    blocks = xf[: t_out * window].reshape(t_out, window, *y.shape[1:])
+    grad_x = np.zeros(xf.shape)
     # splitting one axis of a slice is always a view, so writes land in grad_x
-    grad_blocks = grad_x[:, : t_out * window, :].reshape(b, t_out, window, k)
+    grad_blocks = grad_x[: t_out * window].reshape(blocks.shape)
     # multiplying by the 0/1 mask is exact for finite gradients and, unlike a
     # masked copy, runs at full vector speed; adding 0.0 at the end turns the
     # -0.0 that g * False gives where g < 0 into +0.0
     unrouted = np.ones(y.shape, dtype=bool)
     for j in range(window - 1):
-        hit = blocks[:, :, j, :] == y
+        hit = blocks[:, j] == y
         hit &= unrouted
-        np.multiply(g, hit, out=grad_blocks[:, :, j, :])
+        np.multiply(g, hit, out=grad_blocks[:, j])
         unrouted ^= hit
-    np.multiply(g, unrouted, out=grad_blocks[:, :, window - 1, :])
+    np.multiply(g, unrouted, out=grad_blocks[:, window - 1])
     grad_blocks += 0.0
-    return grad_x if cache.batched else grad_x[0]
+    return _caller(grad_x, cache.batched)
 
 
 # --- LSTM ---
@@ -235,8 +268,8 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
     Returns the full hidden sequence ``[T,H]`` when ``return_sequence`` else
     the final state ``[H]`` (batched variants carry the leading axis).
     """
-    x3, batched = _as_batch3(x, "lstm_forward")
-    b, t, f = x3.shape
+    xf, batched = _stored(x, 2, "lstm_forward")
+    t, f, b = xf.shape
     if f != p.input_size:
         raise ShapeError(
             f"lstm input has {f} features but params expect {p.input_size}"
@@ -246,25 +279,25 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
     # sigmoid(z) = (tanh(z / 2) + 1) / 2: halving the o, i, f rows is exact
     scale = np.ones((4 * hs, 1))
     scale[: 3 * hs] = 0.5
-    u_scaled_t = (u * scale).T
-    x_tm = np.ascontiguousarray(x3.transpose(1, 0, 2)).reshape(t * b, f)
-    gates = x_tm @ (w * scale).T
+    u_scaled = u * scale
+    gates = np.matmul(w * scale, xf)  # [T, 4H, B]
     # in place: a second array this size costs more in page faults than the sum
-    gates += bias * scale[:, 0]
-    gates = gates.reshape(t, b, 4 * hs)
-    c = np.empty((t, b, hs))
-    tanh_c = np.empty((t, b, hs))
-    h = np.empty((t, b, hs))
-    ig = np.empty((b, hs))
+    gates += bias[:, None] * scale
+    c = np.empty((t, hs, b))
+    tanh_c = np.empty((t, hs, b))
+    h = np.empty((t, hs, b))
+    ig = np.empty((hs, b))
+    recurrent = np.empty((4 * hs, b))
     for s in range(t):
         z = gates[s]
         if s:
-            z += h[s - 1] @ u_scaled_t
+            np.matmul(u_scaled, h[s - 1], out=recurrent)
+            z += recurrent
         np.tanh(z, out=z)
-        sig = z[:, : 3 * hs]
+        sig = z[: 3 * hs]
         sig += 1.0
         sig *= 0.5
-        o_t, i_t, f_t, g_t = (z[:, k * hs : (k + 1) * hs] for k in range(4))
+        o_t, i_t, f_t, g_t = (z[k * hs : (k + 1) * hs] for k in range(4))
         if s:
             np.multiply(f_t, c[s - 1], out=c[s])
             np.multiply(i_t, g_t, out=ig)
@@ -276,7 +309,7 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
     cache = LayerCache(
         "lstm",
         {
-            "x": x_tm,
+            "x": xf,
             "w": w,
             "u": u,
             "gates": gates,
@@ -287,8 +320,7 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
         },
         batched,
     )
-    out = h.transpose(1, 0, 2) if return_sequence else h[-1]
-    return (out if batched else out[0]), cache
+    return _caller(h if return_sequence else h[-1], batched), cache
 
 
 def lstm_backward(grad_out: np.ndarray, cache: LayerCache):
@@ -303,25 +335,16 @@ def lstm_backward(grad_out: np.ndarray, cache: LayerCache):
     if not cache.data:
         raise ShapeError("lstm_backward got a cache a backward pass already used")
     return_sequence = cache.data["return_sequence"]
-    t, b, hs = cache.data["h"].shape
-    g_out = np.asarray(grad_out, dtype=np.float64)
-    if not cache.batched:
-        g_out = g_out[None]
-    expected = (b, t, hs) if return_sequence else (b, hs)
-    if g_out.shape != expected:
-        raise ShapeError(
-            f"lstm_backward: gradient shape {grad_out.shape} does not match "
-            f"cached forward output {expected}"
-        )
-    if return_sequence:
-        g_out = g_out.transpose(1, 0, 2)
+    t, hs, b = cache.data["h"].shape
+    shape = (t, hs, b) if return_sequence else (hs, b)
+    g_out = _upstream(grad_out, cache, shape, "lstm_backward")
     data, cache.data = cache.data, {}
     dpre, c, tanh_c, h = data["gates"], data["c"], data["tanh_c"], data["h"]
 
     # Each pre-activation derivative is dc_t (gates i, f, g) or dh_t (gate o)
     # times a factor that needs no recurrence. The factors are formed here for
     # every step, in place of the activations; c and tanh(c) are reused too.
-    o, i, f, g = (dpre.reshape(t, b, 4, hs)[:, :, k, :] for k in range(4))
+    o, i, f, g = (dpre[:, k * hs : (k + 1) * hs] for k in range(4))
     forget = f.copy()  # for the loop's dc_{t-1} = dc_t * f_t
     # f <- f (1 - f) c_{t-1}, with c_0 = 0
     np.subtract(1.0, forget, out=f)
@@ -347,29 +370,31 @@ def lstm_backward(grad_out: np.ndarray, cache: LayerCache):
     i *= g
     g[...] = d_g
 
-    u = data["u"]
-    dh = np.zeros((b, hs)) if return_sequence else g_out.copy()
-    dc = np.zeros((b, hs))
-    tmp = np.empty((b, hs))
+    u_t = data["u"].T
+    # a copy: g_out may be the caller's array, and the loop writes into dh
+    dh = np.zeros((hs, b)) if return_sequence else g_out.copy()
+    dc = np.zeros((hs, b))
+    tmp = np.empty((hs, b))
     for s in range(t - 1, -1, -1):
         if return_sequence:
             dh += g_out[s]
         np.multiply(dh, dc_per_dh[s], out=tmp)
         dc += tmp
-        d_ifg = dpre[s, :, hs:].reshape(b, 3, hs)
-        d_ifg *= dc[:, None, :]
-        dpre[s, :, :hs] *= dh
+        d_ifg = dpre[s, hs:].reshape(3, hs, b)
+        d_ifg *= dc
+        dpre[s, :hs] *= dh
         dc *= forget[s]
         if s:
-            np.matmul(dpre[s], u, out=dh)
+            np.matmul(u_t, dpre[s], out=dh)
 
-    dpre = dpre.reshape(t * b, 4 * hs)
-    dw = dpre.T @ data["x"]
-    du = dpre[b:].T @ h[:-1].reshape((t - 1) * b, hs)  # h_0 = 0
-    db = dpre.sum(axis=0)
-    grad_x = (dpre @ data["w"]).reshape(t, b, -1).transpose(1, 0, 2)
+    # one copy of dpre as [4H, T*B] for the weight gradients
+    d2 = dpre.transpose(1, 0, 2).reshape(4 * hs, t * b)
+    dw = d2 @ data["x"].transpose(1, 0, 2).reshape(-1, t * b).T
+    du = d2[:, b:] @ h[:-1].transpose(1, 0, 2).reshape(hs, (t - 1) * b).T  # h_0 = 0
+    db = d2.sum(axis=1)
+    grad_x = np.matmul(data["w"].T, dpre)
     rows = {gate: slice(k * hs, (k + 1) * hs) for k, gate in enumerate(_ORDER)}
-    return (grad_x if cache.batched else grad_x[0]), LstmParams(
+    return _caller(grad_x, cache.batched), LstmParams(
         w={gate: dw[r] for gate, r in rows.items()},
         u={gate: du[r] for gate, r in rows.items()},
         b={gate: db[r] for gate, r in rows.items()},
@@ -383,7 +408,8 @@ def dropout(x: np.ndarray, rate: float, training: bool, rng=None):
     """Zero each element with probability ``rate`` and rescale survivors.
 
     Inference mode is the identity. ``rng`` is required only when a mask is
-    actually drawn (training with rate > 0).
+    actually drawn (training with rate > 0). The output keeps the memory
+    layout of ``x``.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
@@ -393,10 +419,17 @@ def dropout(x: np.ndarray, rate: float, training: bool, rng=None):
         return x, cache
     if rng is None:
         raise ConfigError("dropout in training mode needs an rng")
-    mask = rng.random(x.shape) >= rate
-    y = x * mask / (1.0 - rate)
+    # drawn in the caller's shape, stored in the layout of x
+    mask = np.greater_equal(rng.random(x.shape), rate, out=np.empty_like(x, dtype=bool))
     cache = LayerCache("dropout", {"mask": mask, "rate": rate, "shape": x.shape})
-    return y, cache
+    return _masked(x, mask, rate), cache
+
+
+def _masked(x: np.ndarray, mask: np.ndarray, rate: float) -> np.ndarray:
+    # empty_like keeps the layout of x, where x * mask could be C-ordered
+    y = np.multiply(x, mask, out=np.empty_like(x))
+    y /= 1.0 - rate
+    return y
 
 
 def dropout_backward(grad_y: np.ndarray, cache: LayerCache):
@@ -411,7 +444,7 @@ def dropout_backward(grad_y: np.ndarray, cache: LayerCache):
     mask = cache.data["mask"]
     if mask is None:
         return g
-    return g * mask / (1.0 - cache.data["rate"])
+    return _masked(g, mask, cache.data["rate"])
 
 
 # --- Dense (linear, no activation) ---
@@ -419,38 +452,24 @@ def dropout_backward(grad_y: np.ndarray, cache: LayerCache):
 
 def dense_forward(x: np.ndarray, p: DenseParams):
     """y = W x + b for a single sample [in] or a batch [B, in]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x2, batched = x[None, :], False
-    elif x.ndim == 2:
-        x2, batched = x, True
-    else:
-        raise ShapeError(f"dense_forward expects [in] or [B,in], got {x.shape}")
-    if x2.shape[1] != p.weight.shape[1]:
+    xf, batched = _stored(x, 1, "dense_forward")
+    if xf.shape[0] != p.weight.shape[1]:
         raise ShapeError(
-            f"dense input has {x2.shape[1]} features but weight expects {p.weight.shape[1]}"
+            f"dense input has {xf.shape[0]} features but weight expects {p.weight.shape[1]}"
         )
-    y = x2 @ p.weight.T + p.bias
-    cache = LayerCache("dense", {"x": x2, "params": p}, batched)
-    return (y if batched else y[0]), cache
+    y = p.weight @ xf
+    y += p.bias[:, None]
+    cache = LayerCache("dense", {"x": xf, "params": p}, batched)
+    return _caller(y, batched), cache
 
 
 def dense_backward(grad_y: np.ndarray, cache: LayerCache):
     if cache.kind != "dense":
         raise ShapeError(f"dense_backward got a {cache.kind!r} cache")
-    x2 = cache.data["x"]
+    xf = cache.data["x"]
     p: DenseParams = cache.data["params"]
-    g = np.asarray(grad_y, dtype=np.float64)
-    if not cache.batched:
-        g = g[None]
-    if g.shape != (x2.shape[0], p.weight.shape[0]):
-        raise ShapeError(
-            f"dense_backward: gradient shape {grad_y.shape} does not match "
-            f"cached forward output {(x2.shape[0], p.weight.shape[0])}"
-        )
-    grad_w = g.T @ x2
-    grad_b = g.sum(axis=0)
-    grad_x = g @ p.weight
-    if not cache.batched:
-        grad_x = grad_x[0]
-    return grad_x, grad_w, grad_b
+    g = _upstream(grad_y, cache, (p.weight.shape[0], xf.shape[1]), "dense_backward")
+    grad_w = g @ xf.T
+    grad_b = g.sum(axis=1)
+    grad_x = p.weight.T @ g
+    return _caller(grad_x, cache.batched), grad_w, grad_b

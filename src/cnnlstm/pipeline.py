@@ -86,7 +86,7 @@ def load_ohlcv(path) -> OhlcvSeries:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
-        physical, dates, data = _split_plain(text) or _split_csv(path, text)
+        first_lines, dates, data = _split_plain(text) or _split_csv(path, text)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
@@ -97,7 +97,7 @@ def load_ohlcv(path) -> OhlcvSeries:
         # within a run of equal dates the stable sort keeps file order, so
         # the repeat that comes first in the file follows its first sighting
         k = repeats[np.argmin(order[repeats])]
-        lines = np.flatnonzero(list(map(len, physical))) + 2
+        lines = first_lines()
         raise DataError(
             f"{path}, line {lines[order[k]]}: duplicate date {dates[order[k]].isoformat()} "
             f"(first seen on line {lines[order[k - 1]]})"
@@ -111,7 +111,8 @@ def load_ohlcv(path) -> OhlcvSeries:
 
 def _split_plain(text):
     """``_split_csv``'s result for text that ``csv.reader`` splits at every
-    comma and line break and whose rows all parse; None for any other text."""
+    comma and line break and whose rows all parse (a row is a file line, so
+    lines are counted only when asked for); None for any other text."""
     if "\r" in text:  # the line breaks csv.reader sees in a file opened with newline=""
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     rows = text.split("\n")  # a final line break leaves an empty last row: a blank line
@@ -129,13 +130,22 @@ def _split_plain(text):
         data = np.array([t or "nan" for t in tokens], dtype=np.float64)
     except ValueError:
         return None
-    return rows[1:], dates, data.reshape(-1, len(OHLCV_COLUMNS))
+    return (
+        lambda: np.flatnonzero(list(map(len, rows[1:]))) + 2,
+        dates,
+        data.reshape(-1, len(OHLCV_COLUMNS)),
+    )
 
 
 def _split_csv(path, text):
-    """The rows after the header (blank ones too), their dates and their [N,5]
-    cells, read by ``csv.reader``; raises at the first fault."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    """A function giving the first file line of each data row, the rows'
+    dates and their [N,5] cells, read by ``csv.reader``; raises at the first
+    fault. A quoted cell may hold a line break, so a row can span lines."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, ends = [], [0]  # ends[j]: the file line row j-1 ended on
+    for row in reader:
+        rows.append(row)
+        ends.append(reader.line_num)
     if not rows:
         raise DataError(f"{path}: empty file")
     if tuple(c.strip() for c in rows[0]) != CSV_HEADER:
@@ -144,7 +154,7 @@ def _split_csv(path, text):
             f"got {','.join(rows[0])!r}"
         )
     body = [row for row in rows[1:] if row]
-    lines = np.flatnonzero(list(map(len, rows[1:]))) + 2  # file line of each row of body
+    lines = np.array([end + 1 for row, end in zip(rows[1:], ends[1:]) if row], dtype=int)
     # parse every date and every cell in one call each; only a failure
     # walks the rows one by one, to report the first bad row as it reads
     if set(map(len, body)) - {6}:
@@ -158,7 +168,7 @@ def _split_csv(path, text):
         raise
     if not body:
         raise DataError(f"{path}: no data rows")
-    return rows[1:], dates, data
+    return lambda: lines, dates, data
 
 
 def _raise_first_bad_row(path, body, lines):

@@ -168,11 +168,17 @@ def reference_load_ohlcv(path):
     Returns ``(dates, columns)`` sorted by date, or raises
     ``ReferenceCsvError`` with the message ``load_ohlcv`` gives. It reads
     with ``utf-8-sig``, as the loader does now, so that a byte-order mark
-    is the only difference it does not model.
+    is the only difference it does not model. A row's line is the file line
+    it starts on: a quoted cell may hold a line break.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows, starts, start = [], [], 1
+            for row in reader:
+                rows.append(row)
+                starts.append(start)
+                start = reader.line_num + 1
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ReferenceCsvError(f"cannot read {path}: {exc}") from None
     if not rows:
@@ -183,7 +189,7 @@ def reference_load_ohlcv(path):
             f"got {','.join(rows[0])!r}"
         )
     parsed = []  # (date, cells, line)
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in zip(starts[1:], rows[1:]):
         if not row:
             continue
         if len(row) != 6:
@@ -332,6 +338,42 @@ def reference_lstm_backward(grad_out, state):
             dh_next += dpre[g] @ u[g]
         grad_x[:, step, :] = dx
     return (grad_x if state["batched"] else grad_x[0]), dw, du, db
+
+
+def reference_conv1d_forward(x, kernels, bias):
+    """Valid conv1d as explicit sums over output step t, tap w and feature f.
+
+    ``x`` is [T,F] or [B,T,F], ``kernels`` [K,W,F], ``bias`` [K].
+    """
+    x3 = x[None] if x.ndim == 2 else x
+    batch, steps, feats = x3.shape
+    k_out, width, _ = kernels.shape
+    y = np.empty((batch, steps - width + 1, k_out))
+    for t in range(steps - width + 1):
+        acc = np.tile(bias, (batch, 1))
+        for w in range(width):
+            for f in range(feats):
+                acc = acc + np.outer(x3[:, t + w, f], kernels[:, w, f])
+        y[:, t] = acc
+    return y if x.ndim == 3 else y[0]
+
+
+def reference_conv1d_backward(grad_y, x, kernels):
+    """``(grad_x, grad_kernels, grad_bias)`` of ``reference_conv1d_forward``,
+    each term of the sum differentiated in turn."""
+    x3 = x[None] if x.ndim == 2 else x
+    g = grad_y[None] if x.ndim == 2 else grad_y
+    _, steps, feats = x3.shape
+    _, width, _ = kernels.shape
+    grad_x = np.zeros_like(x3)
+    grad_kernels = np.zeros_like(kernels)
+    for t in range(steps - width + 1):
+        for w in range(width):
+            for f in range(feats):
+                grad_x[:, t + w, f] += g[:, t] @ kernels[:, w, f]
+                grad_kernels[:, w, f] += g[:, t].T @ x3[:, t + w, f]
+    grad_bias = g.sum(axis=(0, 1))
+    return (grad_x if x.ndim == 3 else grad_x[0]), grad_kernels, grad_bias
 
 
 def reference_maxpool(x, window):

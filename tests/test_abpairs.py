@@ -1,0 +1,69 @@
+"""The pair runner's seed parsing, win counting and claim rule.
+
+``tools/abpairs.py`` is a script, not part of the package, so it is loaded
+from its path.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "abpairs.py"
+spec = importlib.util.spec_from_file_location("abpairs", TOOL)
+abpairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(abpairs)
+
+
+def pairs_of(parent, change, name="op_ms_min"):
+    """Pair records as ``perfbench/run.py`` prints them, one metric each."""
+    return [
+        {side: {"metrics": {name: {"value": v}}} for side, v in (("parent", a), ("change", b))}
+        for a, b in zip(parent, change)
+    ]
+
+
+def test_seeds():
+    assert list(abpairs.seeds("7301-7304")) == [7301, 7302, 7303, 7304]
+    assert list(abpairs.seeds("7301")) == [7301]
+
+
+def test_one_seed_exits_2_before_any_run(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("ran a benchmark")
+
+    monkeypatch.setattr(abpairs, "run", refuse)
+    monkeypatch.setattr(abpairs, "export", refuse)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        abpairs.main(["--parent", "HEAD", "--workload", "train", "--seeds", "7301",
+                      "--out", str(out)])
+    assert exc.value.code == 2
+    assert "at least two seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wins_losses_and_ties_for_a_lower_is_better_metric():
+    got = abpairs.summarise(pairs_of([10, 10, 10, 10], [9, 11, 10, 8]), {"op_ms_min": "lower"})
+    m = got["op_ms_min"]
+    assert (m["wins"], m["losses"]) == (2, 1)  # the tie counts for neither
+    assert m["parent"]["median"] == 10 and m["change"]["median"] == 9.5
+    assert m["median_change_frac"] == -0.05
+
+
+def test_wins_for_a_higher_is_better_metric():
+    got = abpairs.summarise(pairs_of([5, 5, 5], [6, 4, 7], "items_per_s"), {"items_per_s": "higher"})
+    assert (got["items_per_s"]["wins"], got["items_per_s"]["losses"]) == (2, 1)
+
+
+@pytest.mark.parametrize("change,better,exceeds", [
+    ([8.0, 8.0, 8.0, 8.0, 8.0], "lower", True),  # gap 2 > parent IQR 1
+    ([9.0, 9.0, 9.0, 9.0, 9.0], "lower", False),  # gap 1 == IQR: not more
+    ([12.0, 12.0, 12.0, 12.0, 12.0], "lower", False),  # worse by more than the IQR
+    ([12.0, 12.0, 12.0, 12.0, 12.0], "higher", True),
+])
+def test_gap_exceeds_parent_iqr(change, better, exceeds):
+    parent = [9.0, 9.5, 10.0, 10.5, 11.0]  # inclusive quartiles 9.5 and 10.5: IQR 1
+    m = abpairs.summarise(pairs_of(parent, change), {"op_ms_min": better})["op_ms_min"]
+    assert m["parent"]["iqr"] == 1.0
+    assert m["gap_exceeds_parent_iqr"] is exceeds

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cnnlstm.errors import ConfigError, SequenceTooShortError, ShapeError
 from cnnlstm.layers import (
@@ -22,6 +23,8 @@ from cnnlstm.layers import (
 )
 from oracles import (
     finite_difference,
+    reference_conv1d_backward,
+    reference_conv1d_forward,
     reference_lstm_backward,
     reference_lstm_forward,
     reference_maxpool,
@@ -405,6 +408,46 @@ class TestLstmAgainstGateLoop:
             lstm_backward(np.ones_like(out), cache)
 
 
+# (steps, features, kernels) of the paper's three conv stages, kernel width 3
+CONV_STAGES = [(64, 2, 32), (31, 32, 64), (14, 64, 64)]
+
+
+class TestConvAgainstDirectSum:
+    """The im2col conv and the max-pool against explicit loops at the paper's stage shapes."""
+
+    @pytest.mark.parametrize("steps,features,kernels", CONV_STAGES)
+    @pytest.mark.parametrize("batch", [32, None], ids=["batched", "unbatched"])
+    def test_outputs_and_gradients_agree(self, rng, steps, features, kernels, batch):
+        p = Conv1dParams(
+            kernels=0.3 * rng.standard_normal((kernels, 3, features)),
+            bias=rng.standard_normal(kernels),
+        )
+        shape = (steps, features) if batch is None else (batch, steps, features)
+        x = rng.standard_normal(shape)
+        y, cache = conv1d_forward(x, p)
+        want = reference_conv1d_forward(x, p.kernels, p.bias)
+        assert y.shape == want.shape
+        assert rel_deviation(y, want) <= 1e-12
+        upstream = rng.standard_normal(y.shape)
+        gx, gk, gb = conv1d_backward(upstream, cache)
+        want_gx, want_gk, want_gb = reference_conv1d_backward(upstream, x, p.kernels)
+        assert gx.shape == x.shape and gk.shape == p.kernels.shape and gb.shape == p.bias.shape
+        assert rel_deviation(gx, want_gx) <= 1e-12
+        assert rel_deviation(gk, want_gk) <= 1e-12
+        assert rel_deviation(gb, want_gb) <= 1e-12
+
+    @pytest.mark.parametrize("steps,features,kernels", CONV_STAGES)
+    @pytest.mark.parametrize("batch", [32, None], ids=["batched", "unbatched"])
+    def test_pool_of_conv_output_matches_loop_oracle(self, rng, steps, features, kernels, batch):
+        shape = (steps - 2, kernels) if batch is None else (batch, steps - 2, kernels)
+        x = np.tanh(rng.standard_normal(shape))
+        y, cache = maxpool1d_forward(x, 2)
+        want, route = reference_maxpool(x, 2)
+        assert np.array_equal(y, want)
+        upstream = rng.standard_normal(y.shape)
+        assert np.array_equal(maxpool1d_backward(upstream, cache), route(upstream))
+
+
 class TestDropout:
     def test_inference_is_identity(self, rng):
         x = rng.standard_normal((4, 5))
@@ -495,7 +538,92 @@ class TestDense:
             assert np.abs(batched[b] - single).max() <= 1e-12
 
 
+def op_table(rng):
+    """name -> (forward of x, backward of (upstream, cache), shape of one sample)."""
+    conv = Conv1dParams(kernels=rng.standard_normal((4, 3, 3)), bias=rng.standard_normal(4))
+    lstm = random_lstm_params(rng, 4, 3)
+    dense = DenseParams(weight=rng.standard_normal((2, 5)), bias=rng.standard_normal(2))
+    return {
+        "conv1d": (lambda x: conv1d_forward(x, conv), conv1d_backward, (8, 3)),
+        "maxpool1d": (lambda x: maxpool1d_forward(x, 2), maxpool1d_backward, (8, 3)),
+        "lstm-sequence": (lambda x: lstm_forward(x, lstm, True), lstm_backward, (8, 3)),
+        "lstm-last": (lambda x: lstm_forward(x, lstm, False), lstm_backward, (8, 3)),
+        "dropout": (
+            lambda x: dropout(x, 0.3, True, np.random.default_rng(5)), dropout_backward, (8, 3)
+        ),
+        "dense": (lambda x: dense_forward(x, dense), dense_backward, (5,)),
+    }
+
+
+OPS = list(op_table(np.random.default_rng(0)))
+
+
+def flat_arrays(result):
+    """The arrays of a forward or backward result, LstmParams gate by gate."""
+    out = []
+    for r in result if isinstance(result, tuple) else (result,):
+        if isinstance(r, LstmParams):
+            out += [part[g] for part in (r.w, r.u, r.b) for g in GATES]
+        elif isinstance(r, np.ndarray):
+            out.append(r)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+def window_sample(rng, sample_shape, batch):
+    """A read-only sliding-window view [batch, *sample_shape] over a drawn series,
+    as ``pipeline.window_view`` gives; one sample when ``batch`` is None."""
+    length = sample_shape[0]
+    series = rng.standard_normal((length + (batch or 1) - 1, *sample_shape[1:]))
+    win = sliding_window_view(series, length, axis=0)
+    if len(sample_shape) == 2:
+        win = win.transpose(0, 2, 1)
+    return win if batch is not None else win[0]
+
+
+def batch_minor(x):
+    """The values of ``x`` as a view of storage with the batch axis last."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+
+
 class TestPurity:
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("batch", [1, 32, None], ids=["b1", "b32", "unbatched"])
+    @pytest.mark.parametrize("layout", ["c", "batch-minor"])
+    def test_no_op_writes_into_its_input_or_upstream(self, rng, op, batch, layout):
+        forward, backward, sample_shape = op_table(rng)[op]
+        arrange = np.ascontiguousarray if layout == "c" else batch_minor
+        shape = sample_shape if batch is None else (batch, *sample_shape)
+        x = arrange(rng.standard_normal(shape))
+        x0 = x.copy()
+        y, cache = forward(x)
+        upstream = arrange(rng.standard_normal(y.shape))
+        upstream0 = upstream.copy()
+        backward(upstream, cache)
+        assert same_bits(x, x0)
+        assert same_bits(upstream, upstream0)
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("batch", [1, 32, None], ids=["b1", "b32", "unbatched"])
+    def test_results_do_not_depend_on_input_layout(self, rng, op, batch):
+        forward, backward, sample_shape = op_table(rng)[op]
+        win = window_sample(rng, sample_shape, batch)
+        assert not win.flags.writeable
+        results = []
+        for x in (np.array(win), win.T.copy().T, batch_minor(win), win):
+            y, cache = forward(x)
+            y = np.array(y)
+            upstream = np.random.default_rng(7).standard_normal(y.shape)
+            results.append(flat_arrays((y, *flat_arrays(backward(upstream, cache)))))
+        for got in results[1:]:
+            assert len(got) == len(results[0])
+            assert all(same_bits(a, b) for a, b in zip(got, results[0]))
+
     def test_forward_ops_leave_inputs_alone(self, rng):
         x = rng.standard_normal((8, 2))
         x0 = x.copy()

@@ -176,6 +176,21 @@ class TestLoadOhlcv:
         ):
             load_ohlcv(path)
 
+    # line 3 opens a quoted cell that line 4 closes, so csv.reader row 4 starts on file line 5
+    QUOTED_BREAK = '2020-01-01,1,2,0.5,1.5,100\n2020-01-02,"1\n",2,0.5,1.5,100\n'
+
+    def test_error_after_a_quoted_line_break_names_the_file_line(self, tmp_path):
+        path = self.write(tmp_path, self.QUOTED_BREAK + "2020-01-03,1,x,0.5,1.5,100\n")
+        with pytest.raises(DataError, match=r"line 5: unparseable number 'x' in column high"):
+            load_ohlcv(path)
+
+    def test_duplicate_after_a_quoted_line_break_names_the_file_lines(self, tmp_path):
+        path = self.write(tmp_path, self.QUOTED_BREAK + "2020-01-02,1,2,0.5,1.5,100\n")
+        with pytest.raises(
+            DataError, match=r"line 5: duplicate date 2020-01-02 \(first seen on line 3\)"
+        ):
+            load_ohlcv(path)
+
     def test_blank_lines_and_padded_cells(self, tmp_path):
         path = self.write(tmp_path, "\n2020-01-02, 1.5 ,2,  ,2,110\n\n 2020-01-01 ,1,2,0.5,1.5,100\n")
         s = load_ohlcv(path)
@@ -267,6 +282,8 @@ class TestLoadOhlcvAgainstRowByRowReader:
     @example(text=HEADERS[0] + "\n2020-01-01,1," + LONG_CELLS[1] + ",3,4,5\n")
     @example(text=HEADERS[0] + "\n\r2020-01-01,1,2,3,4,5\r\n2020-01-01,1,,3,4,5\r")
     @example(text=HEADERS[0] + '\n2020-01-01,"1",2,3,4,5\n2020-01-02,1,  ,3,4,5')
+    @example(text=HEADERS[0] + '\n2020-01-01,"1\r\n",2,3,4,5\n2020-01-01,1,x,3,4,5\n')
+    @example(text=HEADERS[0] + '\n2020-01-01,"1\n\n",2,3,4,5\r2020-01-01,1,2,3,4,5\n')
     def test_same_series_or_same_error(self, tmp_path, text):
         path = tmp_path / "prices.csv"
         path.write_bytes(text.encode("utf-8"))

@@ -47,7 +47,8 @@ def run(tree, workload, seed, seconds):
 
 
 def seeds(spec):
-    """``7301-7310`` -> 7301, ..., 7310; a single number is one seed."""
+    """``7301-7310`` -> 7301, ..., 7310; a single number is one seed, which
+    ``main`` refuses: quartiles need at least two pairs."""
     first, _, last = spec.partition("-")
     return range(int(first), int(last or first) + 1)
 
@@ -85,6 +86,8 @@ def main(argv=None):
     parser.add_argument("--claim", help="the end-to-end metric a gain is claimed on")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    if len(seeds(args.seeds)) < 2:
+        parser.error(f"--seeds {args.seeds}: need at least two seeds for quartiles")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
