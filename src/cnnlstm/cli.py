@@ -49,7 +49,7 @@ def cmd_prepare(args) -> int:
         cfg = cfg.with_seed(args.seed)
     series = pl.load_ohlcv(args.input)
     prepared = pl.prepare_dataset(series, cfg.prepare_config())
-    pl.save_dataset(prepared, cfg.prepare_config(), args.out)
+    pl.save_dataset(prepared, args.out)
     print(prepared.summary.format())
     print(f"dataset written to {args.out}")
     return 0

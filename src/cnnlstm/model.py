@@ -18,16 +18,14 @@ import numpy as np
 
 from . import layers
 from .errors import (
-    CheckpointFormatError,
     CheckpointShapeError,
-    CheckpointVersionError,
     ConfigError,
     ShapeError,
 )
 from .layers import GATES, Conv1dParams, DenseParams, LstmParams
 from .optim import mse
 from .pipeline import PreprocessState, preprocess_lines, read_preprocess_block
-from .textio import LineReader, array_lines, config_lines, int_tuple, read_config, write_lines
+from .textio import array_lines, config_lines, int_tuple, read_config, read_file, write_lines
 
 CKPT_MAGIC = "CNNLSTM-CKPT"
 CKPT_VERSION = "v2"
@@ -53,6 +51,8 @@ class ModelConfig:
             raise ConfigError(f"all extents must be positive integers: {extents}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.stage_lengths()
         return self
 
@@ -324,19 +324,7 @@ def load(path):
 
     Version, structural, and shape problems raise distinct errors.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CheckpointFormatError(f"cannot read checkpoint {path}: {exc}") from None
-    reader = LineReader(text, str(path))
-    head = reader.next().split()
-    if not head or head[0] != CKPT_MAGIC:
-        raise CheckpointFormatError(f"{path}: not a checkpoint file")
-    if head[1:] != [CKPT_VERSION]:
-        raise CheckpointVersionError(
-            f"{path}: unsupported checkpoint version {' '.join(head[1:])!r}"
-        )
+    reader = read_file(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     config = read_config(reader, ModelConfig).validate()
     preprocess = read_preprocess_block(reader)
     params = {}
@@ -380,6 +368,8 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
     Returns an ordered list of ``(name, worst_relative_error)``. ``corrupt``
     deliberately perturbs one analytic gradient (negative-control hook).
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     results = []
 

@@ -21,13 +21,12 @@ from datetime import date as _date
 import numpy as np
 
 from .errors import (
-    CheckpointFormatError,
     CompatibilityError,
     ConfigError,
     DataError,
     PipelineError,
 )
-from .textio import LineReader, array_lines, config_lines, fmt_vector, read_config, write_lines
+from .textio import LineReader, array_lines, config_lines, fmt_vector, read_config, read_file, write_lines
 
 OHLCV_COLUMNS = ("open", "high", "low", "close", "volume")
 CSV_HEADER = ("Date", "Open", "High", "Low", "Close", "Volume")
@@ -328,13 +327,12 @@ def correlations(frame: FeatureFrame, rows=None, target="close") -> dict:
     return out
 
 
-def select_by_correlation(frame: FeatureFrame, threshold: float, rows=None, target="close"):
-    """Keep features with |pearson r| >= threshold against the target.
+def select_by_correlation(rs: dict, threshold: float) -> list:
+    """Keep the features of ``rs`` (from ``correlations``) with |r| >= threshold.
 
-    The target never competes against itself; constant features are dropped
-    with a warning. Returns names in frame column order.
+    Constant features (r is NaN) are dropped with a warning. Returns names
+    in the order of ``rs``, which is frame column order.
     """
-    rs = correlations(frame, rows=rows, target=target)
     selected = []
     for name, r in rs.items():
         if math.isnan(r):
@@ -570,13 +568,15 @@ class PrepareConfig:
             raise ConfigError(f"corr_threshold must be in [0,1], got {self.corr_threshold}")
         if len(self.split_ratios) != 3 or not all(r >= 0.0 for r in self.split_ratios):
             raise ConfigError(
-                f"split ratios must be three non-negative shares (train, val, test), "
+                f"split_ratios must be three non-negative shares (train, val, test), "
                 f"got {self.split_ratios}"
             )
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios must sum to 1, got {self.split_ratios}")
+            raise ConfigError(f"split_ratios must sum to 1, got {self.split_ratios}")
         if self.split_mode not in ("chronological", "random"):
-            raise ConfigError(f"split mode must be chronological or random, got {self.split_mode!r}")
+            raise ConfigError(f"split_mode must be chronological or random, got {self.split_mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -631,8 +631,9 @@ class PrepareSummary:
 class PreparedData:
     dataset: WindowedDataset
     preprocess: PreprocessState
+    config: PrepareConfig  # the recipe that made it, split included
     summary: PrepareSummary
-    frame: FeatureFrame = None  # transformed feature frame the windows came from
+    frame: FeatureFrame  # transformed feature frame the windows came from
 
 
 def training_rows(length: int, train_idx, lookback: int, horizon: int) -> np.ndarray:
@@ -671,7 +672,7 @@ def prepare_dataset(series: OhlcvSeries, cfg: PrepareConfig) -> PreparedData:
     fit_rows = training_rows(length, train_idx, cfg.lookback, cfg.horizon)
 
     rs = correlations(frame, rows=fit_rows, target="close")
-    selected = tuple(select_by_correlation(frame, cfg.corr_threshold, rows=fit_rows))
+    selected = tuple(select_by_correlation(rs, cfg.corr_threshold))
     dropped_constant = tuple(n for n, r in rs.items() if math.isnan(r))
     if not selected:
         raise PipelineError(
@@ -711,7 +712,7 @@ def prepare_dataset(series: OhlcvSeries, cfg: PrepareConfig) -> PreparedData:
         selected=selected, scaler=scaler, pca=pca_state, horizon=cfg.horizon
     )
     return PreparedData(
-        dataset=dataset, preprocess=preprocess, summary=summary, frame=modeled
+        dataset=dataset, preprocess=preprocess, config=cfg, summary=summary, frame=modeled
     )
 
 
@@ -801,23 +802,20 @@ def read_preprocess_block(reader: LineReader) -> PreprocessState:
 # --- prepared-dataset cache file ---
 
 DATA_MAGIC = "CNNLSTM-DATA"
-DATA_VERSION = "v2"
+DATA_VERSION = "v3"
 
 
-def save_dataset(prepared: PreparedData, cfg: PrepareConfig, path):
-    """Write the transformed frame, split, and preprocessing state.
+def save_dataset(prepared: PreparedData, path):
+    """Write the prepare config, preprocessing state and transformed frame.
 
-    Dates, split indices and the header are text; each column is one
-    binary64 block line (see ``textio``). A failed save leaves any previous
-    file at ``path`` untouched. The windows themselves are not stored;
-    loading rebuilds them from the frame with the echoed lookback/horizon,
-    which is bit-exact.
+    Dates and the header are text; each column is one binary64 block line
+    (see ``textio``). A failed save leaves any previous file at ``path``
+    untouched. Neither the windows nor the split are stored: loading
+    rebuilds the windows from the frame with the echoed lookback/horizon
+    and derives the split from the echoed recipe, both bit-exact.
     """
-    ds = prepared.dataset
     frame = prepared.frame
-    if frame is None:
-        raise PipelineError("prepared data lacks the transformed frame")
-    lines = [f"{DATA_MAGIC} {DATA_VERSION}", *config_lines(cfg)]
+    lines = [f"{DATA_MAGIC} {DATA_VERSION}", *config_lines(prepared.config)]
     lines.extend(preprocess_lines(prepared.preprocess))
     lines.append("[frame]")
     lines.append(f"rows={len(frame)}")
@@ -831,40 +829,18 @@ def save_dataset(prepared: PreparedData, cfg: PrepareConfig, path):
     for name, col in frame.columns.items():
         lines.append(f"column {name}")
         lines.extend(array_lines(col))
-    lines.append("[split]")
-    for name, idx in (("train", ds.train_idx), ("val", ds.val_idx), ("test", ds.test_idx)):
-        lines.append(f"{name} {idx.size}")
-        lines.extend(_int_lines(idx.tolist(), 16))
     write_lines(path, lines)
-
-
-def _int_lines(values: list, per_line: int) -> list:
-    full, rest = divmod(len(values), per_line)  # one template for all lines, filled in one call
-    rows = [" ".join(["%d"] * per_line)] * full + [" ".join(["%d"] * rest)] * bool(rest)
-    return ["\n".join(rows) % tuple(values)] if values else []
 
 
 def load_dataset(path):
     """Read a dataset cache; returns ``(PreparedData, PrepareConfig)``.
 
-    The loaded PreparedData carries no summary (that belongs to prepare time).
+    The header's recipe is validated, then the split is derived from it
+    over the rebuilt windows with the call ``prepare_dataset`` makes. The
+    loaded PreparedData carries no summary (that belongs to prepare time).
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from None
-    reader = LineReader(text, str(path))
-    head = reader.next().split()
-    if not head or head[0] != DATA_MAGIC:
-        raise CheckpointFormatError(f"{path}: not a dataset cache file")
-    if head[1:] != [DATA_VERSION]:
-        from .errors import CheckpointVersionError
-
-        raise CheckpointVersionError(
-            f"{path}: unsupported dataset version {' '.join(head[1:])!r}"
-        )
-    cfg = read_config(reader, PrepareConfig)
+    reader = read_file(path, DATA_MAGIC, DATA_VERSION, "dataset")
+    cfg = read_config(reader, PrepareConfig).validate()
     preprocess = read_preprocess_block(reader)
     if reader.next() != "[frame]":
         raise reader.error("expected [frame] section")
@@ -880,27 +856,12 @@ def load_dataset(path):
             raise reader.error(f"expected 'column {name}', got {' '.join(header)!r}")
         columns[name] = reader.read_array(rows)
     frame = FeatureFrame(dates=dates, columns=columns)
-    if reader.next() != "[split]":
-        raise reader.error("expected [split] section")
-    split_sets = {}
-    for name in ("train", "val", "test"):
-        header = reader.next().split()
-        if len(header) != 2 or header[0] != name:
-            raise reader.error(f"expected '{name} <count>'")
-        split_sets[name] = reader.read_ints(reader.convert(header[1], int, f"{name} count"))
     dataset = make_windows(frame, cfg.lookback, cfg.horizon)
-    for name, idx in split_sets.items():
-        if idx.size and not 0 <= idx.min() <= idx.max() < dataset.n:
-            raise CheckpointFormatError(
-                f"{path}: {name} split indexes outside the {dataset.n} windows"
-            )
-    dataset = replace(
-        dataset,
-        train_idx=split_sets["train"],
-        val_idx=split_sets["val"],
-        test_idx=split_sets["test"],
+    train_idx, val_idx, test_idx = split_indices(
+        dataset.n, cfg.split_ratios, cfg.split_mode, cfg.seed
     )
+    dataset = replace(dataset, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
     prepared = PreparedData(
-        dataset=dataset, preprocess=preprocess, summary=None, frame=frame
+        dataset=dataset, preprocess=preprocess, config=cfg, summary=None, frame=frame
     )
     return prepared, cfg

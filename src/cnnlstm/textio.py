@@ -5,12 +5,13 @@ decimal floats written with 17 significant digits (which round-trips
 binary64 exactly), and bulk float arrays. A bulk array is one line: the
 base64 of its little-endian binary64 bytes in C order, so it round-trips
 bitwise, NaN payloads included, and parses without converting decimal
-text. Integer and date blocks are whitespace-separated tokens, parsed a
+text. A date block is whitespace-separated ISO-8601 tokens, parsed a
 whole block at a time; a block is scanned token by token only when it
 fails to parse, to name the line and token at fault. Files are replaced
-whole, never rewritten in place. The ``key=value`` header of a checkpoint
-or a dataset cache is one line per field of its config dataclass, and the
-run config's keys are those same fields (``key_fields``).
+whole, never rewritten in place, and read by ``read_file``, which checks
+the magic-and-version line. The ``key=value`` header of a checkpoint or a
+dataset cache is one line per field of its config dataclass, and the run
+config's keys are those same fields (``key_fields``).
 """
 
 import binascii
@@ -21,7 +22,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import CheckpointFormatError
+from .errors import CheckpointFormatError, CheckpointVersionError
 
 
 def fmt_float(x: float) -> str:
@@ -70,15 +71,11 @@ def write_lines(path, lines: list):
 
 # Block parsers: each turns a list of tokens into values in one call and
 # raises ValueError or OverflowError if any token is bad. numpy converts
-# strings with Python's float() and int().
+# strings with Python's float().
 
 
 def _floats(tokens: list) -> np.ndarray:
     return np.array(tokens, dtype=np.float64)
-
-
-def _ints(tokens: list) -> np.ndarray:
-    return np.array(tokens, dtype=np.int64)
 
 
 def _dates(tokens: list) -> list:
@@ -149,9 +146,6 @@ class LineReader:
             raise self.error(f"expected {count} values ({8 * count} bytes), got {len(raw)} bytes")
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
-    def read_ints(self, count: int) -> np.ndarray:
-        return self._read_values(count, _ints, "integer")
-
     def read_dates(self, count: int) -> list:
         """Consume ISO-8601 dates across lines until count is met."""
         return self._read_values(count, _dates, "date")
@@ -193,6 +187,23 @@ class LineReader:
                 except (ValueError, OverflowError):
                     raise self.error(f"unparseable {kind} {token!r}", line) from None
             start = end
+
+
+def read_file(path, magic: str, version: str, kind: str) -> LineReader:
+    """A reader of the ``kind`` file at ``path``, past its first line, which
+    must be ``magic version``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CheckpointFormatError(f"cannot read {kind} {path}: {exc}") from None
+    reader = LineReader(text, str(path))
+    head = reader.next().split()
+    if not head or head[0] != magic:
+        raise CheckpointFormatError(f"{path}: not a {kind} file")
+    if head[1:] != [version]:
+        raise CheckpointVersionError(f"{path}: unsupported {kind} version {' '.join(head[1:])!r}")
+    return reader
 
 
 def int_tuple(value: str) -> tuple:

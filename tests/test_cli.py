@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cnnlstm
 from cnnlstm import model, pipeline
 from cnnlstm.cli import main
+from cnnlstm.config import load_config
 from cnnlstm.synth import synthetic_ohlcv, write_csv
 
 SMALL = "lookback=8\ncorr_threshold=0.3\n"
@@ -78,17 +80,58 @@ def test_train_rejects_non_finite_rate_or_penalty(prepared, capsys, setting):
     )
 
 
-def test_train_rejects_out_of_range_split_index(prepared, capsys):
+@pytest.mark.parametrize("command", ["prepare", "train"])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_negative_seed_is_an_input_error(prepared, capsys, command, given):
+    # numpy's default_rng rejects a negative seed with a raw ValueError
+    (prepared / "neg.cfg").write_text(
+        SMALL + "kernel_width=2\npool_window=1\nepochs=1\nsplit_mode=random\n"
+        + ("seed=-1\n" if given == "config" else "")
+    )
+    argv = {
+        "prepare": ["prepare", "--input", str(prepared / "prices.csv"), "--out", str(prepared / "d2.txt")],
+        "train": ["train", "--data", str(prepared / "data.txt"), "--out", str(prepared / "m.ckpt"),
+                  "--history", str(prepared / "h.csv")],
+    }[command] + ["--config", str(prepared / "neg.cfg")]
+    assert_input_error(capsys, argv + (["--seed", "-1"] if given == "flag" else []),
+                       "seed must be >= 0, got -1")
+
+
+def test_gradcheck_rejects_a_negative_seed(capsys):
+    assert_input_error(capsys, ["gradcheck", "--seed", "-1"], "seed must be >= 0, got -1")
+
+
+@pytest.mark.parametrize("mode", ["chronological", "random"])
+def test_loaded_split_is_the_prepared_split(prepared, mode):
+    (prepared / "mode.cfg").write_text(SMALL + f"split_mode={mode}\n")
+    assert main(["prepare", "--input", str(prepared / "prices.csv"), "--config",
+                 str(prepared / "mode.cfg"), "--out", str(prepared / "d2.txt"), "--seed", "7"]) == 0
+    loaded, _ = pipeline.load_dataset(prepared / "d2.txt")
+    made = pipeline.prepare_dataset(
+        pipeline.load_ohlcv(prepared / "prices.csv"),
+        load_config(prepared / "mode.cfg").with_seed(7).prepare_config(),
+    )
+    for split in ("train", "val", "test"):
+        got, want = loaded.dataset.indices(split), made.dataset.indices(split)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), split
+    if mode == "random":
+        assert not np.array_equal(made.dataset.train_idx, np.arange(made.dataset.train_idx.size))
+
+
+@pytest.mark.parametrize("recipe", ["split_ratios=1.5,-0.3,-0.2", "split_ratios=nan,0.5,0.5",
+                                    "split_mode=sideways"])
+def test_train_rejects_a_damaged_split_recipe(prepared, capsys, recipe):
     path = prepared / "data.txt"
+    key = recipe.split("=")[0]
     lines = path.read_text().splitlines()
-    at = lines.index("[split]") + 2
-    lines[at] = "99999999999999999999999 " + lines[at].split(" ", 1)[1]
+    lines[next(i for i, line in enumerate(lines) if line.startswith(f"{key}="))] = recipe
     path.write_text("\n".join(lines) + "\n")
+    (prepared / "train.cfg").write_text(SMALL + "kernel_width=2\npool_window=1\nepochs=1\n")
     assert_input_error(
         capsys,
-        ["train", "--data", str(path), "--config", str(prepared / "run.cfg"),
+        ["train", "--data", str(path), "--config", str(prepared / "train.cfg"),
          "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
-        f"line {at + 1}: unparseable integer",
+        f"{key} must be",
     )
 
 
@@ -102,11 +145,11 @@ def test_predict_rejects_non_integer_checkpoint_value(prepared, capsys):
     )
 
 
-def as_version_1(path, magic):
-    """Rewrite the file's first line to name version 1 of its format."""
+def as_version(path, magic, version):
+    """Rewrite the file's first line to name another version of its format."""
     lines = path.read_text().splitlines()
-    assert lines[0].startswith(f"{magic} ") and lines[0] != f"{magic} v1"
-    lines[0] = f"{magic} v1"
+    assert lines[0].startswith(f"{magic} ") and lines[0] != f"{magic} {version}"
+    lines[0] = f"{magic} {version}"
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -116,7 +159,7 @@ def test_predict_rejects_version_1_checkpoint(prepared, capsys):
                             conv_filters=(2, 2, 2), kernel_width=2, pool_window=1, lstm_units=(2, 2, 2))
     ckpt = prepared / "model.ckpt"
     model.save(model.build(cfg), data.preprocess, ckpt)
-    as_version_1(ckpt, model.CKPT_MAGIC)
+    as_version(ckpt, model.CKPT_MAGIC, "v1")
     assert_input_error(
         capsys,
         ["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")],
@@ -125,13 +168,15 @@ def test_predict_rejects_version_1_checkpoint(prepared, capsys):
 
 
 def test_train_rejects_version_1_cache(prepared, capsys):
-    as_version_1(prepared / "data.txt", pipeline.DATA_MAGIC)
-    assert_input_error(
-        capsys,
-        ["train", "--data", str(prepared / "data.txt"), "--config", str(prepared / "run.cfg"),
-         "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
-        "unsupported dataset version 'v1'",
-    )
+    # no reader is kept for v1 or for v2, whose [split] section v3 derives instead
+    for version in ("v1", "v2"):
+        as_version(prepared / "data.txt", pipeline.DATA_MAGIC, version)
+        assert_input_error(
+            capsys,
+            ["train", "--data", str(prepared / "data.txt"), "--config", str(prepared / "run.cfg"),
+             "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
+            f"unsupported dataset version '{version}'",
+        )
 
 
 

@@ -72,7 +72,7 @@ NON_DEFAULT_TEXT = "".join(f"{key}={text}\n" for key, (text, _) in NON_DEFAULT.i
 # the header lines of format v2 at the non-default config, as written before
 # the headers were generated from the dataclass fields
 CACHE_HEADER = [
-    "CNNLSTM-DATA v2",
+    "CNNLSTM-DATA v3",
     "lookback=16",
     "horizon=2",
     "corr_threshold=0.40000000000000002",
@@ -120,9 +120,8 @@ def test_every_key_reaches_each_config_that_has_it():
 def written(tmp_path_factory):
     root = tmp_path_factory.mktemp("headers")
     cfg = parse_config_text(NON_DEFAULT_TEXT)
-    prepare_cfg = cfg.prepare_config()
-    prepared = pipeline.prepare_dataset(synthetic_ohlcv(rows=260, seed=2), prepare_cfg)
-    pipeline.save_dataset(prepared, prepare_cfg, root / "data.txt")
+    prepared = pipeline.prepare_dataset(synthetic_ohlcv(rows=260, seed=2), cfg.prepare_config())
+    pipeline.save_dataset(prepared, root / "data.txt")
     net = model.build(cfg.model_config(features=5))
     model.save(net, prepared.preprocess, root / "model.ckpt")
     return root

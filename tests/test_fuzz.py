@@ -63,7 +63,7 @@ def valid(tmp_path_factory):
     ).encode()
     cfg = pipeline.PrepareConfig(lookback=8, corr_threshold=0.3, sma_windows=(3, 5, 10), seed=5)
     prepared = pipeline.prepare_dataset(synthetic_ohlcv(rows=60, seed=2), cfg)
-    pipeline.save_dataset(prepared, cfg, root / "data.txt")
+    pipeline.save_dataset(prepared, root / "data.txt")
     files["dataset"] = (root / "data.txt").read_bytes()
     mcfg = model.ModelConfig(features=len(prepared.dataset.feature_names), lookback=8,
                              conv_filters=(2, 2, 2), kernel_width=2, pool_window=1,

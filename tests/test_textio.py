@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cnnlstm import model
 from cnnlstm.errors import CheckpointFormatError
-from cnnlstm.pipeline import training_rows
+from cnnlstm.pipeline import load_dataset, training_rows
 from cnnlstm.textio import LineReader, array_lines, fmt_vector, write_lines
 from oracles import reference_array_lines, reference_read_values, reference_training_rows
 
@@ -45,13 +46,6 @@ any_bits64 = hnp.arrays(
         st.sampled_from(NAN_BITS),
     ),
 ).map(lambda a: a.view(np.float64))
-
-
-def int64_or_overflow(token):
-    value = int(token)
-    if not -(2**63) <= value < 2**63:
-        raise OverflowError(token)
-    return value
 
 
 def read_block(text, count, method="read_floats"):
@@ -165,14 +159,6 @@ class TestReader:
         lines = [" ".join(row) for row in rows]
         self.assert_same_outcome(lines, count, float, "read_floats")
 
-    @FAST
-    @given(st.lists(st.lists(st.text(alphabet="0123456789_-+.x９", max_size=22),
-                             max_size=4), min_size=1, max_size=5),
-           st.integers(0, 14))
-    def test_ints_follow_value_by_value_reader(self, rows, count):
-        lines = [" ".join(row) for row in rows]
-        self.assert_same_outcome(lines, count, int64_or_overflow, "read_ints")
-
     @staticmethod
     def assert_same_outcome(lines, count, convert, method):
         text = "\n".join(lines) + "\n"
@@ -220,10 +206,6 @@ class TestReader:
         with pytest.raises(CheckpointFormatError, match=r"line 2: expected 3 values, got more"):
             read_block("1 2\n3 4\n", 3)
 
-    def test_out_of_range_integer(self):
-        with pytest.raises(CheckpointFormatError, match=r"line 2: unparseable integer '99999999999999999999999'"):
-            read_block("1 2\n99999999999999999999999\n", 3, "read_ints")
-
     def test_tokens_from_the_current_line(self):
         reader = LineReader("scaler_min 1 zz\n", "ckpt")
         reader.next()
@@ -242,6 +224,13 @@ class TestReader:
         reader.next()
         with pytest.raises(CheckpointFormatError, match=r"m.ckpt, line 2: bad value for features: 'abc'"):
             reader.expect("features", int)
+
+    @pytest.mark.parametrize("load, kind", [(load_dataset, "dataset"), (model.load, "checkpoint")])
+    def test_unreadable_file_of_either_kind(self, tmp_path, load, kind):
+        (tmp_path / "latin1").write_bytes(b"caf\xe9\n")
+        for name in ("missing", "latin1"):
+            with pytest.raises(CheckpointFormatError, match=f"cannot read {kind} .*{name}"):
+                load(tmp_path / name)
 
 
 class TestWriteLines:
