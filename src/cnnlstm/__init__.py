@@ -10,10 +10,9 @@ from .config import RunConfig, default_config, load_config, parse_config_text
 from .errors import CnnLstmError
 from .metrics import MetricsReport, explained_variance, max_error, r2
 from .model import Model, ModelConfig, build, forward, grad_check, load, save
-from .optim import OptimConfig, adam_step, mse, mse_grad, schedule_lr, sgd_step
+from .optim import OptimConfig, adam_step, mse, schedule_lr, sgd_step
 from .pipeline import (
     FeatureFrame,
-    OhlcvSeries,
     PrepareConfig,
     PreparedData,
     WindowedDataset,
@@ -33,7 +32,6 @@ __all__ = [
     "MetricsReport",
     "Model",
     "ModelConfig",
-    "OhlcvSeries",
     "OptimConfig",
     "PrepareConfig",
     "PreparedData",
@@ -54,7 +52,6 @@ __all__ = [
     "load_ohlcv",
     "max_error",
     "mse",
-    "mse_grad",
     "parse_config_text",
     "predict",
     "prepare_dataset",

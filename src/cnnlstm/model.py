@@ -322,10 +322,11 @@ def save(model: Model, preprocess: PreprocessState, path):
 def load(path):
     """Read a checkpoint; returns ``(Model, PreprocessState)``.
 
-    Version, structural, and shape problems raise distinct errors.
+    Version, structural, and shape problems raise distinct errors; a line
+    after the last parameter block is a structural one.
     """
     reader = read_file(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
-    config = read_config(reader, ModelConfig).validate()
+    config = read_config(reader, ModelConfig)
     preprocess = read_preprocess_block(reader)
     params = {}
     for name, shape in parameter_shapes(config).items():
@@ -343,6 +344,7 @@ def load(path):
         for d in shape:
             count *= d
         params[name] = reader.read_array(count).reshape(shape)
+    reader.expect_end()
     return Model(config=config, params=params), preprocess
 
 

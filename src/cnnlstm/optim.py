@@ -81,17 +81,6 @@ def mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """d mse / d pred = (2/B) * (pred - target)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.ndim != 1 or pred.shape != target.shape:
-        raise ShapeError(f"mse_grad length mismatch: {pred.shape} vs {target.shape}")
-    if pred.size == 0:
-        raise ShapeError("mse_grad needs at least one sample")
-    return (2.0 / pred.size) * (pred - target)
-
-
 def schedule_lr(epoch: int, cfg: OptimConfig) -> float:
     """Step decay: lr0 * decay_factor^floor(epoch / decay_every)."""
     if epoch < 0:

@@ -3,7 +3,9 @@
 Stages, in the order ``prepare_dataset`` runs them: CSV load, three-sigma
 outlier removal, mean imputation, moving averages and one-day yield,
 warm-up cut, correlation-based feature selection, min-max scaling, PCA,
-supervised windowing, and the 7:2:1 split.
+supervised windowing, and the 7:2:1 split. Every stage from the CSV to
+the windows takes and returns a ``FeatureFrame``: dates plus named float64
+columns, with NaN marking a missing cell.
 
 Cleaning and imputation are data-repair steps and use the full series;
 correlation, scaler, and PCA statistics are model-fitting steps and use
@@ -34,25 +36,12 @@ SMA_WINDOWS = (10, 50, 100)
 
 
 @dataclass
-class OhlcvSeries:
-    """Date-ordered raw rows; NaN marks a missing cell."""
-
-    dates: list
-    columns: dict  # name -> float64 array, NaN = missing
-
-    def __post_init__(self):
-        n = len(self.dates)
-        for name, col in self.columns.items():
-            if col.shape != (n,):
-                raise DataError(f"column {name} has {col.shape[0]} rows, expected {n}")
-
-    def __len__(self):
-        return len(self.dates)
-
-
-@dataclass
 class FeatureFrame:
-    """Date-aligned named feature columns; the target column is ``close``."""
+    """Date-ordered rows of named float64 columns; NaN marks a missing cell.
+
+    The one table type from ``load_ohlcv`` to ``make_windows``; the target
+    column is ``close``.
+    """
 
     dates: list
     columns: dict  # insertion-ordered name -> float64 array
@@ -73,8 +62,9 @@ class FeatureFrame:
         return np.stack([self.columns[n] for n in names], axis=1)
 
 
-def load_ohlcv(path) -> OhlcvSeries:
-    """Parse the documented CSV format, sorting rows by ascending date.
+def load_ohlcv(path) -> FeatureFrame:
+    """Parse the documented CSV format into a frame of the ``OHLCV_COLUMNS``,
+    sorting rows by ascending date.
 
     Header must be exactly ``Date,Open,High,Low,Close,Volume`` (after any
     UTF-8 byte-order mark); dates are ISO-8601; an empty numeric cell becomes
@@ -105,7 +95,7 @@ def load_ohlcv(path) -> OhlcvSeries:
     columns = {name: np.ascontiguousarray(data[:, j]) for j, name in enumerate(OHLCV_COLUMNS)}
     if not np.isfinite(columns["close"]).any():
         raise DataError(f"{path}: close column has no observed values")
-    return OhlcvSeries(dates=[dates[i] for i in order.tolist()], columns=columns)
+    return FeatureFrame(dates=[dates[i] for i in order.tolist()], columns=columns)
 
 
 def _split_plain(text):
@@ -189,14 +179,14 @@ def _raise_first_bad_row(path, body, lines):
                 ) from None
 
 
-def clean_three_sigma(series: OhlcvSeries) -> OhlcvSeries:
+def clean_three_sigma(frame: FeatureFrame) -> FeatureFrame:
     """Mark cells farther than three sample standard deviations as missing.
 
     Single pass: statistics come from the incoming values, rows are kept so
     the date axis never changes.
     """
     out = {}
-    for name, col in series.columns.items():
+    for name, col in frame.columns.items():
         observed = col[np.isfinite(col)]
         if observed.size == 0:
             raise PipelineError(f"column {name} has no observed values")
@@ -208,27 +198,20 @@ def clean_three_sigma(series: OhlcvSeries) -> OhlcvSeries:
         with np.errstate(invalid="ignore"):
             cleaned[np.abs(col - mu) > 3.0 * s] = math.nan
         out[name] = cleaned
-    return OhlcvSeries(dates=list(series.dates), columns=out)
+    return FeatureFrame(dates=list(frame.dates), columns=out)
 
 
-def impute_mean(series: OhlcvSeries) -> OhlcvSeries:
+def impute_mean(frame: FeatureFrame) -> FeatureFrame:
     """Replace every missing cell with its column's mean over observed cells."""
     out = {}
-    for name, col in series.columns.items():
+    for name, col in frame.columns.items():
         mask = np.isfinite(col)
         if not mask.any():
             raise PipelineError(f"column {name} has no observed values to impute from")
         filled = col.copy()
         filled[~mask] = np.mean(col[mask])
         out[name] = filled
-    return OhlcvSeries(dates=list(series.dates), columns=out)
-
-
-def frame_from_series(series: OhlcvSeries) -> FeatureFrame:
-    return FeatureFrame(
-        dates=list(series.dates),
-        columns={name: col.copy() for name, col in series.columns.items()},
-    )
+    return FeatureFrame(dates=list(frame.dates), columns=out)
 
 
 def add_moving_averages(frame: FeatureFrame, windows=SMA_WINDOWS) -> FeatureFrame:
@@ -275,26 +258,17 @@ def drop_rows(frame: FeatureFrame, head: int) -> FeatureFrame:
     )
 
 
-def engineer(series: OhlcvSeries, sma_windows=SMA_WINDOWS):
-    """Raw series -> the engineered (pre-scaling) frame and the count of cells imputed.
+def engineer(raw: FeatureFrame, sma_windows=SMA_WINDOWS):
+    """Raw OHLCV frame -> the engineered (pre-scaling) frame and the count of cells imputed.
 
     Cleaning, imputation, moving averages and yield, then the warm-up cut
-    of the longest moving-average window.
+    of the longest moving-average window. Each stage returns a new frame;
+    ``raw`` is left as it was.
     """
-    cleaned = clean_three_sigma(series)
+    cleaned = clean_three_sigma(raw)
     imputed_cells = sum(int((~np.isfinite(c)).sum()) for c in cleaned.columns.values())
-    frame = frame_from_series(impute_mean(cleaned))
-    frame = add_yield(add_moving_averages(frame, sma_windows))
+    frame = add_yield(add_moving_averages(impute_mean(cleaned), sma_windows))
     return drop_rows(frame, max(sma_windows)), imputed_cells
-
-
-def restrict(frame: FeatureFrame, names) -> FeatureFrame:
-    missing = [n for n in names if n not in frame.columns]
-    if missing:
-        raise CompatibilityError(f"frame is missing columns: {', '.join(missing)}")
-    return FeatureFrame(
-        dates=list(frame.dates), columns={n: frame.columns[n].copy() for n in names}
-    )
 
 
 def correlations(frame: FeatureFrame, rows=None, target="close") -> dict:
@@ -365,21 +339,16 @@ def fit_minmax(frame: FeatureFrame, rows, columns) -> ScalerState:
 def apply_minmax(frame: FeatureFrame, state: ScalerState) -> FeatureFrame:
     """x' = (x - min)/(max - min) per fitted column; constant columns -> 0.
 
-    Values outside the fit range extrapolate beyond [0,1]; no clipping.
-    Columns the scaler was not fitted on pass through untouched.
+    Returns exactly the scaler's columns, in the scaler's order; other
+    columns of ``frame`` are dropped, and a missing fitted column is a
+    ``CompatibilityError`` naming it. Values outside the fit range
+    extrapolate beyond [0,1]; no clipping.
     """
     columns = {}
-    lookup = {name: j for j, name in enumerate(state.columns)}
-    for name, col in frame.columns.items():
-        j = lookup.get(name)
-        if j is None:
-            columns[name] = col.copy()
-            continue
-        span = state.maxs[j] - state.mins[j]
-        if span == 0.0:
-            columns[name] = np.zeros_like(col)
-        else:
-            columns[name] = (col - state.mins[j]) / span
+    fitted = zip(state.columns, state.mins, state.maxs, frame.matrix(state.columns).T)
+    for name, lo, hi, col in fitted:
+        span = hi - lo
+        columns[name] = np.zeros_like(col) if span == 0.0 else (col - lo) / span
     return FeatureFrame(dates=list(frame.dates), columns=columns)
 
 
@@ -653,11 +622,11 @@ def training_rows(length: int, train_idx, lookback: int, horizon: int) -> np.nda
     return np.nonzero(mask)[0]
 
 
-def prepare_dataset(series: OhlcvSeries, cfg: PrepareConfig) -> PreparedData:
-    """Run the whole preprocessing chain on a raw series."""
+def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
+    """Run the whole preprocessing chain on a raw OHLCV frame."""
     cfg.validate()
-    missing_before = sum(int((~np.isfinite(c)).sum()) for c in series.columns.values())
-    frame, imputed_cells = engineer(series, cfg.sma_windows)
+    missing_before = sum(int((~np.isfinite(c)).sum()) for c in raw.columns.values())
+    frame, imputed_cells = engineer(raw, cfg.sma_windows)
 
     length = len(frame)
     if length < cfg.lookback + cfg.horizon:
@@ -679,9 +648,8 @@ def prepare_dataset(series: OhlcvSeries, cfg: PrepareConfig) -> PreparedData:
             f"no feature passes the correlation threshold {cfg.corr_threshold}"
         )
 
-    narrowed = restrict(frame, list(selected) + ["close"])
-    scaler = fit_minmax(narrowed, fit_rows, narrowed.columns.keys())
-    scaled = apply_minmax(narrowed, scaler)
+    scaler = fit_minmax(frame, fit_rows, selected + ("close",))
+    scaled = apply_minmax(frame, scaler)
 
     if cfg.pca:
         pca_state = pca_fit(scaled, fit_rows, cfg.pca_variance, selected)
@@ -694,7 +662,7 @@ def prepare_dataset(series: OhlcvSeries, cfg: PrepareConfig) -> PreparedData:
     dataset = replace(dataset, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
 
     summary = PrepareSummary(
-        rows_loaded=len(series),
+        rows_loaded=len(raw),
         outlier_cells=imputed_cells - missing_before,
         imputed_cells=imputed_cells,
         rows_after_warmup=length,
@@ -836,11 +804,12 @@ def load_dataset(path):
     """Read a dataset cache; returns ``(PreparedData, PrepareConfig)``.
 
     The header's recipe is validated, then the split is derived from it
-    over the rebuilt windows with the call ``prepare_dataset`` makes. The
-    loaded PreparedData carries no summary (that belongs to prepare time).
+    over the rebuilt windows with the call ``prepare_dataset`` makes. A
+    line after the last column block is a format error. The loaded
+    PreparedData carries no summary (that belongs to prepare time).
     """
     reader = read_file(path, DATA_MAGIC, DATA_VERSION, "dataset")
-    cfg = read_config(reader, PrepareConfig).validate()
+    cfg = read_config(reader, PrepareConfig)
     preprocess = read_preprocess_block(reader)
     if reader.next() != "[frame]":
         raise reader.error("expected [frame] section")
@@ -855,6 +824,7 @@ def load_dataset(path):
         if header != ["column", name]:
             raise reader.error(f"expected 'column {name}', got {' '.join(header)!r}")
         columns[name] = reader.read_array(rows)
+    reader.expect_end()
     frame = FeatureFrame(dates=dates, columns=columns)
     dataset = make_windows(frame, cfg.lookback, cfg.horizon)
     train_idx, val_idx, test_idx = split_indices(

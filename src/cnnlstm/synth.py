@@ -8,10 +8,10 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .pipeline import OhlcvSeries
+from .pipeline import FeatureFrame
 
 
-def synthetic_ohlcv(rows: int = 1200, seed: int = 7, start=date(2019, 1, 2)) -> OhlcvSeries:
+def synthetic_ohlcv(rows: int = 1200, seed: int = 7, start=date(2019, 1, 2)) -> FeatureFrame:
     rng = np.random.default_rng(seed)
     t = np.arange(rows)
     # periods short enough that a 70% training prefix sees several full
@@ -34,7 +34,7 @@ def synthetic_ohlcv(rows: int = 1200, seed: int = 7, start=date(2019, 1, 2)) -> 
         if day.weekday() < 5:  # business days only
             dates.append(day)
         day += timedelta(days=1)
-    return OhlcvSeries(
+    return FeatureFrame(
         dates=dates,
         columns={
             "open": open_,
@@ -46,12 +46,12 @@ def synthetic_ohlcv(rows: int = 1200, seed: int = 7, start=date(2019, 1, 2)) -> 
     )
 
 
-def write_csv(series: OhlcvSeries, path):
+def write_csv(frame: FeatureFrame, path):
     lines = ["Date,Open,High,Low,Close,Volume"]
-    for i, day in enumerate(series.dates):
+    for i, day in enumerate(frame.dates):
         cells = [day.isoformat()]
         for name in ("open", "high", "low", "close", "volume"):
-            cells.append(format(series.columns[name][i], ".6f"))
+            cells.append(format(frame.columns[name][i], ".6f"))
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -2,14 +2,14 @@
 
 Every numeric value in the toolkit lives in a rank-1/2/3 row-major
 (C-contiguous) ``numpy.ndarray`` of float64. The helpers here are the only
-sanctioned constructors and the matrix and reduction primitives the
-layers build on. All operations are pure: inputs are never mutated and outputs are
-freshly allocated.
+sanctioned constructors and the matrix primitive the layers build on. All
+operations are pure: inputs are never mutated and outputs are freshly
+allocated.
 """
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 
 def tensor(values) -> np.ndarray:
@@ -39,24 +39,3 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     return ensure_finite(a @ b, "matmul")
 
-
-def reduce(x: np.ndarray, op: str, axis: int = 0, with_argmax: bool = False):
-    """Reduce ``x`` along ``axis`` with sum/mean/max.
-
-    For ``op='max'`` with ``with_argmax=True`` returns ``(values, indices)``
-    where indices are the positions of the first maximum along the axis.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not isinstance(axis, (int, np.integer)) or axis < 0 or axis >= x.ndim:
-        raise ShapeError(f"axis {axis} out of range for rank-{x.ndim} tensor")
-    if op == "sum":
-        out = x.sum(axis=axis)
-    elif op == "mean":
-        out = x.mean(axis=axis)
-    elif op == "max":
-        out = x.max(axis=axis)
-        if with_argmax:
-            return ensure_finite(out, "reduce(max)"), x.argmax(axis=axis)
-    else:
-        raise ConfigError(f"unknown reduction {op!r}, expected sum|mean|max")
-    return ensure_finite(out, f"reduce({op})")

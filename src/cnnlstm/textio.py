@@ -22,7 +22,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CheckpointVersionError
+from .errors import CheckpointFormatError, CheckpointVersionError, ConfigError
 
 
 def fmt_float(x: float) -> str:
@@ -98,6 +98,12 @@ class LineReader:
 
     def eof(self) -> bool:
         return self.pos >= len(self.lines)
+
+    def expect_end(self):
+        """Raise at the first line left after the file's last block, if any."""
+        if not self.eof():
+            raise self.error(f"unexpected data after the last block: {self.lines[self.pos]!r}",
+                             self.pos + 1)
 
     def next(self) -> str:
         if self.eof():
@@ -262,8 +268,13 @@ def config_lines(config) -> list:
 
 
 def read_config(reader: LineReader, cls):
-    """A ``cls`` from the lines ``config_lines`` writes, unvalidated."""
-    return cls(**{f.name: reader.expect(f.name, field_parser(f)) for f in key_fields(cls)})
+    """A validated ``cls`` from the lines ``config_lines`` writes; a value
+    that parses but fails ``validate`` is an error naming the file."""
+    config = cls(**{f.name: reader.expect(f.name, field_parser(f)) for f in key_fields(cls)})
+    try:
+        return config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{reader.what}: {exc}") from None
 
 
 def parse_kv(line: str, reader: LineReader):

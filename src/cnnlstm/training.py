@@ -167,24 +167,21 @@ def split_predictions(
 def predict(model: Model, preprocess: pl.PreprocessState, frame: pl.FeatureFrame):
     """Forecast from engineered (pre-scaling) feature rows.
 
-    Applies the stored selection, scaler, and PCA by column name, then runs
-    one prediction per complete lookback window. Each returned entry is
+    Applies the stored scaler and PCA by column name, then runs one
+    prediction per complete lookback window over the non-``close`` columns
+    of the result. A column the scaler was fitted on and ``frame`` lacks is
+    a ``CompatibilityError`` naming it. Each returned entry is
     ``(as_of_date, price)``: the forecast for ``horizon`` steps after the
     window's last row.
     """
     lookback = model.config.lookback
-    missing = [n for n in preprocess.selected if n not in frame.columns]
-    if missing:
-        raise CompatibilityError(
-            f"frame lacks features the checkpoint needs: {', '.join(missing)}"
-        )
+    scaled = pl.apply_minmax(frame, preprocess.scaler)
     if len(frame) < lookback:
         raise PipelineError(
             f"need at least {lookback} prepared rows, got {len(frame)}"
         )
-    scaled = pl.apply_minmax(pl.restrict(frame, preprocess.selected), preprocess.scaler)
     modeled = pl.pca_transform(scaled, preprocess.pca) if preprocess.pca else scaled
-    x = modeled.matrix(list(modeled.columns))
+    x = modeled.matrix([n for n in modeled.columns if n != "close"])
     if x.shape[1] != model.config.features:
         raise CompatibilityError(
             f"prepared frame has {x.shape[1]} model features, "

@@ -1,10 +1,14 @@
-"""The pair runner's seed parsing, win counting and claim rule.
+"""The pair runner's seed parsing, win counting, claim rule and record of
+the code it measured.
 
 ``tools/abpairs.py`` is a script, not part of the package, so it is loaded
 from its path.
 """
 
+import hashlib
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,48 @@ def test_gap_exceeds_parent_iqr(change, better, exceeds):
     m = abpairs.summarise(pairs_of(parent, change), {"op_ms_min": better})["op_ms_min"]
     assert m["parent"]["iqr"] == 1.0
     assert m["gap_exceeds_parent_iqr"] is exceeds
+
+
+def git_repo(path):
+    """A one-commit repository at ``path`` whose tracked file is then edited."""
+    def git(*args):
+        subprocess.run(["git", "-C", str(path), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (path / "f.txt").write_text("one\n")
+    git("add", "f.txt")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "one")
+    (path / "f.txt").write_text("two\n")
+    return path
+
+
+def test_working_tree_is_recorded_as_head_plus_diff_hash(monkeypatch, tmp_path):
+    monkeypatch.setattr(abpairs, "ROOT", git_repo(tmp_path))
+    head = abpairs.git("rev-parse", "HEAD").strip()
+    diff = subprocess.run(["git", "-C", str(tmp_path), "diff", "HEAD"], check=True,
+                          capture_output=True).stdout
+    assert b"+two" in diff
+    assert abpairs.measured(None) == {"commit": head,
+                                      "diff_sha256": hashlib.sha256(diff).hexdigest()}
+    assert abpairs.measured("HEAD") == {"commit": head, "diff_sha256": None}
+    (tmp_path / "f.txt").write_text("one\n")
+    assert abpairs.measured(None)["diff_sha256"] == hashlib.sha256(b"").hexdigest()
+
+
+def test_main_writes_what_was_measured(monkeypatch, tmp_path):
+    benchmark = json.loads((abpairs.ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in benchmark["end_to_end"]]
+
+    def fake_run(tree, workload, seed, seconds):
+        metrics = {n: {"value": float(seed)} for n in names}
+        return {"metrics": metrics, "attempted": 3, "failed": 0}, {"numpy": "x"}
+
+    monkeypatch.setattr(abpairs, "run", fake_run)
+    monkeypatch.setattr(abpairs, "export", lambda rev, into: into)
+    monkeypatch.setattr(abpairs, "measured", lambda rev: {"commit": "c0ffee", "diff_sha256": "d1ff"})
+    out = tmp_path / "bench.json"
+    assert abpairs.main(["--parent", "HEAD", "--workload", "train", "--seeds", "1-2",
+                         "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["change"] == {"commit": "c0ffee", "diff_sha256": "d1ff"}
+    assert record["attempted"] == {"parent": 6, "change": 6}

@@ -131,7 +131,45 @@ def test_train_rejects_a_damaged_split_recipe(prepared, capsys, recipe):
         capsys,
         ["train", "--data", str(path), "--config", str(prepared / "train.cfg"),
          "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
-        f"{key} must be",
+        f"{path}: {key} must be",
+    )
+
+
+def test_predict_names_the_checkpoint_with_an_invalid_header_value(prepared, capsys):
+    ckpt = saved_checkpoint(prepared)
+    lines = ckpt.read_text().splitlines()
+    lines[lines.index("dropout_rate=0.20000000000000001")] = "dropout_rate=1.5"
+    ckpt.write_text("\n".join(lines) + "\n")
+    assert_input_error(
+        capsys,
+        ["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")],
+        f"{ckpt}: dropout_rate must be in [0,1), got 1.5",
+    )
+
+
+def test_train_rejects_lines_after_the_last_cache_block(prepared, capsys):
+    # a v2 cache's [split] section, left in a v3 cache, must not load silently
+    path = prepared / "data.txt"
+    n = len(path.read_text().splitlines())
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("[split]\ngarbage\n")
+    assert_input_error(
+        capsys,
+        ["train", "--data", str(path), "--config", str(prepared / "run.cfg"),
+         "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
+        f"{path}, line {n + 1}: unexpected data after the last block: '[split]'",
+    )
+
+
+def test_predict_rejects_lines_after_the_last_checkpoint_block(prepared, capsys):
+    ckpt = saved_checkpoint(prepared)
+    n = len(ckpt.read_text().splitlines())
+    with open(ckpt, "a", encoding="utf-8") as fh:
+        fh.write("garbage\n")
+    assert_input_error(
+        capsys,
+        ["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")],
+        f"{ckpt}, line {n + 1}: unexpected data after the last block: 'garbage'",
     )
 
 
@@ -153,12 +191,18 @@ def as_version(path, magic, version):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_predict_rejects_version_1_checkpoint(prepared, capsys):
+def saved_checkpoint(prepared):
+    """A freshly built small model's checkpoint for the prepared cache."""
     data, _ = pipeline.load_dataset(prepared / "data.txt")
     cfg = model.ModelConfig(features=len(data.dataset.feature_names), lookback=8,
                             conv_filters=(2, 2, 2), kernel_width=2, pool_window=1, lstm_units=(2, 2, 2))
     ckpt = prepared / "model.ckpt"
     model.save(model.build(cfg), data.preprocess, ckpt)
+    return ckpt
+
+
+def test_predict_rejects_version_1_checkpoint(prepared, capsys):
+    ckpt = saved_checkpoint(prepared)
     as_version(ckpt, model.CKPT_MAGIC, "v1")
     assert_input_error(
         capsys,

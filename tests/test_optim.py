@@ -10,11 +10,9 @@ from cnnlstm.optim import (
     init_adam_state,
     is_bias,
     mse,
-    mse_grad,
     schedule_lr,
     sgd_step,
 )
-from oracles import finite_difference, rel_deviation
 
 
 class TestMse:
@@ -35,21 +33,6 @@ class TestMse:
     def test_empty(self):
         with pytest.raises(ShapeError):
             mse(np.array([]), np.array([]))
-
-
-class TestMseGrad:
-    def test_perfect_prediction(self):
-        assert not mse_grad(np.array([1.0, 2.0]), np.array([1.0, 2.0])).any()
-
-    def test_single_sample(self):
-        assert mse_grad(np.array([3.0]), np.array([1.0]))[0] == 4.0
-
-    def test_matches_finite_difference_of_mse(self, rng):
-        pred = rng.standard_normal(6)
-        target = rng.standard_normal(6)
-        g = mse_grad(pred, target)
-        numeric = finite_difference(lambda: mse(pred, target), pred, eps=1e-6)
-        assert rel_deviation(g, numeric) < 1e-8
 
 
 class TestScheduleLr:

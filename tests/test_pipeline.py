@@ -17,7 +17,6 @@ from cnnlstm.errors import (
 )
 from cnnlstm.pipeline import (
     FeatureFrame,
-    OhlcvSeries,
     PrepareConfig,
     add_moving_averages,
     add_yield,
@@ -25,7 +24,6 @@ from cnnlstm.pipeline import (
     clean_three_sigma,
     correlations,
     fit_minmax,
-    frame_from_series,
     impute_mean,
     invert_minmax,
     load_dataset,
@@ -54,14 +52,6 @@ from oracles import (
 
 def days(n, start=date(2020, 1, 1)):
     return [start + timedelta(days=i) for i in range(n)]
-
-
-def series_from(columns):
-    n = len(next(iter(columns.values())))
-    return OhlcvSeries(
-        dates=days(n),
-        columns={k: np.asarray(v, dtype=np.float64) for k, v in columns.items()},
-    )
 
 
 def frame_of(**columns):
@@ -269,7 +259,7 @@ def load_outcome(load, path):
         result = load(path)
     except (DataError, ReferenceCsvError) as exc:
         return "error", str(exc)
-    dates, columns = (result.dates, result.columns) if isinstance(result, OhlcvSeries) else result
+    dates, columns = (result.dates, result.columns) if isinstance(result, FeatureFrame) else result
     return "series", dates, {name: col.view(np.uint64).tolist() for name, col in columns.items()}
 
 
@@ -314,8 +304,8 @@ class TestLoadOhlcvAgainstRowByRowReader:
 
 class TestCleanThreeSigma:
     def test_constant_column_unchanged(self):
-        s = series_from({"open": [5.0] * 10, "high": [6.0] * 10, "low": [4.0] * 10,
-                         "close": [5.0] * 10, "volume": [1.0] * 10})
+        s = frame_of(**{"open": [5.0] * 10, "high": [6.0] * 10, "low": [4.0] * 10,
+                          "close": [5.0] * 10, "volume": [1.0] * 10})
         out = clean_three_sigma(s)
         for name in s.columns:
             assert np.array_equal(out.columns[name], s.columns[name])
@@ -324,7 +314,7 @@ class TestCleanThreeSigma:
         base = rng.standard_normal(100)
         vals = base.copy()
         vals[57] = 1e6
-        s = series_from({k: vals for k in ("open", "high", "low", "close", "volume")})
+        s = frame_of(**{k: vals for k in ("open", "high", "low", "close", "volume")})
         out = clean_three_sigma(s)
         flagged = np.isnan(out.columns["close"])
         # brute-force the same rule
@@ -337,14 +327,14 @@ class TestCleanThreeSigma:
     def test_row_count_and_dates_preserved(self, rng):
         vals = rng.standard_normal(50)
         vals[3] = 500.0
-        s = series_from({k: vals.copy() for k in ("open", "high", "low", "close", "volume")})
+        s = frame_of(**{k: vals.copy() for k in ("open", "high", "low", "close", "volume")})
         out = clean_three_sigma(s)
         assert len(out) == 50
         assert out.dates == s.dates
 
     def test_needs_two_observed(self):
         col = np.array([1.0] + [math.nan] * 4)
-        s = series_from({k: col.copy() for k in ("open", "high", "low", "close", "volume")})
+        s = frame_of(**{k: col.copy() for k in ("open", "high", "low", "close", "volume")})
         with pytest.raises(PipelineError):
             clean_three_sigma(s)
 
@@ -352,12 +342,12 @@ class TestCleanThreeSigma:
 class TestImputeMean:
     def test_simple_fill(self):
         cols = {k: np.array([1.0, math.nan, 3.0]) for k in ("open", "high", "low", "close", "volume")}
-        out = impute_mean(series_from(cols))
+        out = impute_mean(frame_of(**cols))
         assert np.array_equal(out.columns["close"], [1.0, 2.0, 3.0])
 
     def test_no_missing_is_identity(self, rng):
         vals = rng.standard_normal(20)
-        s = series_from({k: vals.copy() for k in ("open", "high", "low", "close", "volume")})
+        s = frame_of(**{k: vals.copy() for k in ("open", "high", "low", "close", "volume")})
         out = impute_mean(s)
         assert np.array_equal(out.columns["open"], vals)
 
@@ -365,7 +355,7 @@ class TestImputeMean:
         vals = rng.standard_normal(60)
         mask = rng.random(60) < 0.2
         vals[mask] = math.nan
-        s = series_from({k: vals.copy() for k in ("open", "high", "low", "close", "volume")})
+        s = frame_of(**{k: vals.copy() for k in ("open", "high", "low", "close", "volume")})
         out = impute_mean(s)
         fill = np.mean(vals[~np.isnan(vals)])
         expected = np.where(np.isnan(vals), fill, vals)
@@ -375,7 +365,7 @@ class TestImputeMean:
         cols = {k: np.array([1.0, 2.0]) for k in ("open", "high", "low", "close")}
         cols["volume"] = np.array([math.nan, math.nan])
         with pytest.raises(PipelineError, match="volume"):
-            impute_mean(series_from(cols))
+            impute_mean(frame_of(**cols))
 
 
 class TestMovingAverages:
@@ -504,6 +494,19 @@ class TestMinMax:
     def test_empty_fit_segment(self):
         with pytest.raises(PipelineError):
             fit_minmax(frame_of(x=[1.0, 2.0]), [], ["x"])
+
+    def test_returns_only_the_fitted_columns_in_scaler_order(self):
+        frame = frame_of(a=[0.0, 2.0], extra=[7.0, 8.0], b=[1.0, 5.0], c=[3.0, 3.0])
+        state = fit_minmax(frame, [0, 1], ["c", "a", "b"])
+        out = apply_minmax(frame, state)
+        assert list(out.columns) == ["c", "a", "b"]
+        assert out.dates == frame.dates
+        assert np.array_equal(out.matrix(["c", "a", "b"]), [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+
+    def test_missing_fitted_column_is_named(self):
+        state = fit_minmax(frame_of(a=[0.0, 2.0], b=[1.0, 5.0], c=[1.0, 2.0]), [0, 1], ["a", "b", "c"])
+        with pytest.raises(CompatibilityError, match="frame is missing columns: a, c$"):
+            apply_minmax(frame_of(b=[1.0, 5.0], d=[0.0, 1.0]), state)
 
 
 class TestPca:
@@ -816,7 +819,7 @@ class TestCleanImputeOracle:
                 if all(c is None for c in cells[:2]):
                     cells[0] = 1.0
                 raw[name] = cells
-            series = series_from(
+            series = frame_of(**
                 {k: [math.nan if c is None else c for c in v] for k, v in raw.items()}
             )
             ours = impute_mean(clean_three_sigma(series))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cnnlstm.errors import ConfigError, NumericError, ShapeError
-from cnnlstm.tensor import matmul, reduce, tensor
+from cnnlstm.errors import NumericError, ShapeError
+from cnnlstm.tensor import matmul, tensor
 
 
 class TestTensorConstructor:
@@ -62,27 +62,3 @@ class TestMatmul:
         matmul(a, b)
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
-
-class TestReduce:
-    def test_mean(self):
-        assert reduce(np.array([1.0, 2.0, 3.0]), "mean") == 2.0
-
-    def test_max_with_argmax(self):
-        vals, idx = reduce(np.array([3.0, 1.0, 2.0, 5.0]), "max", with_argmax=True)
-        assert vals == 5.0 and idx == 3
-
-    def test_sum_of_zeros(self):
-        assert reduce(np.zeros(4), "sum") == 0.0
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(ShapeError):
-            reduce(np.ones((2, 2)), "sum", axis=2)
-
-    def test_axis_selection(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(reduce(x, "sum", axis=0), [4.0, 6.0])
-        assert np.array_equal(reduce(x, "sum", axis=1), [3.0, 7.0])
-
-    def test_unknown_op(self):
-        with pytest.raises(ConfigError):
-            reduce(np.ones(3), "prod")

@@ -225,6 +225,16 @@ class TestReader:
         with pytest.raises(CheckpointFormatError, match=r"m.ckpt, line 2: bad value for features: 'abc'"):
             reader.expect("features", int)
 
+    def test_expect_end_names_the_first_line_left(self):
+        reader = LineReader("CKPT v1\nfeatures=3\n\nrest\n", "m.ckpt")
+        reader.next()
+        reader.next()
+        with pytest.raises(CheckpointFormatError, match=r"m.ckpt, line 3: unexpected data after the last block: ''"):
+            reader.expect_end()
+        reader.next()
+        reader.next()
+        reader.expect_end()
+
     @pytest.mark.parametrize("load, kind", [(load_dataset, "dataset"), (model.load, "checkpoint")])
     def test_unreadable_file_of_either_kind(self, tmp_path, load, kind):
         (tmp_path / "latin1").write_bytes(b"caf\xe9\n")

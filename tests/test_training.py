@@ -243,13 +243,7 @@ class TestPredict:
 
 def prepared_frame(prepared):
     """Engineered (pre-scaling) frame carrying the selected feature columns."""
-    from cnnlstm.pipeline import (
-        add_moving_averages,
-        add_yield,
-        drop_rows,
-        frame_from_series,
-    )
+    from cnnlstm.pipeline import add_moving_averages, add_yield, drop_rows
 
-    series = synthetic_ohlcv(rows=60, seed=31)
-    frame = add_yield(add_moving_averages(frame_from_series(series), (3, 5, 10)))
+    frame = add_yield(add_moving_averages(synthetic_ohlcv(rows=60, seed=31), (3, 5, 10)))
     return drop_rows(frame, 10)

@@ -4,7 +4,9 @@
         --seeds 7301-7310 --seconds 35 --claim op_ms_min --out BENCH_7.json
 
 Run from the repository root. Each revision is exported with ``git archive``
-into a temporary directory (the change defaults to the working tree), and
+into a temporary directory (the change defaults to the working tree, recorded
+as ``HEAD`` plus the sha256 of ``git diff HEAD``, which leaves out untracked
+files), and
 ``perfbench/run.py`` runs once per seed on each side, the parent first on
 even pairs. The output holds every pair, each end-to-end metric's medians,
 quartiles and wins, the environment, and the verdict on ``--claim``: a gain
@@ -13,6 +15,7 @@ neither) and its median beats the parent's by more than the parent's IQR.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -44,6 +47,15 @@ def run(tree, workload, seed, seconds):
     ).stdout
     record = tree / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
     return json.loads(out.strip().splitlines()[-1]), json.loads(record.read_text())["env"]
+
+
+def measured(rev):
+    """What the change side runs: ``rev``'s commit, or for the working tree
+    (``rev`` None) ``HEAD``'s commit plus the sha256 of ``git diff HEAD``."""
+    if rev:
+        return {"commit": git("rev-parse", rev).strip(), "diff_sha256": None}
+    diff = git("diff", "HEAD", text=False)
+    return {"commit": git("rev-parse", "HEAD").strip(), "diff_sha256": hashlib.sha256(diff).hexdigest()}
 
 
 def seeds(spec):
@@ -90,6 +102,7 @@ def main(argv=None):
         parser.error(f"--seeds {args.seeds}: need at least two seeds for quartiles")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    change = measured(args.change)
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": export(args.parent, Path(tmp, "parent").resolve()), "change": ROOT}
         if args.change:
@@ -108,7 +121,7 @@ def main(argv=None):
     result = {
         "workload": args.workload, "seconds": args.seconds,
         "parent": git("rev-parse", args.parent).strip(),
-        "change": git("rev-parse", args.change).strip() if args.change else "working tree",
+        "change": change,
         "environment": env,
         "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in ("parent", "change")},
         "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("parent", "change")},
