@@ -21,8 +21,10 @@ Conventions shared by every op here:
   B = 1 or C = 1, so a strided view of the storage takes its strides from
   the shape, never from the array's ``strides``.
 * ``forward`` returns ``(output, cache)``; the cache holds exactly the
-  intermediates the matching ``backward`` needs and is consumed by it. No op
-  writes into its input or its upstream gradient.
+  intermediates the matching ``backward`` needs and is consumed by it. A
+  forward that no backward follows (``training`` false) returns no cache
+  and keeps only what its next step reads: the LSTM's state is two steps
+  deep. No op writes into its input or its upstream gradient.
 * Backward passes are exact analytic gradients of the forward map.
 
 Conv1d lowers the convolution to one GEMM over unfolded windows: window t of
@@ -42,12 +44,13 @@ W [4H,F], U [4H,H] and b [4H], gates in the order o, i, f, g. The rows of
 the three sigmoid gates are multiplied by 0.5, which is exact because the
 factor is a power of two, so one ``tanh`` over a step's [4H,B] block gives
 every gate: sigmoid(z) = (tanh(z/2) + 1) / 2 for o, i, f and tanh(z) for g.
-The input is projected for all steps by one batched matmul of W with the
-[T,F,B] input. A step is one ``U @ h_{t-1}`` GEMM and in-place elementwise
-calls, each gate a contiguous [H,B] block. Backward forms every gate's
-derivative factor for all steps before the loop, keeps only the [H,B] chain
-and one ``U.T @ dpre_t`` GEMM inside it, and then gets dW, dU, db and grad_x
-after it.
+In training the input is projected for all steps by one batched matmul of W
+with the [T,F,B] input; in inference each step projects its own [F,B] block
+into one [4H,B] buffer, the same GEMM per step. A step is one
+``U @ h_{t-1}`` GEMM and in-place elementwise calls, each gate a contiguous
+[H,B] block. Backward forms every gate's derivative factor for all steps
+before the loop, keeps only the [H,B] chain and one ``U.T @ dpre_t`` GEMM
+inside it, and then gets dW, dU, db and grad_x after it.
 
 Max pooling keeps its input and output; backward sends each gradient to the
 earliest position in its window that equals the max.
@@ -262,11 +265,13 @@ def maxpool1d_backward(grad_y: np.ndarray, cache: LayerCache):
 # --- LSTM ---
 
 
-def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
+def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: bool = True):
     """Run the gated recurrence over T steps from h_0 = c_0 = 0.
 
     Returns the full hidden sequence ``[T,H]`` when ``return_sequence`` else
-    the final state ``[H]`` (batched variants carry the leading axis).
+    the final state ``[H]`` (batched variants carry the leading axis). With
+    ``training`` false no backward can follow: the cache is None, each step's
+    input is projected on its own, and the state is kept two steps deep.
     """
     xf, batched = _stored(x, 2, "lstm_forward")
     t, f, b = xf.shape
@@ -280,18 +285,29 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
     scale = np.ones((4 * hs, 1))
     scale[: 3 * hs] = 0.5
     u_scaled = u * scale
-    gates = np.matmul(w * scale, xf)  # [T, 4H, B]
-    # in place: a second array this size costs more in page faults than the sum
-    gates += bias[:, None] * scale
-    c = np.empty((t, hs, b))
-    tanh_c = np.empty((t, hs, b))
-    h = np.empty((t, hs, b))
+    w_scaled = w * scale
+    bias_scaled = bias[:, None] * scale
+    if training:
+        gates = np.matmul(w_scaled, xf)  # [T, 4H, B]
+        # in place: a second array this size costs more in page faults than the sum
+        gates += bias_scaled
+    else:
+        gates = np.empty((1, 4 * hs, b))
+    # ring buffers: step s lives at s % depth, and a depth of T keeps every step
+    depth = t if training else 2
+    c = np.empty((depth, hs, b))
+    tanh_c = np.empty((depth, hs, b))
+    h = np.empty((t if training or return_sequence else depth, hs, b))
     ig = np.empty((hs, b))
     recurrent = np.empty((4 * hs, b))
     for s in range(t):
-        z = gates[s]
+        now, before = s % depth, (s - 1) % depth
+        z = gates[s % len(gates)]
+        if not training:
+            np.matmul(w_scaled, xf[s], out=z)
+            z += bias_scaled
         if s:
-            np.matmul(u_scaled, h[s - 1], out=recurrent)
+            np.matmul(u_scaled, h[(s - 1) % len(h)], out=recurrent)
             z += recurrent
         np.tanh(z, out=z)
         sig = z[: 3 * hs]
@@ -299,13 +315,16 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
         sig *= 0.5
         o_t, i_t, f_t, g_t = (z[k * hs : (k + 1) * hs] for k in range(4))
         if s:
-            np.multiply(f_t, c[s - 1], out=c[s])
+            np.multiply(f_t, c[before], out=c[now])
             np.multiply(i_t, g_t, out=ig)
-            c[s] += ig
+            c[now] += ig
         else:
-            np.multiply(i_t, g_t, out=c[s])
-        np.tanh(c[s], out=tanh_c[s])
-        np.multiply(o_t, tanh_c[s], out=h[s])
+            np.multiply(i_t, g_t, out=c[now])
+        np.tanh(c[now], out=tanh_c[now])
+        np.multiply(o_t, tanh_c[now], out=h[s % len(h)])
+    out = _caller(h if return_sequence else h[(t - 1) % len(h)], batched)
+    if not training:
+        return out, None
     cache = LayerCache(
         "lstm",
         {
@@ -320,7 +339,7 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool):
         },
         batched,
     )
-    return _caller(h if return_sequence else h[-1], batched), cache
+    return out, cache
 
 
 def lstm_backward(grad_out: np.ndarray, cache: LayerCache):

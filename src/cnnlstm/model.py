@@ -161,7 +161,8 @@ class ForwardCaches:
 def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
     """Predict one scalar per sample; returns ``(predictions, caches)``.
 
-    Caches are only retained in training mode (inference returns None).
+    Inference keeps no caches and returns None for them: each stage's
+    intermediates are dropped once the next stage has its input.
     """
     x = np.asarray(batch, dtype=np.float64)
     cfg = model.config
@@ -175,8 +176,8 @@ def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
     for stage in (1, 2, 3):
         last = stage == 3
         y, conv_cache = layers.conv1d_forward(x, model.conv(stage))
-        a = np.tanh(y)
-        p, pool_cache = layers.maxpool1d_forward(a, cfg.pool_window)
+        np.tanh(y, out=y)
+        p, pool_cache = layers.maxpool1d_forward(y, cfg.pool_window)
         expect_conv, expect_pool = lengths[stage - 1]
         if y.shape[1] != expect_conv or p.shape[1] != expect_pool:
             raise ShapeError(
@@ -184,13 +185,14 @@ def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
                 f"(expected {expect_conv}), pool gave {p.shape[1]} "
                 f"(expected {expect_pool})"
             )
-        h, lstm_cache = layers.lstm_forward(p, model.lstm(stage), return_sequence=not last)
-        if last:
-            x = h
-            stages.append((conv_cache, a, pool_cache, lstm_cache, None))
-        else:
-            x, drop_cache = layers.dropout(h, cfg.dropout_rate, training, rng)
-            stages.append((conv_cache, a, pool_cache, lstm_cache, drop_cache))
+        h, lstm_cache = layers.lstm_forward(
+            p, model.lstm(stage), return_sequence=not last, training=training
+        )
+        x, drop_cache = (h, None) if last else layers.dropout(h, cfg.dropout_rate, training, rng)
+        if training:
+            stages.append((conv_cache, y, pool_cache, lstm_cache, drop_cache))
+        # in inference this frees the stage before the next one allocates
+        del conv_cache, y, pool_cache, p, lstm_cache, h
     out, dense_cache = layers.dense_forward(x, model.dense())
     preds = out[:, 0]
     if not training:

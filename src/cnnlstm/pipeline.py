@@ -23,6 +23,7 @@ from datetime import date as _date
 import numpy as np
 
 from .errors import (
+    CheckpointFormatError,
     CompatibilityError,
     ConfigError,
     DataError,
@@ -805,12 +806,18 @@ def load_dataset(path):
 
     The header's recipe is validated, then the split is derived from it
     over the rebuilt windows with the call ``prepare_dataset`` makes. A
-    line after the last column block is a format error. The loaded
+    line after the last column block, or a header horizon that disagrees
+    with the ``[preprocessing]`` one, is a format error. The loaded
     PreparedData carries no summary (that belongs to prepare time).
     """
     reader = read_file(path, DATA_MAGIC, DATA_VERSION, "dataset")
     cfg = read_config(reader, PrepareConfig)
     preprocess = read_preprocess_block(reader)
+    if preprocess.horizon != cfg.horizon:
+        raise CheckpointFormatError(
+            f"{path}: header horizon={cfg.horizon} disagrees with "
+            f"[preprocessing] horizon={preprocess.horizon}"
+        )
     if reader.next() != "[frame]":
         raise reader.error("expected [frame] section")
     rows = reader.expect("rows", int)

@@ -40,7 +40,7 @@ class TrainReport:
 
 
 def _infer(model: Model, inputs: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Inference-mode predictions, chunked to bound cache-free memory."""
+    """Inference-mode predictions, ``chunk`` windows per forward pass."""
     preds = np.empty(inputs.shape[0])
     for start in range(0, inputs.shape[0], chunk):
         part = inputs[start : start + chunk]

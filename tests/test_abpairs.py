@@ -92,11 +92,32 @@ def test_working_tree_is_recorded_as_head_plus_diff_hash(monkeypatch, tmp_path):
     diff = subprocess.run(["git", "-C", str(tmp_path), "diff", "HEAD"], check=True,
                           capture_output=True).stdout
     assert b"+two" in diff
+    nothing = hashlib.sha256(b"").hexdigest()
     assert abpairs.measured(None) == {"commit": head,
-                                      "diff_sha256": hashlib.sha256(diff).hexdigest()}
-    assert abpairs.measured("HEAD") == {"commit": head, "diff_sha256": None}
+                                      "diff_sha256": hashlib.sha256(diff).hexdigest(),
+                                      "untracked_sha256": nothing}
+    assert abpairs.measured("HEAD") == {"commit": head, "diff_sha256": None,
+                                        "untracked_sha256": None}
     (tmp_path / "f.txt").write_text("one\n")
-    assert abpairs.measured(None)["diff_sha256"] == hashlib.sha256(b"").hexdigest()
+    assert abpairs.measured(None)["diff_sha256"] == nothing
+
+
+def test_untracked_files_under_src_and_perfbench_change_the_record(monkeypatch, tmp_path):
+    monkeypatch.setattr(abpairs, "ROOT", git_repo(tmp_path))
+    before = abpairs.measured(None)
+    (tmp_path / "notes.txt").write_text("not benchmarked\n")
+    assert abpairs.measured(None) == before
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "x.py").write_text("A = 1\n")
+    added = abpairs.measured(None)
+    assert added["diff_sha256"] == before["diff_sha256"]
+    assert added["untracked_sha256"] != before["untracked_sha256"]
+    (tmp_path / "src" / "x.py").write_text("A = 2\n")
+    edited = abpairs.measured(None)
+    assert edited["untracked_sha256"] != added["untracked_sha256"]
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "y.py").write_text("")
+    assert abpairs.measured(None)["untracked_sha256"] != edited["untracked_sha256"]
 
 
 def test_main_writes_what_was_measured(monkeypatch, tmp_path):

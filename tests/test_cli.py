@@ -161,6 +161,19 @@ def test_train_rejects_lines_after_the_last_cache_block(prepared, capsys):
     )
 
 
+def test_train_rejects_a_cache_whose_two_horizons_disagree(prepared, capsys):
+    path = prepared / "data.txt"
+    lines = path.read_text().splitlines()
+    lines[lines.index("[preprocessing]") + 1] = "horizon=3"
+    path.write_text("\n".join(lines) + "\n")
+    assert_input_error(
+        capsys,
+        ["train", "--data", str(path), "--config", str(prepared / "run.cfg"),
+         "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
+        f"{path}: header horizon=1 disagrees with [preprocessing] horizon=3",
+    )
+
+
 def test_predict_rejects_lines_after_the_last_checkpoint_block(prepared, capsys):
     ckpt = saved_checkpoint(prepared)
     n = len(ckpt.read_text().splitlines())

@@ -355,6 +355,20 @@ class TestLstm:
         gx, _ = lstm_backward(weights, cache)
         assert rel_deviation(gx, finite_difference(loss, x)) < 1e-5
 
+    @pytest.mark.parametrize("steps", [1, 2, 31])
+    @pytest.mark.parametrize("return_sequence", [True, False], ids=["sequence", "last"])
+    @pytest.mark.parametrize("batch", [1, 3, 137])
+    def test_inference_matches_training_bitwise_without_a_cache(
+        self, rng, steps, return_sequence, batch
+    ):
+        p = random_lstm_params(rng, 64, 32)
+        x = rng.standard_normal((batch, steps, 32))
+        want, cache = lstm_forward(x, p, return_sequence)
+        got, none = lstm_forward(x, p, return_sequence, training=False)
+        assert cache is not None and none is None
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_batched_matches_per_sample(self, rng):
         p = LstmParams(
             w={g: rng.standard_normal((4, 3)) for g in GATES},

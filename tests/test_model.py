@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,28 @@ class TestForward:
             forward(m, rng.standard_normal((2, 15, 3)), training=False)
         with pytest.raises(ShapeError):
             forward(m, rng.standard_normal((2, 16, 4)), training=False)
+
+    @pytest.mark.parametrize("batch", [1, 3, 137])
+    def test_inference_equals_training_mode_without_dropout_bitwise(self, rng, batch):
+        m = build(ModelConfig(features=5, dropout_rate=0.0, seed=3))
+        x = rng.standard_normal((batch, 64, 5))
+        got, none = forward(m, x, training=False)
+        want, caches = forward(m, x, training=True)
+        assert none is None and caches is not None
+        assert got.tobytes() == want.tobytes()
+
+    def test_inference_peak_stays_below_one_training_gate_block(self, rng):
+        # a training forward projects stage 1's 31 steps into a [31, 4*64, B]
+        # gate block for the backward pass; inference needs less than that
+        m = build(ModelConfig(features=5, seed=3))
+        x = rng.standard_normal((137, 64, 5))
+        tracemalloc.start()
+        try:
+            forward(m, x, training=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 31 * 256 * 137 * 8
 
     def test_training_mode_keeps_caches(self, rng):
         m = build(tiny_config())

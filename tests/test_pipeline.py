@@ -757,6 +757,18 @@ class TestDatasetCache:
         with pytest.raises(CheckpointFormatError, match=rf"line {at + 1}: bad base64 block"):
             load_dataset(path)
 
+    def test_preprocessing_horizon_must_match_the_header(self, tmp_path):
+        path, lines = self.cache_lines(tmp_path)
+        at = lines.index("[preprocessing]") + 1
+        assert lines[at] == "horizon=1" and lines.count("horizon=1") == 2
+        lines[at] = "horizon=3"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointFormatError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == (
+            f"{path}: header horizon=1 disagrees with [preprocessing] horizon=3"
+        )
+
     def test_failed_save_keeps_the_previous_file(self, tmp_path, failing_writes):
         path, _ = self.cache_lines(tmp_path)
         before = path.read_bytes()

@@ -5,13 +5,13 @@
 
 Run from the repository root. Each revision is exported with ``git archive``
 into a temporary directory (the change defaults to the working tree, recorded
-as ``HEAD`` plus the sha256 of ``git diff HEAD``, which leaves out untracked
-files), and
-``perfbench/run.py`` runs once per seed on each side, the parent first on
-even pairs. The output holds every pair, each end-to-end metric's medians,
-quartiles and wins, the environment, and the verdict on ``--claim``: a gain
-only when the change wins at least nine tenths of the pairs (ties count for
-neither) and its median beats the parent's by more than the parent's IQR.
+as ``HEAD`` plus the sha256 of ``git diff HEAD`` and a sha256 over the
+untracked files under ``src/`` and ``perfbench/``), and ``perfbench/run.py``
+runs once per seed on each side, the parent first on even pairs. The output
+holds every pair, each end-to-end metric's medians, quartiles and wins, the
+environment, and the verdict on ``--claim``: a gain only when the change wins
+at least nine tenths of the pairs (ties count for neither) and its median
+beats the parent's by more than the parent's IQR.
 """
 
 import argparse
@@ -51,11 +51,19 @@ def run(tree, workload, seed, seconds):
 
 def measured(rev):
     """What the change side runs: ``rev``'s commit, or for the working tree
-    (``rev`` None) ``HEAD``'s commit plus the sha256 of ``git diff HEAD``."""
+    (``rev`` None) ``HEAD``'s commit plus the sha256 of ``git diff HEAD`` and
+    one over the untracked files under ``src/`` and ``perfbench/``, each
+    path followed by the sha256 of its bytes."""
     if rev:
-        return {"commit": git("rev-parse", rev).strip(), "diff_sha256": None}
+        return {"commit": git("rev-parse", rev).strip(), "diff_sha256": None,
+                "untracked_sha256": None}
     diff = git("diff", "HEAD", text=False)
-    return {"commit": git("rev-parse", "HEAD").strip(), "diff_sha256": hashlib.sha256(diff).hexdigest()}
+    untracked = hashlib.sha256()
+    names = git("ls-files", "--others", "--exclude-standard", "-z", "--", "src", "perfbench")
+    for name in sorted(filter(None, names.split("\0"))):
+        untracked.update(name.encode() + b"\0" + hashlib.sha256((ROOT / name).read_bytes()).digest())
+    return {"commit": git("rev-parse", "HEAD").strip(), "diff_sha256": hashlib.sha256(diff).hexdigest(),
+            "untracked_sha256": untracked.hexdigest()}
 
 
 def seeds(spec):
