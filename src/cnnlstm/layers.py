@@ -44,13 +44,11 @@ W [4H,F], U [4H,H] and b [4H], gates in the order o, i, f, g. The rows of
 the three sigmoid gates are multiplied by 0.5, which is exact because the
 factor is a power of two, so one ``tanh`` over a step's [4H,B] block gives
 every gate: sigmoid(z) = (tanh(z/2) + 1) / 2 for o, i, f and tanh(z) for g.
-In training the input is projected for all steps by one batched matmul of W
-with the [T,F,B] input; in inference each step projects its own [F,B] block
-into one [4H,B] buffer, the same GEMM per step. A step is one
-``U @ h_{t-1}`` GEMM and in-place elementwise calls, each gate a contiguous
-[H,B] block. Backward forms every gate's derivative factor for all steps
-before the loop, keeps only the [H,B] chain and one ``U.T @ dpre_t`` GEMM
-inside it, and then gets dW, dU, db and grad_x after it.
+A step is a ``W @ x_t`` and a ``U @ h_{t-1}`` GEMM into its [4H,B] gate
+block and in-place elementwise calls, each gate a contiguous [H,B] block.
+Backward forms every gate's derivative factor for all steps before the loop,
+keeps only the [H,B] chain and one ``U.T @ dpre_t`` GEMM inside it, and then
+gets dW, dU, db and grad_x after it.
 
 Max pooling keeps its input and output; backward sends each gradient to the
 earliest position in its window that equals the max.
@@ -270,8 +268,8 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
 
     Returns the full hidden sequence ``[T,H]`` when ``return_sequence`` else
     the final state ``[H]`` (batched variants carry the leading axis). With
-    ``training`` false no backward can follow: the cache is None, each step's
-    input is projected on its own, and the state is kept two steps deep.
+    ``training`` false no backward can follow: the cache is None and the gates
+    and state are kept one and two steps deep.
     """
     xf, batched = _stored(x, 2, "lstm_forward")
     t, f, b = xf.shape
@@ -279,6 +277,8 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
         raise ShapeError(
             f"lstm input has {f} features but params expect {p.input_size}"
         )
+    if t < 1:
+        raise SequenceTooShortError("lstm needs at least 1 time step, got 0")
     hs = p.hidden_size
     w, u, bias = (np.concatenate([part[g] for g in _ORDER]) for part in (p.w, p.u, p.b))
     # sigmoid(z) = (tanh(z / 2) + 1) / 2: halving the o, i, f rows is exact
@@ -287,13 +287,8 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
     u_scaled = u * scale
     w_scaled = w * scale
     bias_scaled = bias[:, None] * scale
-    if training:
-        gates = np.matmul(w_scaled, xf)  # [T, 4H, B]
-        # in place: a second array this size costs more in page faults than the sum
-        gates += bias_scaled
-    else:
-        gates = np.empty((1, 4 * hs, b))
     # ring buffers: step s lives at s % depth, and a depth of T keeps every step
+    gates = np.empty((t if training else 1, 4 * hs, b))
     depth = t if training else 2
     c = np.empty((depth, hs, b))
     tanh_c = np.empty((depth, hs, b))
@@ -303,9 +298,8 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
     for s in range(t):
         now, before = s % depth, (s - 1) % depth
         z = gates[s % len(gates)]
-        if not training:
-            np.matmul(w_scaled, xf[s], out=z)
-            z += bias_scaled
+        np.matmul(w_scaled, xf[s], out=z)
+        z += bias_scaled
         if s:
             np.matmul(u_scaled, h[(s - 1) % len(h)], out=recurrent)
             z += recurrent

@@ -161,8 +161,8 @@ class ForwardCaches:
 def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
     """Predict one scalar per sample; returns ``(predictions, caches)``.
 
-    Inference keeps no caches and returns None for them: each stage's
-    intermediates are dropped once the next stage has its input.
+    Inference keeps no caches and returns None for them, so each stage's
+    intermediates are freed as the next stage replaces them.
     """
     x = np.asarray(batch, dtype=np.float64)
     cfg = model.config
@@ -191,8 +191,6 @@ def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
         x, drop_cache = (h, None) if last else layers.dropout(h, cfg.dropout_rate, training, rng)
         if training:
             stages.append((conv_cache, y, pool_cache, lstm_cache, drop_cache))
-        # in inference this frees the stage before the next one allocates
-        del conv_cache, y, pool_cache, p, lstm_cache, h
     out, dense_cache = layers.dense_forward(x, model.dense())
     preds = out[:, 0]
     if not training:

@@ -369,6 +369,12 @@ class TestLstm:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
+    def test_empty_sequence_is_rejected(self, rng, training):
+        p = random_lstm_params(rng, 4, 3)
+        with pytest.raises(SequenceTooShortError):
+            lstm_forward(np.empty((2, 0, 3)), p, return_sequence=False, training=training)
+
     def test_batched_matches_per_sample(self, rng):
         p = LstmParams(
             w={g: rng.standard_normal((4, 3)) for g in GATES},
