@@ -286,7 +286,8 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
     scale[: 3 * hs] = 0.5
     u_scaled = u * scale
     w_scaled = w * scale
-    bias_scaled = bias[:, None] * scale
+    # one full [4H,B] block: adding it each step costs less than a broadcast
+    bias_scaled = np.repeat(bias[:, None] * scale, b, axis=1)
     # ring buffers: step s lives at s % depth, and a depth of T keeps every step
     gates = np.empty((t if training else 1, 4 * hs, b))
     depth = t if training else 2

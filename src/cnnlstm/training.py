@@ -1,5 +1,17 @@
-"""Training loop, split evaluation, and checkpoint-driven prediction."""
+"""Training loop, split evaluation, and checkpoint-driven prediction.
 
+Inference (validation, evaluation, prediction) goes through ``_infer``, which
+cuts its windows into contiguous chunks of at most ``MAX_CHUNK`` and runs them
+on as many threads as there are chunks and CPUs, the calling thread included;
+numpy releases the GIL inside BLAS and ufunc loops, so the chunks overlap.
+The chunk bounds depend on the window count only, so every forecast is
+bitwise the same whatever the core count, and every thread runs in a copy of
+the caller's context, so numpy's error state (``np.errstate``) holds in each.
+"""
+
+import contextvars
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -39,12 +51,67 @@ class TrainReport:
     duration_s: float
 
 
-def _infer(model: Model, inputs: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Inference-mode predictions, ``chunk`` windows per forward pass."""
+MAX_CHUNK = 128  # windows per forward pass
+
+
+def _chunk_bounds(n: int) -> list:
+    """``(start, stop)`` of ceil(n / MAX_CHUNK) contiguous chunks whose sizes
+    differ by at most one, the larger first: 137 -> (0, 69), (69, 137)."""
+    parts = -(-n // MAX_CHUNK)
+    if not parts:
+        return []
+    size, extra = divmod(n, parts)
+    cuts = [k * size + min(k, extra) for k in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _infer(model: Model, inputs: np.ndarray) -> np.ndarray:
+    """Inference-mode predictions, one forward pass per ``_chunk_bounds`` chunk.
+
+    With k = min(chunks, ``_cpus()``) the chunks are dealt round-robin to k
+    groups; the calling thread runs the first group and k - 1 new threads the
+    others. Each thread runs in a copy of the caller's context, so numpy's
+    error state (``np.errstate``) holds there too. An exception raised in a
+    chunk reaches the caller once every thread has ended.
+    """
     preds = np.empty(inputs.shape[0])
-    for start in range(0, inputs.shape[0], chunk):
-        part = inputs[start : start + chunk]
-        preds[start : start + part.shape[0]], _ = forward(model, part, training=False)
+    bounds = _chunk_bounds(inputs.shape[0])
+    workers = min(len(bounds), _cpus())
+    groups = [bounds[k::workers] for k in range(workers)]
+    failures = []
+
+    def run(group):
+        for start, stop in group:
+            preds[start:stop], _ = forward(model, inputs[start:stop], training=False)
+
+    def run_caught(group):
+        try:
+            run(group)
+        except BaseException as exc:  # re-raised in the calling thread
+            failures.append(exc)
+
+    threads = []
+    try:
+        for group in groups[1:]:
+            context = contextvars.copy_context()
+            thread = threading.Thread(target=context.run, args=(run_caught, group))
+            thread.start()
+            threads.append(thread)
+        if groups:
+            run(groups[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
     return preds
 
 

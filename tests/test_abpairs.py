@@ -137,3 +137,44 @@ def test_main_writes_what_was_measured(monkeypatch, tmp_path):
     record = json.loads(out.read_text())
     assert record["change"] == {"commit": "c0ffee", "diff_sha256": "d1ff"}
     assert record["attempted"] == {"parent": 6, "change": 6}
+
+
+@pytest.mark.parametrize("change,better,within", [
+    ([12.5] * 4, "lower", True),  # worse by exactly the bound: allowed
+    ([12.6] * 4, "lower", False),
+    ([7.0] * 4, "lower", True),  # better is always within
+    ([7.5] * 4, "higher", True),
+    ([7.4] * 4, "higher", False),
+    ([13.0] * 4, "higher", True),
+])
+def test_within_bound_in_both_directions(change, better, within):
+    m = abpairs.summarise(pairs_of([10.0] * 4, change), {"op_ms_min": better},
+                          {"op_ms_min": 0.25})["op_ms_min"]
+    assert m["bound"] == 0.25
+    assert m["within_bound"] is within
+
+
+def test_main_lists_the_metrics_beyond_their_bound(monkeypatch, tmp_path):
+    benchmark = json.loads((abpairs.ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    # op_ms_min 2% inside its bound, peak_rss_mb 2% beyond it; the rest unchanged
+    worse = {"op_ms_min": 1.0 + bounds["op_ms_min"] - 0.02,
+             "peak_rss_mb": 1.0 + bounds["peak_rss_mb"] + 0.02}
+
+    def fake_run(tree, workload, seed, seconds):
+        scale = {n: worse.get(n, 1.0) if tree == abpairs.ROOT else 1.0 for n in bounds}
+        scale = {n: s if better[n] == "lower" else 1.0 / s for n, s in scale.items()}
+        metrics = {n: {"value": 100.0 * scale[n]} for n in bounds}
+        return {"metrics": metrics, "attempted": 3, "failed": 0}, {"numpy": "x"}
+
+    monkeypatch.setattr(abpairs, "run", fake_run)
+    monkeypatch.setattr(abpairs, "export", lambda rev, into: into)
+    monkeypatch.setattr(abpairs, "measured", lambda rev: {"commit": "c0ffee"})
+    out = tmp_path / "bench.json"
+    assert abpairs.main(["--parent", "HEAD", "--workload", "predict", "--seeds", "1-2",
+                         "--claim", "op_ms_min", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["regressions"] == ["peak_rss_mb"]
+    assert record["metrics"]["op_ms_min"]["within_bound"] is True
+    assert record["verdict"]["gain"] is False

@@ -1,6 +1,11 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
+from cnnlstm import training
 from cnnlstm.errors import CompatibilityError, DivergenceError, PipelineError
 from cnnlstm.model import ModelConfig, build, forward, load, save
 from cnnlstm.optim import OptimConfig
@@ -185,6 +190,82 @@ class TestEvaluate:
         day, actual, pred = rows[0]
         assert day == prepared.dataset.target_dates[prepared.dataset.test_idx[0]]
         assert isinstance(actual, float) and isinstance(pred, float)
+
+
+class TestInfer:
+    @pytest.mark.parametrize("n,bounds", [
+        (1, [(0, 1)]),
+        (104, [(0, 104)]),
+        (137, [(0, 69), (69, 137)]),
+        (207, [(0, 104), (104, 207)]),
+    ])
+    def test_chunk_bounds(self, n, bounds):
+        assert training._chunk_bounds(n) == bounds
+
+    def test_same_bits_for_one_and_two_cpus(self, prepared, monkeypatch, rng):
+        model = fresh_model(prepared)
+        x = rng.standard_normal((207, 8, len(prepared.dataset.feature_names)))
+        got = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(training, "_cpus", lambda: cpus)
+            got[cpus] = training._infer(model, x)
+        assert got[1].tobytes() == got[2].tobytes()
+        by_chunk = np.concatenate([
+            forward(model, x[start:stop], training=False)[0]
+            for start, stop in training._chunk_bounds(207)
+        ])
+        assert got[2].tobytes() == by_chunk.tobytes()
+        whole, _ = forward(model, x, training=False)
+        assert np.max(np.abs(got[2] - whole) / np.abs(whole)) <= 1e-12
+
+    def test_more_threads_than_cores_fill_every_window(self, prepared, monkeypatch, rng):
+        monkeypatch.setattr(training, "_cpus", lambda: 8)
+        model = fresh_model(prepared)
+        x = rng.standard_normal((1000, 8, len(prepared.dataset.feature_names)))
+        want = np.concatenate([
+            forward(model, x[start:stop], training=False)[0]
+            for start, stop in training._chunk_bounds(1000)
+        ])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = training._infer(model, x)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    def test_worker_threads_keep_the_callers_error_state(self, prepared, monkeypatch, rng):
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        model = fresh_model(prepared)
+        for name in model.params:
+            model.params[name] = np.full_like(model.params[name], 1e308)
+        x = rng.standard_normal((207, 8, len(prepared.dataset.feature_names)))
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            training._infer(model, x)
+
+    @pytest.mark.parametrize("failing", [69, 68], ids=["caller", "worker"])
+    def test_a_failing_chunk_reaches_the_caller(self, prepared, monkeypatch, rng, failing):
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        caller = threading.current_thread()
+        ran_on = {}
+
+        def fake_forward(model, batch, training):
+            ran_on[len(batch)] = threading.current_thread()
+            if len(batch) == failing:
+                raise RuntimeError(f"chunk of {failing} failed")
+            return np.zeros(len(batch)), None
+
+        monkeypatch.setattr(training, "forward", fake_forward)
+        threads = threading.active_count()
+        x = rng.standard_normal((137, 8, len(prepared.dataset.feature_names)))
+        with pytest.raises(RuntimeError, match=f"chunk of {failing} failed"):
+            training._infer(fresh_model(prepared), x)
+        assert threading.active_count() == threads
+        assert (ran_on[69] is caller, ran_on[68] is caller) == (True, False)
+        monkeypatch.setattr(training, "forward", lambda model, batch, training: (np.ones(len(batch)), None))
+        assert training._infer(fresh_model(prepared), x).tolist() == [1.0] * 137
+        assert threading.active_count() == threads
 
 
 class TestPredict:

@@ -11,7 +11,10 @@ runs once per seed on each side, the parent first on even pairs. The output
 holds every pair, each end-to-end metric's medians, quartiles and wins, the
 environment, and the verdict on ``--claim``: a gain only when the change wins
 at least nine tenths of the pairs (ties count for neither) and its median
-beats the parent's by more than the parent's IQR.
+beats the parent's by more than the parent's IQR. Beside the verdict,
+``regressions`` names every end-to-end metric whose median is worse than the
+parent's by more than its ``bound`` from ``BENCHMARK.json`` times the parent's
+median.
 """
 
 import argparse
@@ -78,8 +81,10 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(pairs, better):
-    """Per-metric medians, quartiles and wins of the change over the parent."""
+def summarise(pairs, better, bounds=None):
+    """Per-metric medians, quartiles and wins of the change over the parent,
+    and for each metric named in ``bounds`` whether the change's median is
+    worse than the parent's by no more than that fraction of it."""
     out = {}
     for name, direction in better.items():
         old = [p["parent"]["metrics"][name]["value"] for p in pairs]
@@ -93,6 +98,11 @@ def summarise(pairs, better):
             "median_change_frac": (n["median"] - o["median"]) / o["median"],
             "gap_exceeds_parent_iqr": sign * (o["median"] - n["median"]) > o["iqr"],
         }
+        if bounds and name in bounds:
+            out[name]["bound"] = bounds[name]
+            out[name]["within_bound"] = (
+                sign * (n["median"] - o["median"]) <= bounds[name] * o["median"]
+            )
     return out
 
 
@@ -110,6 +120,7 @@ def main(argv=None):
         parser.error(f"--seeds {args.seeds}: need at least two seeds for quartiles")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     change = measured(args.change)
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": export(args.parent, Path(tmp, "parent").resolve()), "change": ROOT}
@@ -125,7 +136,7 @@ def main(argv=None):
             pairs.append(pair)
             print(json.dumps({k: pair[k]["metrics"][args.claim or "op_ms_min"]["value"]
                               for k in ("parent", "change")} | {"seed": seed}), flush=True)
-    metrics = summarise(pairs, better)
+    metrics = summarise(pairs, better, bounds)
     result = {
         "workload": args.workload, "seconds": args.seconds,
         "parent": git("rev-parse", args.parent).strip(),
@@ -141,8 +152,9 @@ def main(argv=None):
             "metric": args.claim, "pairs": len(pairs), "wins": m["wins"],
             "gain": m["wins"] >= 0.9 * len(pairs) and m["gap_exceeds_parent_iqr"],
         }
+    result["regressions"] = [name for name, m in metrics.items() if not m["within_bound"]]
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    print(json.dumps(result.get("verdict", {})))
+    print(json.dumps(result.get("verdict", {}) | {"regressions": result["regressions"]}))
     return 0
 
 
