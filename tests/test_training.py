@@ -202,6 +202,24 @@ class TestInfer:
     def test_chunk_bounds(self, n, bounds):
         assert training._chunk_bounds(n) == bounds
 
+    @pytest.mark.parametrize("cpus,env,free", [
+        (2, {}, 1),  # OpenBLAS then starts a thread per CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "1,1"}, 1),  # not a count OpenBLAS reads
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        (1, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+    ])
+    def test_cpus_left_by_blas_threads(self, monkeypatch, cpus, env, free):
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert training._cpus() == free
+
     def test_same_bits_for_one_and_two_cpus(self, prepared, monkeypatch, rng):
         model = fresh_model(prepared)
         x = rng.standard_normal((207, 8, len(prepared.dataset.feature_names)))
@@ -263,7 +281,9 @@ class TestInfer:
             training._infer(fresh_model(prepared), x)
         assert threading.active_count() == threads
         assert (ran_on[69] is caller, ran_on[68] is caller) == (True, False)
-        monkeypatch.setattr(training, "forward", lambda model, batch, training: (np.ones(len(batch)), None))
+        monkeypatch.setattr(
+            training, "forward", lambda model, batch, training: (np.ones(len(batch)), None)
+        )
         assert training._infer(fresh_model(prepared), x).tolist() == [1.0] * 137
         assert threading.active_count() == threads
 
