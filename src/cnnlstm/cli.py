@@ -14,14 +14,15 @@ from . import pipeline as pl
 from . import svg, training
 from .config import SCHEMA, load_config
 from .errors import CnnLstmError, CompatibilityError, DivergenceError
-from .textio import fmt_float
+from .textio import fmt_float, writing
 
 GRADCHECK_TOLERANCE = 1e-5
 
 
-def _write(path, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write(path, lines: list):
+    """Write ``lines`` over ``path`` itself, so a device such as /dev/null works too."""
+    with writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _check_compat(ckpt_pre: pl.PreprocessState, data_pre: pl.PreprocessState, features: int, n_model_features: int):
@@ -71,7 +72,7 @@ def cmd_train(args) -> int:
     history = ["epoch,train_loss,val_loss"]
     for epoch, (tr, va) in enumerate(zip(report.train_loss, report.val_loss), start=1):
         history.append(f"{epoch},{fmt_float(tr)},{fmt_float(va)}")
-    _write(args.history, "\n".join(history) + "\n")
+    _write(args.history, history)
     if args.svg:
         chart = svg.line_chart(
             [("loss", report.train_loss), ("val_loss", report.val_loss)],
@@ -116,7 +117,7 @@ def cmd_evaluate(args) -> int:
             f"{day.isoformat()},{fmt_float(actual)},{fmt_float(pred)}"
             for day, actual, pred in rows
         )
-        _write(args.predictions, "\n".join(lines) + "\n")
+        _write(args.predictions, lines)
         print(f"predictions written to {args.predictions}")
     return 0
 
@@ -127,12 +128,11 @@ def cmd_predict(args) -> int:
     rows = training.predict(net, ckpt_pre, frame)
     lines = ["date,predicted"]
     lines.extend(f"{day.isoformat()},{fmt_float(price)}" for day, price in rows)
-    text = "\n".join(lines) + "\n"
     if args.out:
-        _write(args.out, text)
+        _write(args.out, lines)
         print(f"{len(rows)} predictions written to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -45,6 +45,10 @@ class CheckpointShapeError(CheckpointError):
     """A stored parameter disagrees with the declared shape."""
 
 
+class OutputError(CnnLstmError, OSError):
+    """An output file cannot be written."""
+
+
 class CompatibilityError(CnnLstmError):
     """Checkpoint and dataset disagree (feature names, dimensions, empty split)."""
 

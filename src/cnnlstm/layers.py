@@ -21,10 +21,12 @@ Conventions shared by every op here:
   B = 1 or C = 1, so a strided view of the storage takes its strides from
   the shape, never from the array's ``strides``.
 * ``forward`` returns ``(output, cache)``; the cache holds exactly the
-  intermediates the matching ``backward`` needs and is consumed by it. A
-  forward that no backward follows (``training`` false) returns no cache
-  and keeps only what its next step reads: the LSTM's state is two steps
-  deep. No op writes into its input or its upstream gradient.
+  intermediates the matching ``backward`` needs and is consumed by it. It
+  refers to the parameter arrays rather than copying them, so the backward
+  must run before they are updated. A forward that no backward follows
+  (``training`` false) returns no cache and keeps only what its next step
+  reads: the LSTM's state is two steps deep. No op writes into its input or
+  its upstream gradient.
 * Backward passes are exact analytic gradients of the forward map.
 
 Conv1d lowers the convolution to one GEMM over unfolded windows: window t of
@@ -32,18 +34,18 @@ Conv1d lowers the convolution to one GEMM over unfolded windows: window t of
 im2col is a read-only strided view ``[T', W*C, B]`` and the output is one
 batched matmul with the kernels as ``[K, W*C]``.
 
-LSTM cell, gate order i, f, o, g:
+LSTM cell:
 
-    i,f,o = sigmoid(W x_t + U h_{t-1} + b)      g = tanh(W x_t + U h_{t-1} + b)
+    o,i,f = sigmoid(W x_t + U h_{t-1} + b)      g = tanh(W x_t + U h_{t-1} + b)
     c_t = f * c_{t-1} + i * g                   h_t = o * tanh(c_t)
 
 with h_0 = c_0 = 0.
 
-The LSTM kernels keep ``LstmParams`` per gate but stack it on each call into
-W [4H,F], U [4H,H] and b [4H], gates in the order o, i, f, g. The rows of
-the three sigmoid gates are multiplied by 0.5, which is exact because the
-factor is a power of two, so one ``tanh`` over a step's [4H,B] block gives
-every gate: sigmoid(z) = (tanh(z/2) + 1) / 2 for o, i, f and tanh(z) for g.
+``LstmParams`` holds W [4H,F], U [4H,H] and b [4H] stacked, each gate's H
+rows in ``GATES`` order: o, i, f, g. The rows of the three sigmoid gates are
+multiplied by 0.5, which is exact because the factor is a power of two, so
+one ``tanh`` over a step's [4H,B] block gives every gate:
+sigmoid(z) = (tanh(z/2) + 1) / 2 for o, i, f and tanh(z) for g.
 A step is a ``W @ x_t`` and a ``U @ h_{t-1}`` GEMM into its [4H,B] gate
 block and in-place elementwise calls, each gate a contiguous [H,B] block.
 Backward forms every gate's derivative factor for all steps before the loop,
@@ -60,10 +62,9 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, SequenceTooShortError
 
-GATES = ("i", "f", "o", "g")
-# stacking order inside the LSTM kernels: the three sigmoid gates first, and
-# the three gates whose derivative goes through dc last
-_ORDER = ("o", "i", "f", "g")
+# the order of the gates' rows in LstmParams: the three sigmoid gates first,
+# and the three gates whose derivative goes through dc last
+GATES = ("o", "i", "f", "g")
 
 
 @dataclass
@@ -82,25 +83,21 @@ class Conv1dParams:
 
 @dataclass
 class LstmParams:
-    """Per-gate input weights [H,F], recurrent weights [H,H] and biases [H]."""
+    """Input weights W [4H,F], recurrent weights U [4H,H] and biases b [4H],
+    each gate's H rows in ``GATES`` order."""
 
-    w: dict  # gate -> [H, F_in]
-    u: dict  # gate -> [H, H]
-    b: dict  # gate -> [H]
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        h, f = self.w["i"].shape
-        for g in GATES:
-            if self.w[g].shape != (h, f) or self.u[g].shape != (h, h) or self.b[g].shape != (h,):
-                raise ShapeError(f"LSTM gate '{g}' weights disagree on hidden/input size")
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w["i"].shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w["i"].shape[1]
+        h = self.u.shape[-1]
+        shapes = (self.w.shape[:1], self.u.shape, self.b.shape)
+        if self.w.ndim != 2 or shapes != ((4 * h,), (4 * h, h), (4 * h,)):
+            raise ShapeError(
+                f"LSTM weights {self.w.shape}, {self.u.shape} and {self.b.shape} "
+                "disagree on hidden/input size"
+            )
 
 
 @dataclass
@@ -273,14 +270,14 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
     """
     xf, batched = _stored(x, 2, "lstm_forward")
     t, f, b = xf.shape
-    if f != p.input_size:
+    if f != p.w.shape[1]:
         raise ShapeError(
-            f"lstm input has {f} features but params expect {p.input_size}"
+            f"lstm input has {f} features but params expect {p.w.shape[1]}"
         )
     if t < 1:
         raise SequenceTooShortError("lstm needs at least 1 time step, got 0")
-    hs = p.hidden_size
-    w, u, bias = (np.concatenate([part[g] for g in _ORDER]) for part in (p.w, p.u, p.b))
+    hs = p.u.shape[1]
+    w, u, bias = p.w, p.u, p.b
     # sigmoid(z) = (tanh(z / 2) + 1) / 2: halving the o, i, f rows is exact
     scale = np.ones((4 * hs, 1))
     scale[: 3 * hs] = 0.5
@@ -340,7 +337,8 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
 def lstm_backward(grad_out: np.ndarray, cache: LayerCache):
     """Backpropagation through time over all steps.
 
-    Returns ``(grad_x, grad_params)`` where grad_params mirrors LstmParams.
+    Returns ``(grad_x, grad_params)``, grad_params an ``LstmParams`` of
+    stacked gradients.
     The derivatives are built in the cache's own buffers, so the cache is
     emptied and cannot be used again.
     """
@@ -407,12 +405,7 @@ def lstm_backward(grad_out: np.ndarray, cache: LayerCache):
     du = d2[:, b:] @ h[:-1].transpose(1, 0, 2).reshape(hs, (t - 1) * b).T  # h_0 = 0
     db = d2.sum(axis=1)
     grad_x = np.matmul(data["w"].T, dpre)
-    rows = {gate: slice(k * hs, (k + 1) * hs) for k, gate in enumerate(_ORDER)}
-    return _caller(grad_x, cache.batched), LstmParams(
-        w={gate: dw[r] for gate, r in rows.items()},
-        u={gate: du[r] for gate, r in rows.items()},
-        b={gate: db[r] for gate, r in rows.items()},
-    )
+    return _caller(grad_x, cache.batched), LstmParams(w=dw, u=du, b=db)
 
 
 # --- Dropout (inverted: survivors scaled at train time) ---

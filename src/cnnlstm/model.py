@@ -10,9 +10,15 @@ Conv outputs pass through tanh (the dense head stays linear, the regression
 target is a single scaled price). Each conv shortens the sequence by W-1 and
 each pool divides it by the pool window; the config validates that the
 sequence survives all three stages.
+
+Every parameter lives in one float64 vector ``theta``, laid out by
+``layout``: the optimisers update it in place, and ``backward`` returns one
+gradient laid out the same way.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,45 +84,73 @@ class ModelConfig:
         return out
 
 
-def parameter_shapes(config: ModelConfig):
-    """Name -> shape for every parameter, in serialization order."""
-    shapes = {}
+CKPT_GATES = ("i", "f", "o", "g")  # the order in which a checkpoint lists an LSTM's gates
+
+
+def layout(config: ModelConfig):
+    """Where each parameter lives in ``theta``: ``(blocks, names, n_weights)``.
+
+    ``blocks`` maps each array a layer reads (``conv1.kernels``, the stacked
+    ``lstm1.w``, ``lstm1.u`` and ``lstm1.b``, ...) to its ``(start, shape)``.
+    Every weight comes before every bias, so L2 decays the prefix
+    ``theta[:n_weights]``. ``names`` maps each checkpoint name, in checkpoint
+    order, to its block and the rows of it that it names: ``lstm1.w_i`` is
+    gate i's H rows of ``lstm1.w``, whose gates lie in ``layers.GATES`` order.
+    """
+    weights, biases, names = {}, {}, {}
+    whole = slice(None)
     f_in = config.features
-    for stage in range(3):
-        k = config.conv_filters[stage]
-        h = config.lstm_units[stage]
-        shapes[f"conv{stage + 1}.kernels"] = (k, config.kernel_width, f_in)
-        shapes[f"conv{stage + 1}.bias"] = (k,)
-        for g in GATES:
-            shapes[f"lstm{stage + 1}.w_{g}"] = (h, k)
-            shapes[f"lstm{stage + 1}.u_{g}"] = (h, h)
-            shapes[f"lstm{stage + 1}.b_{g}"] = (h,)
+    for s, (k, h) in enumerate(zip(config.conv_filters, config.lstm_units), start=1):
+        kernels, bias, lstm = f"conv{s}.kernels", f"conv{s}.bias", f"lstm{s}"
+        weights.update({kernels: (k, config.kernel_width, f_in),
+                        f"{lstm}.w": (4 * h, k), f"{lstm}.u": (4 * h, h)})
+        biases.update({bias: (k,), f"{lstm}.b": (4 * h,)})
+        names.update({kernels: (kernels, whole), bias: (bias, whole)})
+        for gate in CKPT_GATES:
+            rows = slice(GATES.index(gate) * h, (GATES.index(gate) + 1) * h)
+            names.update({f"{lstm}.{part}_{gate}": (f"{lstm}.{part}", rows) for part in "wub"})
         f_in = h
-    shapes["dense.weight"] = (1, config.lstm_units[2])
-    shapes["dense.bias"] = (1,)
-    return shapes
+    weights["dense.weight"], biases["dense.bias"] = (1, f_in), (1,)
+    names.update({name: (name, whole) for name in ("dense.weight", "dense.bias")})
+    blocks, start = {}, 0
+    for name, shape in {**weights, **biases}.items():
+        blocks[name] = (start, shape)
+        start += math.prod(shape)
+    return blocks, names, sum(math.prod(shape) for shape in weights.values())
 
 
-@dataclass
 class Model:
-    config: ModelConfig
-    params: dict = field(default_factory=dict)  # name -> float64 array
+    """A network: its config and every parameter in one float64 vector ``theta``.
+
+    ``blocks`` and ``params`` are views of ``theta``, by layer array and by
+    checkpoint name (see ``layout``). ``params`` is read-only: a parameter
+    changes by writing into ``theta`` or a view, never by rebinding a name,
+    which would detach it from ``theta``.
+    """
+
+    def __init__(self, config: ModelConfig):
+        self.config = config
+        self._layout = layout(config)
+        self.n_weights = self._layout[2]
+        self.theta = np.zeros(sum(math.prod(shape) for _, shape in self._layout[0].values()))
+        self.blocks, params = self.views(self.theta)
+        self.params = MappingProxyType(params)
+
+    def views(self, vec: np.ndarray):
+        """``vec``, laid out like ``theta``, as views by block and by checkpoint name."""
+        blocks_at, names, _ = self._layout
+        blocks = {name: vec[a : a + math.prod(shape)].reshape(shape)
+                  for name, (a, shape) in blocks_at.items()}
+        return blocks, {name: blocks[block][rows] for name, (block, rows) in names.items()}
 
     def conv(self, stage: int) -> Conv1dParams:
-        return Conv1dParams(
-            kernels=self.params[f"conv{stage}.kernels"],
-            bias=self.params[f"conv{stage}.bias"],
-        )
+        return Conv1dParams(self.blocks[f"conv{stage}.kernels"], self.blocks[f"conv{stage}.bias"])
 
     def lstm(self, stage: int) -> LstmParams:
-        return LstmParams(
-            w={g: self.params[f"lstm{stage}.w_{g}"] for g in GATES},
-            u={g: self.params[f"lstm{stage}.u_{g}"] for g in GATES},
-            b={g: self.params[f"lstm{stage}.b_{g}"] for g in GATES},
-        )
+        return LstmParams(*(self.blocks[f"lstm{stage}.{part}"] for part in "wub"))
 
     def dense(self) -> DenseParams:
-        return DenseParams(weight=self.params["dense.weight"], bias=self.params["dense.bias"])
+        return DenseParams(self.blocks["dense.weight"], self.blocks["dense.bias"])
 
 
 def _glorot(rng, shape, fan_in, fan_out):
@@ -131,23 +165,19 @@ def build(config: ModelConfig) -> Model:
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    params = {}
-    for name, shape in parameter_shapes(config).items():
+    model = Model(config)
+    # drawn in checkpoint order, an LSTM weight gate by gate
+    for name, param in model.params.items():
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "kernels":
-            k, w, f = shape
-            params[name] = _glorot(rng, shape, w * f, w * k)
-        elif leaf == "weight":
-            out, f_in = shape
-            params[name] = _glorot(rng, shape, f_in, out)
-        elif leaf.startswith("w_") or leaf.startswith("u_"):
-            h, f_in = shape
-            params[name] = _glorot(rng, shape, f_in, h)
+            k, w, f = param.shape
+            param[...] = _glorot(rng, param.shape, w * f, w * k)
+        elif leaf == "weight" or leaf[:2] in ("w_", "u_"):
+            out, f_in = param.shape
+            param[...] = _glorot(rng, param.shape, f_in, out)
         elif leaf == "b_f":
-            params[name] = np.ones(shape)
-        else:
-            params[name] = np.zeros(shape)
-    return Model(config=config, params=params)
+            param[...] = 1.0
+    return model
 
 
 @dataclass
@@ -198,8 +228,8 @@ def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
     return preds, ForwardCaches(stages=stages + [dense_cache])
 
 
-def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray) -> dict:
-    """Mean over the batch of per-sample parameter gradients.
+def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray) -> np.ndarray:
+    """Mean over the batch of per-sample parameter gradients, laid out like ``theta``.
 
     ``grad_predictions[i]`` is the upstream derivative for sample i's scalar
     prediction; layer backwards accumulate batch sums, divided by B here.
@@ -210,42 +240,38 @@ def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray) 
     g = np.asarray(grad_predictions, dtype=np.float64)
     if g.ndim != 1:
         raise ShapeError(f"grad_predictions must be rank-1, got shape {g.shape}")
-    b = g.shape[0]
-    grads = {}
-    dense_cache = caches.stages[3]
-    dx, grad_w, grad_b = layers.dense_backward(g[:, None], dense_cache)
-    grads["dense.weight"] = grad_w
-    grads["dense.bias"] = grad_b
+    grad = np.empty_like(model.theta)  # the blocks partition it, and each is written
+    blocks, _ = model.views(grad)
+    dx, blocks["dense.weight"][...], blocks["dense.bias"][...] = layers.dense_backward(
+        g[:, None], caches.stages[3]
+    )
     for stage in (3, 2, 1):
         conv_cache, a, pool_cache, lstm_cache, drop_cache = caches.stages[stage - 1]
         if drop_cache is not None:
             dx = layers.dropout_backward(dx, drop_cache)
         dx, lstm_grads = layers.lstm_backward(dx, lstm_cache)
-        for gate in GATES:
-            grads[f"lstm{stage}.w_{gate}"] = lstm_grads.w[gate]
-            grads[f"lstm{stage}.u_{gate}"] = lstm_grads.u[gate]
-            grads[f"lstm{stage}.b_{gate}"] = lstm_grads.b[gate]
+        for part in "wub":
+            blocks[f"lstm{stage}.{part}"][...] = getattr(lstm_grads, part)
         dx = layers.maxpool1d_backward(dx, pool_cache)
         dx *= 1.0 - a * a  # tanh after conv
-        dx, grad_k, grad_cb = layers.conv1d_backward(dx, conv_cache)
-        grads[f"conv{stage}.kernels"] = grad_k
-        grads[f"conv{stage}.bias"] = grad_cb
-    return {k: v / b for k, v in grads.items()}
+        dx, blocks[f"conv{stage}.kernels"][...], blocks[f"conv{stage}.bias"][...] = (
+            layers.conv1d_backward(dx, conv_cache)
+        )
+    grad /= g.shape[0]
+    return grad
 
 
-def loss_gradients(model: Model, batch, targets, rng_seed: int):
-    """MSE loss and its exact parameter gradients for one training batch.
+def loss_gradients(model: Model, batch, targets, rng: np.random.Generator):
+    """MSE loss and its exact gradient, laid out like ``theta``, for one
+    training batch whose dropout masks ``rng`` draws.
 
     The upstream fed to ``backward`` is each sample's squared-error
     derivative 2*(pred - target); backward's batch mean then yields exactly
     d(MSE)/d(param).
     """
-    preds, caches = forward(
-        model, batch, training=True, rng=np.random.default_rng(rng_seed)
-    )
+    preds, caches = forward(model, batch, training=True, rng=rng)
     loss = mse(preds, targets)
-    grads = backward(model, caches, 2.0 * (preds - np.asarray(targets)))
-    return loss, grads
+    return loss, backward(model, caches, 2.0 * (preds - np.asarray(targets)))
 
 
 def _finite_difference(loss, arr: np.ndarray, eps: float) -> np.ndarray:
@@ -271,10 +297,23 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / scale)
 
 
-def _full_stack_check(model: Model, batch, targets, eps: float, rng_seed: int, corrupt=False):
-    _, analytic = loss_gradients(model, batch, targets, rng_seed)
+def grad_check(model: Model, batch, targets=None, eps: float = 1e-6, rng_seed: int = 0,
+               corrupt: bool = False):
+    """Worst relative deviation of analytic vs central finite-difference grads.
+
+    Every forward uses a fresh rng with the same seed, so dropout masks are
+    identical across the two-sided evaluations. The deviation for each
+    parameter named in the checkpoint, an LSTM gate's rows on their own, is
+    max|a-n| / max(max|a|, max|n|, 1e-12); returns ``(worst, per_parameter)``.
+    ``corrupt`` falsifies one analytic gradient (a negative control).
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    if targets is None:
+        targets = np.random.default_rng(rng_seed + 1).random(batch.shape[0])
+    _, grad = loss_gradients(model, batch, targets, np.random.default_rng(rng_seed))
+    _, analytic = model.views(grad)
     if corrupt:
-        analytic["conv2.kernels"] = analytic["conv2.kernels"] + 0.05
+        analytic["conv2.kernels"] += 0.05
 
     def loss():
         preds, _ = forward(model, batch, training=True, rng=np.random.default_rng(rng_seed))
@@ -285,20 +324,6 @@ def _full_stack_check(model: Model, batch, targets, eps: float, rng_seed: int, c
         for name, param in model.params.items()
     }
     return max(report.values()), report
-
-
-def grad_check(model: Model, batch, targets=None, eps: float = 1e-6, rng_seed: int = 0):
-    """Worst relative deviation of analytic vs central finite-difference grads.
-
-    Every forward uses a fresh rng with the same seed, so dropout masks are
-    identical across the two-sided evaluations. The deviation for each
-    parameter tensor is max|a-n| / max(max|a|, max|n|, 1e-12); returns
-    ``(worst, per_parameter)``.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    if targets is None:
-        targets = np.random.default_rng(rng_seed + 1).random(batch.shape[0])
-    return _full_stack_check(model, batch, targets, eps, rng_seed)
 
 
 # --- checkpoint serialization ---
@@ -313,9 +338,9 @@ def save(model: Model, preprocess: PreprocessState, path):
     """
     lines = [f"{CKPT_MAGIC} {CKPT_VERSION}", *config_lines(model.config)]
     lines.extend(preprocess_lines(preprocess))
-    for name, shape in parameter_shapes(model.config).items():
-        lines.append(f"param {name} {','.join(str(d) for d in shape)}")
-        lines.extend(array_lines(model.params[name]))
+    for name, param in model.params.items():
+        lines.append(f"param {name} {','.join(str(d) for d in param.shape)}")
+        lines.extend(array_lines(param))
     write_lines(path, lines)
 
 
@@ -328,24 +353,21 @@ def load(path):
     reader = read_file(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     config = read_config(reader, ModelConfig)
     preprocess = read_preprocess_block(reader)
-    params = {}
-    for name, shape in parameter_shapes(config).items():
+    model = Model(config)
+    for name, param in model.params.items():
         header = reader.next().split()
         if len(header) != 3 or header[0] != "param":
             raise reader.error(f"expected 'param {name} ...', got {' '.join(header)!r}")
         if header[1] != name:
             raise reader.error(f"expected parameter {name!r}, got {header[1]!r}")
         stored = reader.convert(header[2], int_tuple, f"{name} shape")
-        if stored != shape:
+        if stored != param.shape:
             raise CheckpointShapeError(
-                f"{path}: parameter {name} has shape {stored}, config implies {shape}"
+                f"{path}: parameter {name} has shape {stored}, config implies {param.shape}"
             )
-        count = 1
-        for d in shape:
-            count *= d
-        params[name] = reader.read_array(count).reshape(shape)
+        param[...] = reader.read_array(param.size).reshape(param.shape)
     reader.expect_end()
-    return Model(config=config, params=params), preprocess
+    return model, preprocess
 
 
 # --- seeded verification instances (used by the gradcheck command) ---
@@ -400,12 +422,13 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
 
     results.append(("maxpool1d", worst(pool_loss, [(gx, x)])))
 
-    # lstm: T=8, H=4, all params and input
+    # lstm: T=8, H=4, all params and input; each gate drawn in checkpoint order
     x = rng.standard_normal((8, 3))
+    order = [CKPT_GATES.index(gate) for gate in GATES]
     p = LstmParams(
-        w={g: 0.5 * rng.standard_normal((4, 3)) for g in GATES},
-        u={g: 0.5 * rng.standard_normal((4, 4)) for g in GATES},
-        b={g: 0.1 * rng.standard_normal(4) for g in GATES},
+        w=0.5 * rng.standard_normal((4, 4, 3))[order].reshape(16, 3),
+        u=0.5 * rng.standard_normal((4, 4, 4))[order].reshape(16, 4),
+        b=0.1 * rng.standard_normal((4, 4))[order].reshape(16),
     )
     w_out = rng.standard_normal((8, 4))
 
@@ -413,9 +436,10 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
         return float((layers.lstm_forward(x, p, return_sequence=True)[0] * w_out).sum())
 
     gx, gp = layers.lstm_backward(w_out, layers.lstm_forward(x, p, return_sequence=True)[1])
-    pairs = [(gx, x)]
-    for gate in GATES:
-        pairs += [(gp.w[gate], p.w[gate]), (gp.u[gate], p.u[gate]), (gp.b[gate], p.b[gate])]
+    # each gate's rows on their own, so one normaliser cannot hide a small gate's error
+    gates = [slice(k * 4, (k + 1) * 4) for k in range(4)]
+    pairs = [(gx, x)] + [(getattr(gp, part)[rows], getattr(p, part)[rows])
+                         for part in "wub" for rows in gates]
     results.append(("lstm", worst(lstm_loss, pairs)))
 
     # dense
@@ -446,5 +470,5 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
     net = build(config)
     batch = rng.standard_normal((2, config.lookback, config.features))
     targets = rng.random(2)
-    results.append(("full_stack", _full_stack_check(net, batch, targets, eps, seed, corrupt)[0]))
+    results.append(("full_stack", grad_check(net, batch, targets, eps, seed, corrupt)[0]))
     return results

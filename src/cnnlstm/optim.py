@@ -1,12 +1,14 @@
 """Loss, learning-rate schedule, and the two parameter-update rules.
 
-The L2 penalty is realized as an additive ``l2 * w`` term in the gradient of
-every *weight* tensor; bias tensors (names ending in ``bias`` or a ``b_*``
-gate component) are never decayed. For Adam the penalty enters the gradient
-before the moment updates (classic Adam-with-L2, not decoupled).
+Both rules update the model's flat parameter vector ``theta`` in place.
+Every weight comes before every bias in ``theta`` (see ``model.layout``),
+so the L2 penalty is an additive ``l2 * w`` term in the gradient of the
+prefix ``theta[:n_weights]``; the biases after it are never decayed. For
+Adam the penalty enters the gradient before the moment updates (classic
+Adam-with-L2, not decoupled).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,24 +49,17 @@ class OptimConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment per parameter plus the shared step counter."""
+    """Adam's settings, the step count, and the first and second moments of
+    every entry of ``theta``; ``adam_step`` updates it in place."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    cfg: OptimConfig
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def init_adam_state(params: dict) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-        t=0,
-    )
-
-
-def is_bias(name: str) -> bool:
-    leaf = name.rsplit(".", 1)[-1]
-    return leaf == "bias" or leaf.startswith("b_")
+def init_adam_state(theta: np.ndarray, cfg: OptimConfig) -> AdamState:
+    return AdamState(cfg, np.zeros_like(theta), np.zeros_like(theta))
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -88,54 +83,33 @@ def schedule_lr(epoch: int, cfg: OptimConfig) -> float:
     return cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)
 
 
-def _check_match(params: dict, grads: dict):
-    if params.keys() != grads.keys():
-        missing = sorted(set(params) ^ set(grads))
-        raise ShapeError(f"params/grads key mismatch: {missing}")
-    for k in params:
-        if params[k].shape != grads[k].shape:
-            raise ShapeError(
-                f"gradient for {k} has shape {grads[k].shape}, parameter is {params[k].shape}"
-            )
+def _penalised(theta: np.ndarray, grad: np.ndarray, l2: float, n_weights: int) -> np.ndarray:
+    """``grad`` plus ``l2 * w`` on the weights ``theta[:n_weights]``; a new
+    array unless ``l2`` is zero."""
+    if grad.shape != theta.shape:
+        raise ShapeError(f"gradient has shape {grad.shape}, theta has {theta.shape}")
+    if l2 == 0.0:
+        return grad
+    grad = grad.copy()
+    grad[:n_weights] += l2 * theta[:n_weights]
+    return grad
 
 
-def sgd_step(params: dict, grads: dict, lr: float, l2: float = 0.0) -> dict:
-    """w <- w - lr*(g + l2*w) for weights, w <- w - lr*g for biases. Pure."""
-    _check_match(params, grads)
-    out = {}
-    for k, w in params.items():
-        g = grads[k]
-        if l2 != 0.0 and not is_bias(k):
-            g = g + l2 * w
-        out[k] = w - lr * g
-    return out
+def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float, l2: float, n_weights: int):
+    """w <- w - lr*(g + l2*w) for weights, w <- w - lr*g for biases, in place."""
+    theta -= lr * _penalised(theta, grad, l2, n_weights)
 
 
-def adam_step(
-    params: dict,
-    grads: dict,
-    state: AdamState,
-    lr: float,
-    l2: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps_adam: float = 1e-8,
-):
-    """Standard bias-corrected Adam; returns (new params, new state). Pure."""
-    _check_match(params, grads)
-    t = state.t + 1
-    new_m, new_v, out = {}, {}, {}
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    for k, w in params.items():
-        g = grads[k]
-        if l2 != 0.0 and not is_bias(k):
-            g = g + l2 * w
-        m = beta1 * state.m[k] + (1.0 - beta1) * g
-        v = beta2 * state.v[k] + (1.0 - beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        out[k] = w - lr * m_hat / (np.sqrt(v_hat) + eps_adam)
-        new_m[k] = m
-        new_v[k] = v
-    return out, AdamState(m=new_m, v=new_v, t=t)
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, l2: float,
+              n_weights: int):
+    """Standard bias-corrected Adam; updates ``theta`` and ``state`` in place."""
+    g = _penalised(theta, grad, l2, n_weights)
+    state.t += 1
+    beta1, beta2 = state.cfg.beta1, state.cfg.beta2
+    state.m *= beta1
+    state.m += (1.0 - beta1) * g
+    state.v *= beta2
+    state.v += (1.0 - beta2) * g * g
+    m_hat = state.m / (1.0 - beta1**state.t)
+    v_hat = state.v / (1.0 - beta2**state.t)
+    theta -= lr * m_hat / (np.sqrt(v_hat) + state.cfg.eps_adam)

@@ -25,8 +25,8 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def line_chart(series, title: str, x_label: str, y_label: str, x_tick_labels=None) -> str:
-    """Render ``series`` = [(label, values), ...] sharing an implicit x axis.
+def line_chart(series, title: str, x_label: str, y_label: str, x_tick_labels=None) -> list:
+    """Lines of an SVG of ``series`` = [(label, values), ...] on an implicit x axis.
 
     ``x_tick_labels`` optionally maps x positions to strings (dates, epoch
     numbers); about six are sampled evenly.
@@ -122,4 +122,4 @@ def line_chart(series, title: str, x_label: str, y_label: str, x_tick_labels=Non
         )
 
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return out

@@ -17,12 +17,13 @@ config's keys are those same fields (``key_fields``).
 import binascii
 import os
 import stat
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from datetime import date
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CheckpointVersionError, ConfigError
+from .errors import CheckpointFormatError, CheckpointVersionError, ConfigError, OutputError
 
 
 def fmt_float(x: float) -> str:
@@ -41,6 +42,15 @@ def array_lines(arr: np.ndarray) -> list:
     return [binascii.b2a_base64(raw, newline=False).decode("ascii")]
 
 
+@contextmanager
+def writing(path):
+    """Turn an ``OSError`` raised within into an ``OutputError`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_lines(path, lines: list):
     """Write ``lines`` to ``path`` through a temporary file in the same directory.
 
@@ -51,22 +61,24 @@ def write_lines(path, lines: list):
     through: the file it names is the one replaced. A file that is replaced
     keeps its permission bits, but not its owner or group, and a new file
     gets them from the umask. Writing needs write access to the directory,
-    not only to the file.
+    not only to the file. A write that fails raises ``OutputError`` naming
+    ``path`` as given, and leaves no temporary file.
     """
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            fh.write("\n".join(lines) + "\n")
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    with writing(path):
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
         try:
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        except FileNotFoundError:
-            pass
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+            with fh:
+                fh.write("\n".join(lines) + "\n")
+            try:
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            except FileNotFoundError:
+                pass
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 # Block parsers: each turns a list of tokens into values in one call and

@@ -21,8 +21,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import pipeline as pl
 from .errors import CompatibilityError, ConfigError, DivergenceError, PipelineError
-from .model import Model, backward, forward
-from .optim import AdamState, OptimConfig, adam_step, init_adam_state, mse, schedule_lr, sgd_step
+from .model import Model, forward, loss_gradients
+from .optim import OptimConfig, adam_step, init_adam_state, mse, schedule_lr, sgd_step
 
 
 @dataclass
@@ -153,9 +153,8 @@ def train(
     shuffle_ss, dropout_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
-    adam_state: AdamState = (
-        init_adam_state(model.params) if cfg.optim.optimizer == "adam" else None
-    )
+    opt = cfg.optim
+    adam = init_adam_state(model.theta, opt) if opt.optimizer == "adam" else None
 
     started = time.monotonic()
     train_hist, val_hist = [], []
@@ -163,35 +162,22 @@ def train(
     # below report that as DivergenceError, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            lr = schedule_lr(epoch, cfg.optim)
+            lr = schedule_lr(epoch, opt)
             order = shuffle_rng.permutation(train_idx) if cfg.shuffle else train_idx
             batch_losses = []
             for start in range(0, order.size, cfg.batch_size):
                 sel = order[start : start + cfg.batch_size]
-                x = dataset.inputs[sel]
-                y = dataset.targets[sel]
-                preds, caches = forward(model, x, training=True, rng=dropout_rng)
-                loss = mse(preds, y)
+                loss, grad = loss_gradients(
+                    model, dataset.inputs[sel], dataset.targets[sel], dropout_rng
+                )
                 if not np.isfinite(loss):
                     raise DivergenceError(
                         epoch + 1, f"training diverged: non-finite loss in epoch {epoch + 1}"
                     )
-                # backward averages over the batch, so the upstream is each
-                # sample's own squared-error derivative
-                grads = backward(model, caches, 2.0 * (preds - y))
-                if adam_state is None:
-                    model.params = sgd_step(model.params, grads, lr, cfg.optim.l2)
+                if adam is None:
+                    sgd_step(model.theta, grad, lr, opt.l2, model.n_weights)
                 else:
-                    model.params, adam_state = adam_step(
-                        model.params,
-                        grads,
-                        adam_state,
-                        lr,
-                        cfg.optim.l2,
-                        cfg.optim.beta1,
-                        cfg.optim.beta2,
-                        cfg.optim.eps_adam,
-                    )
+                    adam_step(model.theta, grad, adam, lr, opt.l2, model.n_weights)
                 batch_losses.append(loss)
             train_hist.append(float(np.mean(batch_losses)))
             val_preds = _infer(model, dataset.inputs[val_idx])

@@ -253,3 +253,30 @@ def test_divergent_train_prints_only_the_error_line(tmp_path):
     )
     assert run.returncode == 3
     assert run.stderr == "error: training diverged: non-finite loss in epoch 1\n"
+
+
+@pytest.mark.parametrize("output", [
+    "prepare --out", "train --out", "train --history", "train --svg",
+    "evaluate --predictions", "predict --out", "plot --out",
+])
+def test_an_unwritable_output_is_an_input_error(prepared, capsys, output):
+    # these exited 1 with a FileNotFoundError, for train --out naming the temporary file
+    (prepared / "one.cfg").write_text(SMALL + "kernel_width=2\npool_window=1\nepochs=1\n")
+    data, ckpt, prices = (str(prepared / name) for name in ("data.txt", "m.ckpt", "prices.csv"))
+    train = ["train", "--data", data, "--config", str(prepared / "one.cfg"), "--out", ckpt,
+             "--history", str(prepared / "h.csv"), "--svg", str(prepared / "loss.svg")]
+    assert main(train) == 0
+    before = sorted(p.name for p in prepared.iterdir())
+    command, flag = output.split()
+    argv = {
+        "prepare": ["prepare", "--input", prices, "--config", str(prepared / "run.cfg"),
+                    "--out", ""],
+        "train": list(train),
+        "evaluate": ["evaluate", "--checkpoint", ckpt, "--data", data, "--predictions", ""],
+        "predict": ["predict", "--checkpoint", ckpt, "--input", prices, "--out", ""],
+        "plot": ["plot", "--checkpoint", ckpt, "--data", data, "--out", ""],
+    }[command]
+    unwritable = str(prepared / "no-such-directory" / "out.txt")
+    argv[argv.index(flag) + 1] = unwritable
+    assert_input_error(capsys, argv, f"cannot write {unwritable}: No such file or directory")
+    assert sorted(p.name for p in prepared.iterdir()) == before  # no temporary file left

@@ -36,8 +36,19 @@ def col(values):
     return np.asarray(values, dtype=np.float64)[:, None]
 
 
+def lstm_params(w, u, b):
+    """Stacked ``LstmParams`` from gate -> [H,F], [H,H] and [H] dicts."""
+    return LstmParams(*(np.concatenate([part[g] for g in GATES]) for part in (w, u, b)))
+
+
+def per_gate(stacked):
+    """Gate -> its rows of a stacked LSTM array, as views."""
+    h = stacked.shape[0] // 4
+    return {g: stacked[k * h : (k + 1) * h] for k, g in enumerate(GATES)}
+
+
 def scalar_lstm_params(wi, wf, wo, wg, ui, uf, uo, ug, bi, bf, bo, bg):
-    return LstmParams(
+    return lstm_params(
         w={"i": np.array([[wi]]), "f": np.array([[wf]]), "o": np.array([[wo]]), "g": np.array([[wg]])},
         u={"i": np.array([[ui]]), "f": np.array([[uf]]), "o": np.array([[uo]]), "g": np.array([[ug]])},
         b={"i": np.array([bi]), "f": np.array([bf]), "o": np.array([bo]), "g": np.array([bg])},
@@ -220,10 +231,10 @@ class TestMaxPool1d:
 
 class TestLstm:
     def test_zero_params_give_zero_output(self, rng):
-        p = LstmParams(
-            w={g: np.zeros((3, 2)) for g in GATES},
-            u={g: np.zeros((3, 3)) for g in GATES},
-            b={g: np.zeros(3) for g in GATES},
+        p = lstm_params(
+            w={g: np.zeros((3, 2)) for g in "ifog"},
+            u={g: np.zeros((3, 3)) for g in "ifog"},
+            b={g: np.zeros(3) for g in "ifog"},
         )
         x = rng.standard_normal((6, 2))
         seq, _ = lstm_forward(x, p, return_sequence=True)
@@ -250,10 +261,10 @@ class TestLstm:
         assert out[0] == pytest.approx(expected, rel=1e-12)
 
     def test_last_state_equals_final_sequence_row(self, rng):
-        p = LstmParams(
-            w={g: rng.standard_normal((4, 3)) for g in GATES},
-            u={g: rng.standard_normal((4, 4)) for g in GATES},
-            b={g: rng.standard_normal(4) for g in GATES},
+        p = lstm_params(
+            w={g: rng.standard_normal((4, 3)) for g in "ifog"},
+            u={g: rng.standard_normal((4, 4)) for g in "ifog"},
+            b={g: rng.standard_normal(4) for g in "ifog"},
         )
         x = rng.standard_normal((7, 3))
         seq, _ = lstm_forward(x, p, return_sequence=True)
@@ -261,24 +272,24 @@ class TestLstm:
         assert np.array_equal(last, seq[-1])
 
     def test_input_mismatch(self, rng):
-        p = LstmParams(
-            w={g: np.zeros((2, 5)) for g in GATES},
-            u={g: np.zeros((2, 2)) for g in GATES},
-            b={g: np.zeros(2) for g in GATES},
+        p = lstm_params(
+            w={g: np.zeros((2, 5)) for g in "ifog"},
+            u={g: np.zeros((2, 2)) for g in "ifog"},
+            b={g: np.zeros(2) for g in "ifog"},
         )
         with pytest.raises(ShapeError):
             lstm_forward(rng.standard_normal((4, 3)), p, return_sequence=True)
 
     def test_backward_zero_grad(self, rng):
-        p = LstmParams(
-            w={g: rng.standard_normal((3, 2)) for g in GATES},
-            u={g: rng.standard_normal((3, 3)) for g in GATES},
-            b={g: rng.standard_normal(3) for g in GATES},
+        p = lstm_params(
+            w={g: rng.standard_normal((3, 2)) for g in "ifog"},
+            u={g: rng.standard_normal((3, 3)) for g in "ifog"},
+            b={g: rng.standard_normal(3) for g in "ifog"},
         )
         _, cache = lstm_forward(rng.standard_normal((5, 2)), p, return_sequence=True)
         gx, gp = lstm_backward(np.zeros((5, 3)), cache)
         assert not gx.any()
-        assert all(not gp.w[g].any() and not gp.u[g].any() and not gp.b[g].any() for g in GATES)
+        assert not gp.w.any() and not gp.u.any() and not gp.b.any()
 
     def test_single_step_hand_chain_rule(self):
         p = scalar_lstm_params(
@@ -309,21 +320,22 @@ class TestLstm:
         dzf = df * f * (1.0 - f)
         dzo = do * o * (1.0 - o)
         dzg = dg * (1.0 - g * g)
-        assert gp.w["i"][0, 0] == pytest.approx(dzi * 0.7, rel=1e-12)
-        assert gp.w["o"][0, 0] == pytest.approx(dzo * 0.7, rel=1e-12)
-        assert gp.w["g"][0, 0] == pytest.approx(dzg * 0.7, rel=1e-12)
-        assert gp.w["f"][0, 0] == pytest.approx(dzf * 0.7, abs=1e-15)
-        assert gp.b["i"][0] == pytest.approx(dzi, rel=1e-12)
+        dw = per_gate(gp.w)
+        assert dw["i"][0, 0] == pytest.approx(dzi * 0.7, rel=1e-12)
+        assert dw["o"][0, 0] == pytest.approx(dzo * 0.7, rel=1e-12)
+        assert dw["g"][0, 0] == pytest.approx(dzg * 0.7, rel=1e-12)
+        assert dw["f"][0, 0] == pytest.approx(dzf * 0.7, abs=1e-15)
+        assert per_gate(gp.b)["i"][0] == pytest.approx(dzi, rel=1e-12)
         # recurrent weights see h0 = 0, so their gradient vanishes at T=1
-        assert gp.u["i"][0, 0] == 0.0
+        assert per_gate(gp.u)["i"][0, 0] == 0.0
         expected_dx = dzi * 0.4 + dzf * -0.3 + dzo * 0.8 + dzg * 1.1
         assert gx[0, 0] == pytest.approx(expected_dx, rel=1e-12)
 
     def test_bptt_matches_finite_differences(self, rng):
-        p = LstmParams(
-            w={g: 0.6 * rng.standard_normal((4, 3)) for g in GATES},
-            u={g: 0.6 * rng.standard_normal((4, 4)) for g in GATES},
-            b={g: 0.3 * rng.standard_normal(4) for g in GATES},
+        p = lstm_params(
+            w={g: 0.6 * rng.standard_normal((4, 3)) for g in "ifog"},
+            u={g: 0.6 * rng.standard_normal((4, 4)) for g in "ifog"},
+            b={g: 0.3 * rng.standard_normal(4) for g in "ifog"},
         )
         x = rng.standard_normal((8, 3))
         weights = rng.standard_normal((8, 4))
@@ -334,16 +346,17 @@ class TestLstm:
         _, cache = lstm_forward(x, p, return_sequence=True)
         gx, gp = lstm_backward(weights, cache)
         assert rel_deviation(gx, finite_difference(loss, x)) < 1e-5
-        for gate in GATES:
-            assert rel_deviation(gp.w[gate], finite_difference(loss, p.w[gate])) < 1e-5
-            assert rel_deviation(gp.u[gate], finite_difference(loss, p.u[gate])) < 1e-5
-            assert rel_deviation(gp.b[gate], finite_difference(loss, p.b[gate])) < 1e-5
+        # gate by gate, so a small gate's error is not measured against a larger one
+        for part in ("w", "u", "b"):
+            grads, values = per_gate(getattr(gp, part)), per_gate(getattr(p, part))
+            for gate in GATES:
+                assert rel_deviation(grads[gate], finite_difference(loss, values[gate])) < 1e-5
 
     def test_last_state_backward_matches_finite_differences(self, rng):
-        p = LstmParams(
-            w={g: 0.6 * rng.standard_normal((3, 2)) for g in GATES},
-            u={g: 0.6 * rng.standard_normal((3, 3)) for g in GATES},
-            b={g: 0.3 * rng.standard_normal(3) for g in GATES},
+        p = lstm_params(
+            w={g: 0.6 * rng.standard_normal((3, 2)) for g in "ifog"},
+            u={g: 0.6 * rng.standard_normal((3, 3)) for g in "ifog"},
+            b={g: 0.3 * rng.standard_normal(3) for g in "ifog"},
         )
         x = rng.standard_normal((6, 2))
         weights = rng.standard_normal(3)
@@ -376,10 +389,10 @@ class TestLstm:
             lstm_forward(np.empty((2, 0, 3)), p, return_sequence=False, training=training)
 
     def test_batched_matches_per_sample(self, rng):
-        p = LstmParams(
-            w={g: rng.standard_normal((4, 3)) for g in GATES},
-            u={g: rng.standard_normal((4, 4)) for g in GATES},
-            b={g: rng.standard_normal(4) for g in GATES},
+        p = lstm_params(
+            w={g: rng.standard_normal((4, 3)) for g in "ifog"},
+            u={g: rng.standard_normal((4, 4)) for g in "ifog"},
+            b={g: rng.standard_normal(4) for g in "ifog"},
         )
         xs = rng.standard_normal((3, 6, 3))
         batched, _ = lstm_forward(xs, p, return_sequence=True)
@@ -389,10 +402,10 @@ class TestLstm:
 
 
 def random_lstm_params(rng, hidden, features, gain=0.3):
-    return LstmParams(
-        w={g: gain * rng.standard_normal((hidden, features)) for g in GATES},
-        u={g: gain * rng.standard_normal((hidden, hidden)) for g in GATES},
-        b={g: gain * rng.standard_normal(hidden) for g in GATES},
+    return lstm_params(
+        w={g: gain * rng.standard_normal((hidden, features)) for g in "ifog"},
+        u={g: gain * rng.standard_normal((hidden, hidden)) for g in "ifog"},
+        b={g: gain * rng.standard_normal(hidden) for g in "ifog"},
     )
 
 
@@ -407,7 +420,9 @@ class TestLstmAgainstGateLoop:
         shape = (steps, features) if batch is None else (batch, steps, features)
         x = rng.standard_normal(shape)
         out, cache = lstm_forward(x, p, return_sequence)
-        want, state = reference_lstm_forward(x, p.w, p.u, p.b, return_sequence)
+        want, state = reference_lstm_forward(
+            x, per_gate(p.w), per_gate(p.u), per_gate(p.b), return_sequence
+        )
         assert out.shape == want.shape
         assert rel_deviation(out, want) <= 1e-12
         upstream = rng.standard_normal(out.shape)
@@ -416,9 +431,9 @@ class TestLstmAgainstGateLoop:
         assert gx.shape == x.shape
         assert rel_deviation(gx, want_gx) <= 1e-12
         for gate in GATES:
-            assert rel_deviation(gp.w[gate], dw[gate]) <= 1e-12
-            assert rel_deviation(gp.u[gate], du[gate]) <= 1e-12
-            assert rel_deviation(gp.b[gate], db[gate]) <= 1e-12
+            assert rel_deviation(per_gate(gp.w)[gate], dw[gate]) <= 1e-12
+            assert rel_deviation(per_gate(gp.u)[gate], du[gate]) <= 1e-12
+            assert rel_deviation(per_gate(gp.b)[gate], db[gate]) <= 1e-12
 
     def test_cache_is_used_once(self, rng):
         p = random_lstm_params(rng, 3, 2)
@@ -579,11 +594,11 @@ OPS = list(op_table(np.random.default_rng(0)))
 
 
 def flat_arrays(result):
-    """The arrays of a forward or backward result, LstmParams gate by gate."""
+    """The arrays of a forward or backward result, LstmParams part by part."""
     out = []
     for r in result if isinstance(result, tuple) else (result,):
         if isinstance(r, LstmParams):
-            out += [part[g] for part in (r.w, r.u, r.b) for g in GATES]
+            out += [r.w, r.u, r.b]
         elif isinstance(r, np.ndarray):
             out.append(r)
     return out
@@ -650,10 +665,10 @@ class TestPurity:
         p = Conv1dParams(kernels=rng.standard_normal((2, 3, 2)), bias=rng.standard_normal(2))
         conv1d_forward(x, p)
         maxpool1d_forward(x, 2)
-        lp = LstmParams(
-            w={g: rng.standard_normal((3, 2)) for g in GATES},
-            u={g: rng.standard_normal((3, 3)) for g in GATES},
-            b={g: rng.standard_normal(3) for g in GATES},
+        lp = lstm_params(
+            w={g: rng.standard_normal((3, 2)) for g in "ifog"},
+            u={g: rng.standard_normal((3, 3)) for g in "ifog"},
+            b={g: rng.standard_normal(3) for g in "ifog"},
         )
         lstm_forward(x, lp, return_sequence=True)
         dropout(x, 0.5, training=True, rng=rng)

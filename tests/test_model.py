@@ -19,12 +19,43 @@ from cnnlstm.model import (
     grad_check,
     load,
     loss_gradients,
-    parameter_shapes,
     run_gradient_checks,
     save,
     verification_config,
 )
+from cnnlstm.optim import sgd_step
 from cnnlstm.pipeline import PcaState, PreprocessState, ScalerState
+from oracles import reference_array_lines
+
+# the checkpoint's parameter header lines for ``tiny_config``, as checkpoint v2 has them
+TINY_PARAM_LINES = [
+    "param conv1.kernels 2,2,3", "param conv1.bias 2",
+    "param lstm1.w_i 3,2", "param lstm1.u_i 3,3", "param lstm1.b_i 3",
+    "param lstm1.w_f 3,2", "param lstm1.u_f 3,3", "param lstm1.b_f 3",
+    "param lstm1.w_o 3,2", "param lstm1.u_o 3,3", "param lstm1.b_o 3",
+    "param lstm1.w_g 3,2", "param lstm1.u_g 3,3", "param lstm1.b_g 3",
+    "param conv2.kernels 3,2,3", "param conv2.bias 3",
+    "param lstm2.w_i 2,3", "param lstm2.u_i 2,2", "param lstm2.b_i 2",
+    "param lstm2.w_f 2,3", "param lstm2.u_f 2,2", "param lstm2.b_f 2",
+    "param lstm2.w_o 2,3", "param lstm2.u_o 2,2", "param lstm2.b_o 2",
+    "param lstm2.w_g 2,3", "param lstm2.u_g 2,2", "param lstm2.b_g 2",
+    "param conv3.kernels 2,2,2", "param conv3.bias 2",
+    "param lstm3.w_i 2,2", "param lstm3.u_i 2,2", "param lstm3.b_i 2",
+    "param lstm3.w_f 2,2", "param lstm3.u_f 2,2", "param lstm3.b_f 2",
+    "param lstm3.w_o 2,2", "param lstm3.u_o 2,2", "param lstm3.b_o 2",
+    "param lstm3.w_g 2,2", "param lstm3.u_g 2,2", "param lstm3.b_g 2",
+    "param dense.weight 1,2", "param dense.bias 1",
+]
+
+
+def is_bias(name):
+    leaf = name.rsplit(".", 1)[-1]
+    return leaf == "bias" or leaf.startswith("b_")
+
+
+def offset(view, theta):
+    """Where ``view`` starts in ``theta``, in entries."""
+    return (view.__array_interface__["data"][0] - theta.__array_interface__["data"][0]) // 8
 
 
 def tiny_config(**overrides):
@@ -85,8 +116,7 @@ class TestBuild:
         a = build(tiny_config())
         b = build(tiny_config())
         assert a.params.keys() == b.params.keys()
-        for k in a.params:
-            assert np.array_equal(a.params[k], b.params[k]), k
+        assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_different_seed_differs(self):
         a = build(tiny_config())
@@ -104,16 +134,66 @@ class TestBuild:
         assert not m.params["conv1.bias"].any()
 
     def test_shapes_follow_config(self):
-        cfg = tiny_config()
-        m = build(cfg)
-        for name, shape in parameter_shapes(cfg).items():
-            assert m.params[name].shape == shape, name
+        m = build(tiny_config())
+        lines = [f"param {n} {','.join(map(str, p.shape))}" for n, p in m.params.items()]
+        assert lines == TINY_PARAM_LINES
+
+
+class TestLayout:
+    def test_views_partition_theta_with_biases_last(self):
+        m = build(tiny_config())
+        runs = sorted((offset(p, m.theta), p.size, n) for n, p in m.params.items())
+        end = 0
+        for start, size, name in runs:
+            assert start == end, name
+            assert np.shares_memory(m.params[name], m.theta) and m.params[name].flags.c_contiguous
+            assert (start >= m.n_weights) if is_bias(name) else (start + size <= m.n_weights), name
+            end = start + size
+        assert end == m.theta.size
+        assert sum(p.size for n, p in m.params.items() if not is_bias(n)) == m.n_weights
+
+    def test_lstm_blocks_stack_the_gates_views(self):
+        m = build(tiny_config())
+        for stage in (1, 2, 3):
+            p = m.lstm(stage)
+            for part, block in (("w", p.w), ("u", p.u), ("b", p.b)):
+                # the kernels' gate order: o, i, f, g
+                gates = [m.params[f"lstm{stage}.{part}_{g}"] for g in "oifg"]
+                assert np.array_equal(block, np.concatenate(gates))
+                assert np.shares_memory(block, m.theta)
+
+    def test_params_cannot_be_rebound(self):
+        m = build(tiny_config())
+        with pytest.raises(TypeError):
+            m.params["dense.bias"] = np.ones(1)
+
+    def test_sgd_decays_weights_and_leaves_biases(self):
+        m = build(tiny_config())
+        before = {n: p.copy() for n, p in m.params.items()}
+        lr, l2 = 0.05, 0.3
+        sgd_step(m.theta, np.zeros_like(m.theta), lr, l2, m.n_weights)
+        for name, p in m.params.items():
+            if is_bias(name):
+                assert p.tobytes() == before[name].tobytes(), name
+            else:
+                assert np.allclose(p, before[name] * (1.0 - lr * l2), rtol=1e-15, atol=0), name
+
+    def test_checkpoint_blocks_are_the_views(self, tmp_path):
+        m = build(tiny_config())
+        path = tmp_path / "model.ckpt"
+        save(m, make_preprocess(), path)
+        lines = path.read_text().splitlines()
+        heads = [i for i, line in enumerate(lines) if line.startswith("param ")]
+        assert [lines[i] for i in heads] == TINY_PARAM_LINES
+        assert heads[-1] == len(lines) - 2
+        for i, (name, p) in zip(heads, m.params.items()):
+            assert lines[i + 1 : i + 2] == reference_array_lines(p), name
 
 
 class TestForward:
     def test_zero_parameters_predict_dense_bias(self, rng):
-        cfg = tiny_config()
-        m = Model(config=cfg, params={k: np.zeros(s) for k, s in parameter_shapes(cfg).items()})
+        m = Model(tiny_config())
+        assert not m.theta.any()
         preds, caches = forward(m, rng.standard_normal((4, 16, 3)), training=False)
         assert np.array_equal(preds, np.zeros(4))
         assert caches is None
@@ -173,8 +253,8 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self, rng):
         m = build(tiny_config())
         _, caches = forward(m, rng.standard_normal((2, 16, 3)), training=True)
-        grads = backward(m, caches, np.zeros(2))
-        assert all(not g.any() for g in grads.values())
+        grad = backward(m, caches, np.zeros(2))
+        assert grad.shape == m.theta.shape and not grad.any()
 
     def test_batch_gradient_is_mean_of_singles(self, rng):
         m = build(tiny_config())
@@ -186,6 +266,7 @@ class TestBackward:
         g1 = backward(m, c1, up[:1])
         _, c2 = forward(m, x[1:], training=True)
         g2 = backward(m, c2, up[1:])
+        both, g1, g2 = (m.views(g)[1] for g in (both, g1, g2))
         for k in both:
             merged = 0.5 * (g1[k] + g2[k])
             scale = max(np.abs(merged).max(), 1e-12)
@@ -343,7 +424,6 @@ class TestLossGradients:
         x = np.concatenate([x1, x1], axis=0)
         t1 = np.array([0.3])
         t = np.array([0.3, 0.3])
-        _, g1 = loss_gradients(m, x1, t1, rng_seed=0)
-        _, g2 = loss_gradients(m, x, t, rng_seed=0)
-        for k in g1:
-            assert np.allclose(g1[k], g2[k], rtol=1e-10, atol=1e-15), k
+        _, g1 = loss_gradients(m, x1, t1, np.random.default_rng(0))
+        _, g2 = loss_gradients(m, x, t, np.random.default_rng(0))
+        assert np.allclose(g1, g2, rtol=1e-10, atol=1e-15)

@@ -8,7 +8,6 @@ from cnnlstm.optim import (
     OptimConfig,
     adam_step,
     init_adam_state,
-    is_bias,
     mse,
     schedule_lr,
     sgd_step,
@@ -61,47 +60,45 @@ class TestScheduleLr:
 
 class TestSgdStep:
     def test_zero_grad_zero_l2_is_noop(self):
-        params = {"layer.weight": np.array([1.0, -2.0])}
-        out = sgd_step(params, {"layer.weight": np.zeros(2)}, lr=0.1, l2=0.0)
-        assert np.array_equal(out["layer.weight"], params["layer.weight"])
+        theta = np.array([1.0, -2.0])
+        sgd_step(theta, np.zeros(2), lr=0.1, l2=0.0, n_weights=2)
+        assert np.array_equal(theta, [1.0, -2.0])
 
     def test_plain_step(self):
-        out = sgd_step({"w.weight": np.array([1.0])}, {"w.weight": np.array([0.5])}, lr=0.1)
-        assert out["w.weight"][0] == pytest.approx(0.95, rel=1e-15)
+        theta = np.array([1.0])
+        sgd_step(theta, np.array([0.5]), lr=0.1, l2=0.0, n_weights=1)
+        assert theta[0] == pytest.approx(0.95, rel=1e-15)
 
     def test_pure_decay(self):
-        out = sgd_step(
-            {"w.weight": np.array([1.0])}, {"w.weight": np.array([0.0])}, lr=0.1, l2=0.1
-        )
-        assert out["w.weight"][0] == pytest.approx(0.99, rel=1e-15)
+        theta = np.array([1.0])
+        sgd_step(theta, np.array([0.0]), lr=0.1, l2=0.1, n_weights=1)
+        assert theta[0] == pytest.approx(0.99, rel=1e-15)
 
     def test_biases_not_decayed(self):
-        params = {"layer.bias": np.array([1.0]), "lstm.b_f": np.array([1.0])}
-        grads = {"layer.bias": np.array([0.0]), "lstm.b_f": np.array([0.0])}
-        out = sgd_step(params, grads, lr=0.5, l2=0.3)
-        assert out["layer.bias"][0] == 1.0
-        assert out["lstm.b_f"][0] == 1.0
+        # one weight, then two biases
+        theta = np.array([1.0, 1.0, 1.0])
+        sgd_step(theta, np.zeros(3), lr=0.5, l2=0.3, n_weights=1)
+        assert theta[0] < 1.0
+        assert theta[1] == 1.0
+        assert theta[2] == 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            sgd_step({"a.weight": np.ones(2)}, {"a.weight": np.ones(3)}, lr=0.1)
-
-    def test_key_mismatch(self):
-        with pytest.raises(ShapeError):
-            sgd_step({"a.weight": np.ones(2)}, {"b.weight": np.ones(2)}, lr=0.1)
+            sgd_step(np.ones(2), np.ones(3), lr=0.1, l2=0.0, n_weights=2)
 
     def test_linear_in_lr(self, rng):
-        params = {"p.weight": rng.standard_normal(4)}
-        grads = {"p.weight": rng.standard_normal(4)}
-        d1 = sgd_step(params, grads, lr=0.1)["p.weight"] - params["p.weight"]
-        d2 = sgd_step(params, grads, lr=0.2)["p.weight"] - params["p.weight"]
-        assert np.allclose(d2, 2.0 * d1, rtol=1e-12)
+        theta = rng.standard_normal(4)
+        grad = rng.standard_normal(4)
+        one, two = theta.copy(), theta.copy()
+        sgd_step(one, grad, lr=0.1, l2=0.0, n_weights=4)
+        sgd_step(two, grad, lr=0.2, l2=0.0, n_weights=4)
+        assert np.allclose(two - theta, 2.0 * (one - theta), rtol=1e-12)
 
-    def test_inputs_unmodified(self, rng):
-        params = {"p.weight": rng.standard_normal(4)}
-        before = params["p.weight"].copy()
-        sgd_step(params, {"p.weight": rng.standard_normal(4)}, lr=0.1, l2=0.01)
-        assert np.array_equal(params["p.weight"], before)
+    def test_gradient_unmodified(self, rng):
+        grad = rng.standard_normal(4)
+        before = grad.copy()
+        sgd_step(rng.standard_normal(4), grad, lr=0.1, l2=0.01, n_weights=4)
+        assert np.array_equal(grad, before)
 
     @settings(max_examples=50)
     @given(
@@ -110,66 +107,63 @@ class TestSgdStep:
     )
     def test_descends_quadratic(self, a, lr):
         # loss 0.5*(w - a)^2 from w = a + 1: one step strictly reduces it
-        w = {"q.weight": np.array([a + 1.0])}
-        g = {"q.weight": np.array([w["q.weight"][0] - a])}
-        new = sgd_step(w, g, lr=lr)["q.weight"][0]
-        assert 0.5 * (new - a) ** 2 < 0.5 * (w["q.weight"][0] - a) ** 2
+        w = np.array([a + 1.0])
+        before = 0.5 * (w[0] - a) ** 2
+        sgd_step(w, np.array([w[0] - a]), lr=lr, l2=0.0, n_weights=1)
+        assert 0.5 * (w[0] - a) ** 2 < before
+
+
+def adam(theta, grads, lr, l2=0.0, n_weights=None):
+    """``theta`` after one Adam step per gradient in ``grads``, from a fresh state."""
+    state = init_adam_state(theta, OptimConfig())
+    for g in grads:
+        adam_step(theta, np.asarray(g, dtype=np.float64), state, lr, l2,
+                  theta.size if n_weights is None else n_weights)
+    return state
 
 
 class TestAdamStep:
     def test_zero_grads_are_noop(self):
-        params = {"p.weight": np.array([2.0, -1.0])}
-        state = init_adam_state(params)
-        out, state = adam_step(params, {"p.weight": np.zeros(2)}, state, lr=0.01)
-        assert np.array_equal(out["p.weight"], params["p.weight"])
-        out2, _ = adam_step(out, {"p.weight": np.zeros(2)}, state, lr=0.01)
-        assert np.array_equal(out2["p.weight"], params["p.weight"])
+        theta = np.array([2.0, -1.0])
+        adam(theta, [np.zeros(2), np.zeros(2)], lr=0.01)
+        assert np.array_equal(theta, [2.0, -1.0])
 
     def test_first_step_magnitude(self):
-        params = {"p.weight": np.array([0.0])}
-        state = init_adam_state(params)
-        out, state = adam_step(params, {"p.weight": np.array([1.0])}, state, lr=0.001)
+        theta = np.array([0.0])
+        state = adam(theta, [[1.0]], lr=0.001)
         # bias-corrected first step: lr * g / (|g| + eps) = lr / (1 + 1e-8)
-        assert out["p.weight"][0] == pytest.approx(-0.001 / (1.0 + 1e-8), rel=1e-12)
+        assert theta[0] == pytest.approx(-0.001 / (1.0 + 1e-8), rel=1e-12)
         assert state.t == 1
 
     @settings(max_examples=50)
     @given(st.floats(min_value=1e-12, max_value=1e6, allow_nan=False))
     def test_first_step_bounded_by_lr(self, g):
-        params = {"p.weight": np.array([0.0])}
-        out, _ = adam_step(params, {"p.weight": np.array([g])}, init_adam_state(params), lr=0.002)
-        assert abs(out["p.weight"][0]) <= 0.002 * (1.0 + 1e-9)
+        theta = np.array([0.0])
+        adam(theta, [[g]], lr=0.002)
+        assert abs(theta[0]) <= 0.002 * (1.0 + 1e-9)
 
     def test_equal_magnitude_streams_update_identically(self, rng):
         # two coordinates fed +g and -g streams: mirrored updates, equal sizes
         stream = np.abs(rng.standard_normal(12)) + 0.1
-        params = {"p.weight": np.array([0.0, 0.0])}
-        state = init_adam_state(params)
-        for g in stream:
-            grads = {"p.weight": np.array([g, -g])}
-            params, state = adam_step(params, grads, state, lr=0.01)
-        a, b = params["p.weight"]
+        theta = np.array([0.0, 0.0])
+        adam(theta, [[g, -g] for g in stream], lr=0.01)
+        a, b = theta
         assert a == pytest.approx(-b, rel=1e-12)
         # identical streams march in lockstep
-        params2 = {"p.weight": np.array([0.0, 0.0])}
-        state2 = init_adam_state(params2)
-        for g in stream:
-            grads = {"p.weight": np.array([g, g])}
-            params2, state2 = adam_step(params2, grads, state2, lr=0.01)
-        assert params2["p.weight"][0] == params2["p.weight"][1]
+        theta2 = np.array([0.0, 0.0])
+        adam(theta2, [[g, g] for g in stream], lr=0.01)
+        assert theta2[0] == theta2[1]
 
     def test_l2_applies_to_weights_only(self):
-        params = {"p.weight": np.array([1.0]), "p.bias": np.array([1.0])}
-        state = init_adam_state(params)
-        grads = {"p.weight": np.array([0.0]), "p.bias": np.array([0.0])}
-        out, _ = adam_step(params, grads, state, lr=0.01, l2=0.1)
-        assert out["p.weight"][0] < 1.0  # decay pulled it down
-        assert out["p.bias"][0] == 1.0
+        theta = np.array([1.0, 1.0])  # a weight, then a bias
+        adam(theta, [np.zeros(2)], lr=0.01, l2=0.1, n_weights=1)
+        assert theta[0] < 1.0  # decay pulled it down
+        assert theta[1] == 1.0
 
     def test_shape_mismatch(self):
-        params = {"p.weight": np.ones(2)}
+        theta = np.ones(2)
         with pytest.raises(ShapeError):
-            adam_step(params, {"p.weight": np.ones(3)}, init_adam_state(params), lr=0.01)
+            adam_step(theta, np.ones(3), init_adam_state(theta, OptimConfig()), 0.01, 0.0, 2)
 
 
 class TestOptimConfig:
@@ -195,9 +189,3 @@ class TestOptimConfig:
         OptimConfig().validate()
         OptimConfig(optimizer="adam", beta1=0.0, beta2=0.0).validate()
         OptimConfig(lr0=0.0).validate()  # degenerate no-op runs are allowed
-
-    def test_is_bias_naming(self):
-        assert is_bias("conv1.bias")
-        assert is_bias("lstm2.b_f")
-        assert not is_bias("dense.weight")
-        assert not is_bias("lstm2.u_i")

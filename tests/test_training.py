@@ -131,8 +131,8 @@ class TestEvaluate:
         # zero parameters: every prediction is the dense bias
         cfg = small_model_config(len(prepared.dataset.feature_names))
         model = build(cfg)
-        for k in model.params:
-            model.params[k] = np.zeros_like(model.params[k])
+        model.theta[:] = 0.0
+        assert not any(p.any() for p in model.params.values())
         rep = evaluate(model, prepared.dataset, prepared.preprocess, "test")
         assert rep.r2 <= 0.0
 
@@ -255,8 +255,7 @@ class TestInfer:
     def test_worker_threads_keep_the_callers_error_state(self, prepared, monkeypatch, rng):
         monkeypatch.setattr(training, "_cpus", lambda: 2)
         model = fresh_model(prepared)
-        for name in model.params:
-            model.params[name] = np.full_like(model.params[name], 1e308)
+        model.theta[:] = 1e308  # every forward overflows
         x = rng.standard_normal((207, 8, len(prepared.dataset.feature_names)))
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
