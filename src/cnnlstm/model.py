@@ -261,9 +261,11 @@ def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray) 
     return grad
 
 
-def loss_gradients(model: Model, batch, targets, rng: np.random.Generator):
+def loss_gradients(model: Model, batch, targets, rng):
     """MSE loss and its exact gradient, laid out like ``theta``, for one
-    training batch whose dropout masks ``rng`` draws.
+    training batch whose dropout masks the ``np.random.Generator`` ``rng``
+    draws. (Not an annotation: evaluating one imports ``numpy.random`` with
+    the package.)
 
     The upstream fed to ``backward`` is each sample's squared-error
     derivative 2*(pred - target); backward's batch mean then yields exactly
