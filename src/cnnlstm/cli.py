@@ -14,7 +14,7 @@ from . import pipeline as pl
 from . import svg, training
 from .config import SCHEMA, load_config
 from .errors import CnnLstmError, CompatibilityError, DivergenceError
-from .textio import fmt_float, writing
+from .textio import check_writable, fmt_float, writing
 
 GRADCHECK_TOLERANCE = 1e-5
 
@@ -66,6 +66,8 @@ def cmd_train(args) -> int:
         features=len(dataset.feature_names), lookback=dataset.lookback
     )
     net = model_mod.build(mcfg)
+    for path in [args.out, args.history] + ([args.svg] if args.svg else []):
+        check_writable(path)  # before training, not after it
     report = training.train(net, dataset, prepared.preprocess, cfg.train_config())
     model_mod.save(net, prepared.preprocess, args.out)
 

@@ -128,11 +128,19 @@ class Model:
     which would detach it from ``theta``.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, theta=None):
+        """``theta``, if given, is the float64 vector to keep the parameters
+        in (a buffer shared with another process, say); by default a new
+        vector of zeros."""
         self.config = config
         self._layout = layout(config)
         self.n_weights = self._layout[2]
-        self.theta = np.zeros(sum(math.prod(shape) for _, shape in self._layout[0].values()))
+        size = sum(math.prod(shape) for _, shape in self._layout[0].values())
+        if theta is None:
+            theta = np.zeros(size)
+        elif theta.shape != (size,) or theta.dtype != np.float64:
+            raise ShapeError(f"theta must be {size} float64 values, got {theta.dtype} {theta.shape}")
+        self.theta = theta
         self.blocks, params = self.views(self.theta)
         self.params = MappingProxyType(params)
 
@@ -228,11 +236,14 @@ def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
     return preds, ForwardCaches(stages=stages + [dense_cache])
 
 
-def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray) -> np.ndarray:
-    """Mean over the batch of per-sample parameter gradients, laid out like ``theta``.
+def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray,
+             out=None) -> np.ndarray:
+    """Sum over the batch of per-sample parameter gradients, laid out like ``theta``.
 
     ``grad_predictions[i]`` is the upstream derivative for sample i's scalar
-    prediction; layer backwards accumulate batch sums, divided by B here.
+    prediction. A sum, not a mean, so that the sums of two slices of a batch
+    add up to the batch's (see ``training.train``). It is written into
+    ``out``, a vector like ``theta``, if given.
     """
     if caches is None or caches.consumed:
         raise ShapeError("backward needs unconsumed caches from a training-mode forward")
@@ -240,7 +251,8 @@ def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray) 
     g = np.asarray(grad_predictions, dtype=np.float64)
     if g.ndim != 1:
         raise ShapeError(f"grad_predictions must be rank-1, got shape {g.shape}")
-    grad = np.empty_like(model.theta)  # the blocks partition it, and each is written
+    # the blocks partition it, and each is written
+    grad = np.empty_like(model.theta) if out is None else out
     blocks, _ = model.views(grad)
     dx, blocks["dense.weight"][...], blocks["dense.bias"][...] = layers.dense_backward(
         g[:, None], caches.stages[3]
@@ -257,7 +269,6 @@ def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray) 
         dx, blocks[f"conv{stage}.kernels"][...], blocks[f"conv{stage}.bias"][...] = (
             layers.conv1d_backward(dx, conv_cache)
         )
-    grad /= g.shape[0]
     return grad
 
 
@@ -268,12 +279,14 @@ def loss_gradients(model: Model, batch, targets, rng):
     the package.)
 
     The upstream fed to ``backward`` is each sample's squared-error
-    derivative 2*(pred - target); backward's batch mean then yields exactly
-    d(MSE)/d(param).
+    derivative 2*(pred - target); backward's batch sum divided by B is then
+    exactly d(MSE)/d(param).
     """
     preds, caches = forward(model, batch, training=True, rng=rng)
     loss = mse(preds, targets)
-    return loss, backward(model, caches, 2.0 * (preds - np.asarray(targets)))
+    grad = backward(model, caches, 2.0 * (preds - np.asarray(targets)))
+    grad /= preds.shape[0]
+    return loss, grad
 
 
 def _finite_difference(loss, arr: np.ndarray, eps: float) -> np.ndarray:

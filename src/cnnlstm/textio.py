@@ -8,13 +8,15 @@ bitwise, NaN payloads included, and parses without converting decimal
 text. A date block is whitespace-separated ISO-8601 tokens, parsed a
 whole block at a time; a block is scanned token by token only when it
 fails to parse, to name the line and token at fault. Files are replaced
-whole, never rewritten in place, and read by ``read_file``, which checks
+whole, never rewritten in place (a named pipe or a device is written
+into), and read by ``read_file``, which checks
 the magic-and-version line. The ``key=value`` header of a checkpoint or a
 dataset cache is one line per field of its config dataclass, and the run
 config's keys are those same fields (``key_fields``).
 """
 
 import binascii
+import errno
 import os
 import stat
 from contextlib import contextmanager
@@ -51,6 +53,22 @@ def writing(path):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def check_writable(path):
+    """Raise now the ``OutputError`` that writing ``path`` would raise later
+    because its directory is missing, ``path`` is a directory, or the file
+    (for a new file, its directory) is not writable, so that a command can
+    refuse before work it could not save."""
+    with writing(path):
+        target = os.path.realpath(path)
+        # the trailing separator makes a missing directory or a file in its place fail here
+        os.stat(os.path.join(os.path.dirname(target), ""))
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        exists = os.path.exists(target)
+        if not os.access(target if exists else os.path.dirname(target), os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
 def write_lines(path, lines: list):
     """Write ``lines`` to ``path`` through a temporary file in the same directory.
 
@@ -61,20 +79,29 @@ def write_lines(path, lines: list):
     through: the file it names is the one replaced. A file that is replaced
     keeps its permission bits, but not its owner or group, and a new file
     gets them from the umask. Writing needs write access to the directory,
-    not only to the file. A write that fails raises ``OutputError`` naming
-    ``path`` as given, and leaves no temporary file.
+    not only to the file. A named pipe or a device at ``path`` is not
+    replaced but written in place, so its reader gets the lines. A write
+    that fails raises ``OutputError`` naming ``path`` as given, and leaves
+    no temporary file.
     """
     target = os.path.realpath(path)
-    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    text = "\n".join(lines) + "\n"
     with writing(path):
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(target, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            return
+        tmp = f"{target}.{os.urandom(8).hex()}.tmp"
         fh = open(tmp, "x", encoding="utf-8", newline="\n")
         try:
             with fh:
-                fh.write("\n".join(lines) + "\n")
-            try:
-                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
-            except FileNotFoundError:
-                pass
+                fh.write(text)
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
             os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cnnlstm
-from cnnlstm import model, pipeline
+from cnnlstm import model, pipeline, training
 from cnnlstm.cli import main
 from cnnlstm.config import load_config
 from cnnlstm.synth import synthetic_ohlcv, write_csv
@@ -259,13 +259,18 @@ def test_divergent_train_prints_only_the_error_line(tmp_path):
     "prepare --out", "train --out", "train --history", "train --svg",
     "evaluate --predictions", "predict --out", "plot --out",
 ])
-def test_an_unwritable_output_is_an_input_error(prepared, capsys, output):
+def test_an_unwritable_output_is_an_input_error(prepared, capsys, monkeypatch, output):
     # these exited 1 with a FileNotFoundError, for train --out naming the temporary file
     (prepared / "one.cfg").write_text(SMALL + "kernel_width=2\npool_window=1\nepochs=1\n")
     data, ckpt, prices = (str(prepared / name) for name in ("data.txt", "m.ckpt", "prices.csv"))
     train = ["train", "--data", data, "--config", str(prepared / "one.cfg"), "--out", ckpt,
              "--history", str(prepared / "h.csv"), "--svg", str(prepared / "loss.svg")]
     assert main(train) == 0
+
+    def never(*args):  # train finds an unwritable output before training, not after
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(training, "train", never)
     before = sorted(p.name for p in prepared.iterdir())
     command, flag = output.split()
     argv = {

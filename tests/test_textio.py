@@ -2,6 +2,7 @@ import binascii
 import os
 import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cnnlstm import model
-from cnnlstm.errors import CheckpointFormatError
+from cnnlstm.errors import CheckpointFormatError, OutputError
 from cnnlstm.pipeline import load_dataset, training_rows
-from cnnlstm.textio import LineReader, array_lines, fmt_vector, write_lines
+from cnnlstm.textio import LineReader, array_lines, check_writable, fmt_vector, write_lines
 from oracles import reference_array_lines, reference_read_values, reference_training_rows
 
 FAST = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -269,6 +270,37 @@ class TestWriteLines:
         write_lines(link, ["new"])
         assert link.is_symlink() and target.read_text() == "new\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["latest.ckpt", "model.ckpt", "store"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_named_pipe_is_written_into(self, tmp_path):
+        # it was replaced by a regular file, and its reader got nothing
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+        reader.start()
+        write_lines(pipe, ["a", "b"])
+        reader.join(timeout=30)
+        assert not reader.is_alive() and got == ["a\nb\n"]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("missing/out.txt", "No such file or directory"),
+    ("file.txt/out.txt", "Not a directory"),
+    ("", "Is a directory"),  # the working directory
+    (".", "Is a directory"),
+])
+def test_check_writable_names_the_failure_a_write_would_meet(tmp_path, monkeypatch, name, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.txt").write_text("x\n")
+    with pytest.raises(OutputError, match=f"cannot write {name}: {reason}"):
+        check_writable(name)
+    with pytest.raises(OutputError, match=f"cannot write {name}: {reason}"):
+        write_lines(name, ["x"])
+    check_writable("new.txt")
+    check_writable("file.txt")
 
 
 class TestTrainingRows:

@@ -1,14 +1,18 @@
+import os
+import signal
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cnnlstm import training
 from cnnlstm.errors import CompatibilityError, DivergenceError, PipelineError
-from cnnlstm.model import ModelConfig, build, forward, load, save
-from cnnlstm.optim import OptimConfig
+from cnnlstm.model import ModelConfig, build, forward, load, loss_gradients, save
+from cnnlstm.optim import OptimConfig, schedule_lr, sgd_step
 from cnnlstm.pipeline import PrepareConfig, prepare_dataset
 from cnnlstm.synth import synthetic_ohlcv
 from cnnlstm.training import TrainConfig, evaluate, predict, split_predictions, train
@@ -285,6 +289,190 @@ class TestInfer:
         )
         assert training._infer(fresh_model(prepared), x).tolist() == [1.0] * 137
         assert threading.active_count() == threads
+
+
+def whole_batch_losses(model, dataset, cfg):
+    """``train``'s SGD epochs with one whole-batch ``loss_gradients`` step per
+    batch; returns the per-epoch train losses."""
+    shuffle_ss, dropout_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    shuffle_rng, dropout_rng = np.random.default_rng(shuffle_ss), np.random.default_rng(dropout_ss)
+    losses = []
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(dataset.indices("train"))
+        batch_losses = []
+        for start in range(0, order.size, cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            loss, grad = loss_gradients(model, dataset.inputs[sel], dataset.targets[sel], dropout_rng)
+            sgd_step(model.theta, grad, schedule_lr(epoch, cfg.optim), cfg.optim.l2, model.n_weights)
+            batch_losses.append(loss)
+        losses.append(float(np.mean(batch_losses)))
+    return losses
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Trains with a worker until the first optimiser step, prints the worker's
+# pid and kills itself, so that only the worker's end of file can stop it.
+ORPHAN = """
+import os, signal
+from cnnlstm import training
+from cnnlstm.model import ModelConfig, build
+from cnnlstm.pipeline import PrepareConfig, prepare_dataset
+from cnnlstm.synth import synthetic_ohlcv
+
+prepared = prepare_dataset(synthetic_ohlcv(rows=300, seed=2), PrepareConfig(
+    lookback=8, horizon=1, corr_threshold=0.3, pca=True, pca_variance=0.95, seed=5,
+    sma_windows=(3, 5, 10)))
+model = build(ModelConfig(features=1, lookback=8, conv_filters=(4, 4, 4), kernel_width=2,
+                          pool_window=1, lstm_units=(6, 6, 6)))
+fork = os.fork
+def fork_and_print():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+def die(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+os.fork, training.sgd_step, training._cpus = fork_and_print, die, lambda: 2
+training.train(model, prepared.dataset, prepared.preprocess, training.TrainConfig())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="training forks no worker here")
+class TestTrainWorker:
+    def test_one_cpu_steps_are_whole_batch_loss_gradients(self, prepared, monkeypatch):
+        monkeypatch.setattr(training, "_cpus", lambda: 1)
+        cfg = train_config(epochs=3)
+        model, want = fresh_model(prepared), fresh_model(prepared)
+        report = train(model, prepared.dataset, prepared.preprocess, cfg)
+        assert report.train_loss == whole_batch_losses(want, prepared.dataset, cfg)
+        assert model.theta.tobytes() == want.theta.tobytes()
+        assert_no_child_left()
+
+    def test_no_process_to_fork_keeps_steps_whole(self, prepared, monkeypatch):
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        cfg = train_config()
+        monkeypatch.setattr(training, "_cpus", lambda: 1)
+        one = train(fresh_model(prepared), prepared.dataset, prepared.preprocess, cfg)
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", refuse)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        refused = train(fresh_model(prepared), prepared.dataset, prepared.preprocess, cfg)
+        assert refused.train_loss == one.train_loss and refused.val_loss == one.val_loss
+        if fds is not None:  # its pipes are closed
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("batch_size,last", [(16, 5), (22, 21), (28, 1)])
+    def test_two_cpus_match_one(self, prepared, monkeypatch, batch_size, last):
+        # 197 train windows: the last batch is split 3 + 2, 11 + 10, or not at all
+        assert prepared.dataset.indices("train").size % batch_size == last
+        cfg = train_config(epochs=3, batch_size=batch_size)
+        monkeypatch.setattr(training, "_cpus", lambda: 1)
+        one = train(fresh_model(prepared), prepared.dataset, prepared.preprocess, cfg)
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        halves, wholes = [], []
+        slice_sums, whole = training._slice_sums, training.loss_gradients
+
+        def record_half(model, dataset, rows, rng, out=None):
+            halves.append(rows.size)
+            return slice_sums(model, dataset, rows, rng, out)
+
+        def record_whole(model, batch, targets, rng):
+            wholes.append(len(batch))
+            return whole(model, batch, targets, rng)
+
+        monkeypatch.setattr(training, "_slice_sums", record_half)
+        monkeypatch.setattr(training, "loss_gradients", record_whole)
+        two = [train(fresh_model(prepared), prepared.dataset, prepared.preprocess, cfg)
+               for _ in range(2)]
+        assert_no_child_left()
+        # the caller's half of each batch of two or more, the whole of a batch of one
+        sizes = [min(batch_size, 197 - start) for start in range(0, 197, batch_size)]
+        assert halves == [(n + 1) // 2 for n in sizes if n > 1] * 2 * cfg.epochs
+        assert wholes == [n for n in sizes if n == 1] * 2 * cfg.epochs
+        assert two[0].train_loss == two[1].train_loss and two[0].val_loss == two[1].val_loss
+        for got, want in [(two[0].train_loss, one.train_loss), (two[0].val_loss, one.val_loss)]:
+            assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-12
+
+    def test_halves_draw_the_whole_batchs_masks(self, prepared, rng):
+        model = fresh_model(prepared, dropout_rate=0.5)
+        x = rng.standard_normal((21, 8, len(prepared.dataset.feature_names)))
+
+        def masks(batch, generator):
+            _, caches = forward(model, batch, training=True, rng=generator)
+            return [stage[4].data["mask"] for stage in caches.stages[:2]]
+
+        whole_rng = np.random.default_rng(11)
+        want = masks(x, whole_rng)
+        caller, worker = np.random.default_rng(11), np.random.default_rng(0)
+        worker.bit_generator.state = caller.bit_generator.state
+        first = masks(x[:11], training._Rows(caller, 21, 0))
+        second = masks(x[11:], training._Rows(worker, 21, 11))
+        for whole_mask, a, b in zip(want, first, second):
+            assert np.concatenate([a, b]).tobytes() == whole_mask.tobytes()
+        assert caller.bit_generator.state == whole_rng.bit_generator.state
+
+    @staticmethod
+    def fail_in(monkeypatch, side, error):
+        """Make ``side``'s half of every batch raise ``error``."""
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        caller, slice_sums = os.getpid(), training._slice_sums
+
+        def failing(*args):
+            if (os.getpid() == caller) == (side == "caller"):
+                raise error
+            return slice_sums(*args)
+
+        monkeypatch.setattr(training, "_slice_sums", failing)
+
+    @pytest.mark.parametrize("side", ["caller", "worker"])
+    def test_a_failing_half_reaches_the_caller(self, prepared, monkeypatch, side):
+        self.fail_in(monkeypatch, side, LookupError(f"{side} half failed"))
+        with pytest.raises(LookupError, match=f"{side} half failed"):
+            train(fresh_model(prepared), prepared.dataset, prepared.preprocess, train_config())
+        assert_no_child_left()
+
+    def test_an_unpicklable_failure_arrives_by_name(self, prepared, monkeypatch):
+        # DivergenceError cannot be rebuilt from its args alone
+        self.fail_in(monkeypatch, "worker", DivergenceError(7, "worker half failed"))
+        with pytest.raises(RuntimeError, match="DivergenceError: worker half failed"):
+            train(fresh_model(prepared), prepared.dataset, prepared.preprocess, train_config())
+        assert_no_child_left()
+
+    def test_divergence_in_the_workers_half(self, prepared, monkeypatch, capfd):
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        caller, slice_sums = os.getpid(), training._slice_sums
+
+        def overflowing(model, *args):
+            if os.getpid() != caller:
+                model.theta[:] = 1e308  # the shared copy, which the caller rewrites each step
+            return slice_sums(model, *args)
+
+        monkeypatch.setattr(training, "_slice_sums", overflowing)
+        with pytest.raises(DivergenceError) as err:
+            train(fresh_model(prepared), prepared.dataset, prepared.preprocess, train_config())
+        assert err.value.epoch == 1
+        assert_no_child_left()
+        assert "Warning" not in capfd.readouterr().err
+
+    def test_the_worker_exits_when_the_caller_dies(self, tmp_path):
+        import cnnlstm
+
+        src = str(Path(cnnlstm.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        # stdout reaches end of file only once the worker, which shares it, has exited
+        run = subprocess.run([sys.executable, "-c", ORPHAN], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == -signal.SIGKILL
+        pid = int(run.stdout)
+        status = Path(f"/proc/{pid}/stat")
+        if status.exists():  # a zombie not yet reaped by init has exited too
+            assert status.read_text().rsplit(")", 1)[1].split()[0] in ("Z", "X")
 
 
 class TestPredict:
