@@ -14,15 +14,10 @@ from . import pipeline as pl
 from . import svg, training
 from .config import SCHEMA, load_config
 from .errors import CnnLstmError, CompatibilityError, DivergenceError
-from .textio import check_writable, fmt_float, writing
+from .textio import check_writable, fmt_float, write_lines
 
 GRADCHECK_TOLERANCE = 1e-5
-
-
-def _write(path, lines: list):
-    """Write ``lines`` over ``path`` itself, so a device such as /dev/null works too."""
-    with writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+OUTPUTS = ("out", "history", "svg", "predictions")  # the flags that name a file to write
 
 
 def _check_compat(ckpt_pre: pl.PreprocessState, data_pre: pl.PreprocessState, features: int, n_model_features: int):
@@ -66,15 +61,13 @@ def cmd_train(args) -> int:
         features=len(dataset.feature_names), lookback=dataset.lookback
     )
     net = model_mod.build(mcfg)
-    for path in [args.out, args.history] + ([args.svg] if args.svg else []):
-        check_writable(path)  # before training, not after it
     report = training.train(net, dataset, prepared.preprocess, cfg.train_config())
     model_mod.save(net, prepared.preprocess, args.out)
 
     history = ["epoch,train_loss,val_loss"]
     for epoch, (tr, va) in enumerate(zip(report.train_loss, report.val_loss), start=1):
         history.append(f"{epoch},{fmt_float(tr)},{fmt_float(va)}")
-    _write(args.history, history)
+    write_lines(args.history, history)
     if args.svg:
         chart = svg.line_chart(
             [("loss", report.train_loss), ("val_loss", report.val_loss)],
@@ -83,7 +76,7 @@ def cmd_train(args) -> int:
             y_label="mse (scaled)",
             x_tick_labels=[str(e) for e in range(1, len(report.train_loss) + 1)],
         )
-        _write(args.svg, chart)
+        write_lines(args.svg, chart)
 
     print(f"epochs             {len(report.train_loss)}")
     print(f"final train loss   {report.train_loss[-1]:.6g}")
@@ -119,7 +112,7 @@ def cmd_evaluate(args) -> int:
             f"{day.isoformat()},{fmt_float(actual)},{fmt_float(pred)}"
             for day, actual, pred in rows
         )
-        _write(args.predictions, lines)
+        write_lines(args.predictions, lines)
         print(f"predictions written to {args.predictions}")
     return 0
 
@@ -131,7 +124,7 @@ def cmd_predict(args) -> int:
     lines = ["date,predicted"]
     lines.extend(f"{day.isoformat()},{fmt_float(price)}" for day, price in rows)
     if args.out:
-        _write(args.out, lines)
+        write_lines(args.out, lines)
         print(f"{len(rows)} predictions written to {args.out}")
     else:
         sys.stdout.write("\n".join(lines) + "\n")
@@ -152,7 +145,7 @@ def cmd_plot(args) -> int:
         y_label="price",
         x_tick_labels=dates,
     )
-    _write(args.out, chart)
+    write_lines(args.out, chart)
     print(f"overlay written to {args.out}")
     return 0
 
@@ -228,6 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in OUTPUTS:  # before work that could not be saved
+            if getattr(args, name, None):
+                check_writable(getattr(args, name))
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

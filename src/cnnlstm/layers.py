@@ -2,18 +2,17 @@
 
 Conventions shared by every op here:
 
-* The API is batch-major. A single sample is rank-2 ``[T, features]``
-  (rank-1 ``[features]`` for the dense layer). Each op also accepts the same
-  input with a leading batch axis; outputs and input-gradients then carry the
-  batch axis too, while parameter gradients are *summed* over the batch (the
-  model averages).
+* The API is batch-major: every op takes a batch ``[B, T, features]``
+  (``[B, features]`` for the dense layer), and a single sample is a batch of
+  one. Outputs and input-gradients carry the batch axis, while parameter
+  gradients are *summed* over the batch (the model's caller divides).
 * Storage is time-major and batch-minor. Each op keeps its input, cache,
   output and input-gradient as contiguous ``[T, C, B]`` arrays (``[C, B]``
-  for the dense layer; a single sample is B = 1) and returns the caller's
-  batch-major view of its result, not a copy. An op copies an argument only
-  when the argument's ``[T, C, B]`` view is not contiguous, so the layers of
-  ``model.forward`` and ``model.backward`` hand each other views and nothing
-  is copied between them. In this layout one time step of the batch is one
+  for the dense layer) and returns the caller's batch-major view of its
+  result, not a copy. An op copies an argument only when the argument's
+  ``[T, C, B]`` view is not contiguous, so the layers of ``model.forward``
+  and ``model.backward`` hand each other views and nothing is copied
+  between them. In this layout one time step of the batch is one
   contiguous ``[C, B]`` block: the conv's windows, the LSTM's gates and
   state, and each step's GEMM operands are contiguous, with the batch axis
   innermost.
@@ -116,39 +115,31 @@ class DenseParams:
 class LayerCache:
     kind: str
     data: dict = field(default_factory=dict)
-    batched: bool = True  # False when forward saw a single unbatched sample
 
 
-def _stored(x: np.ndarray, rank: int, what: str):
-    """``x`` (one rank-``rank`` sample, or a batch of them) as contiguous
-    batch-minor storage, and whether it had the batch axis."""
+def _stored(x: np.ndarray, rank: int, what: str) -> np.ndarray:
+    """``x``, a batch of rank-``rank`` samples, as contiguous batch-minor storage."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == rank:
-        xf = x[..., None]
-    elif x.ndim == rank + 1:
-        xf = x.transpose(*range(1, rank + 1), 0)
-    else:
-        raise ShapeError(
-            f"{what} expects a rank-{rank} sample or a batch of them, got shape {x.shape}"
-        )
-    return np.ascontiguousarray(xf), x.ndim > rank
+    if x.ndim != rank + 1:
+        raise ShapeError(f"{what} expects a batch of rank-{rank} samples, got shape {x.shape}")
+    return np.ascontiguousarray(x.transpose(*range(1, rank + 1), 0))
 
 
-def _caller(yf: np.ndarray, batched: bool) -> np.ndarray:
+def _caller(yf: np.ndarray) -> np.ndarray:
     """The batch-major view of batch-minor storage ``yf`` that callers see."""
-    return yf.transpose(yf.ndim - 1, *range(yf.ndim - 1)) if batched else yf[..., 0]
+    return yf.transpose(yf.ndim - 1, *range(yf.ndim - 1))
 
 
-def _upstream(grad: np.ndarray, cache: LayerCache, shape: tuple, what: str) -> np.ndarray:
+def _upstream(grad: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """The upstream gradient as storage, checked against the storage ``shape``
     of the cached forward output. The result may share memory with ``grad``."""
     g = np.asarray(grad, dtype=np.float64)
-    expected = (shape[-1], *shape[:-1]) if cache.batched else shape[:-1]
+    expected = (shape[-1], *shape[:-1])
     if g.shape != expected:
         raise ShapeError(
             f"{what}: gradient shape {g.shape} does not match cached forward output {expected}"
         )
-    return _stored(g, len(shape) - 1, what)[0]
+    return _stored(g, len(shape) - 1, what)
 
 
 def _im2col(xf: np.ndarray, width: int) -> np.ndarray:
@@ -166,7 +157,7 @@ def _im2col(xf: np.ndarray, width: int) -> np.ndarray:
 
 def conv1d_forward(x: np.ndarray, p: Conv1dParams):
     """y[t,k] = b[k] + sum_{w,f} kernels[k,w,f] * x[t+w,f]; output length T-W+1."""
-    xf, batched = _stored(x, 2, "conv1d_forward")
+    xf = _stored(x, 2, "conv1d_forward")
     k_out, width, f_in = p.kernels.shape
     t, f, _ = xf.shape
     if f != f_in:
@@ -177,8 +168,8 @@ def conv1d_forward(x: np.ndarray, p: Conv1dParams):
         )
     yf = np.matmul(p.kernels.reshape(k_out, width * f_in), _im2col(xf, width))
     yf += p.bias[:, None]
-    cache = LayerCache("conv1d", {"x": xf, "params": p}, batched)
-    return _caller(yf, batched), cache
+    cache = LayerCache("conv1d", {"x": xf, "params": p})
+    return _caller(yf), cache
 
 
 def conv1d_backward(grad_y: np.ndarray, cache: LayerCache):
@@ -190,7 +181,7 @@ def conv1d_backward(grad_y: np.ndarray, cache: LayerCache):
     k_out, width, f_in = p.kernels.shape
     t, _, b = xf.shape
     t_out = t - width + 1
-    g = _upstream(grad_y, cache, (t_out, k_out, b), "conv1d_backward")
+    g = _upstream(grad_y, (t_out, k_out, b), "conv1d_backward")
     # g and the windows as [K, T'*B] and [W*C, T'*B] copies: one GEMM, and
     # a bias sum along contiguous rows
     g2 = g.transpose(1, 0, 2).reshape(k_out, t_out * b)
@@ -203,7 +194,7 @@ def conv1d_backward(grad_y: np.ndarray, cache: LayerCache):
     grad_x = np.zeros_like(xf)
     for w in range(width):
         grad_x[w : w + t_out] += grad_cols[:, w]
-    return _caller(grad_x, cache.batched), grad_kernels.reshape(p.kernels.shape), grad_bias
+    return _caller(grad_x), grad_kernels.reshape(p.kernels.shape), grad_bias
 
 
 # --- MaxPooling1D (non-overlapping windows, remainder dropped) ---
@@ -213,7 +204,7 @@ def maxpool1d_forward(x: np.ndarray, window: int):
     """Max over consecutive windows; output length floor(T/window), ties -> earliest."""
     if window < 1:
         raise ConfigError(f"pool window must be >= 1, got {window}")
-    xf, batched = _stored(x, 2, "maxpool1d_forward")
+    xf = _stored(x, 2, "maxpool1d_forward")
     t = xf.shape[0]
     if t < window:
         raise SequenceTooShortError(
@@ -226,8 +217,8 @@ def maxpool1d_forward(x: np.ndarray, window: int):
     y = blocks[:, window - 1].copy()
     for j in range(window - 2, -1, -1):
         np.maximum(y, blocks[:, j], out=y)
-    cache = LayerCache("maxpool1d", {"x": xf, "y": y, "window": window}, batched)
-    return _caller(y, batched), cache
+    cache = LayerCache("maxpool1d", {"x": xf, "y": y, "window": window})
+    return _caller(y), cache
 
 
 def maxpool1d_backward(grad_y: np.ndarray, cache: LayerCache):
@@ -237,7 +228,7 @@ def maxpool1d_backward(grad_y: np.ndarray, cache: LayerCache):
     xf = cache.data["x"]
     y = cache.data["y"]
     window = cache.data["window"]
-    g = _upstream(grad_y, cache, y.shape, "maxpool1d_backward")
+    g = _upstream(grad_y, y.shape, "maxpool1d_backward")
     t_out = y.shape[0]
     blocks = xf[: t_out * window].reshape(t_out, window, *y.shape[1:])
     grad_x = np.zeros(xf.shape)
@@ -254,7 +245,7 @@ def maxpool1d_backward(grad_y: np.ndarray, cache: LayerCache):
         unrouted ^= hit
     np.multiply(g, unrouted, out=grad_blocks[:, window - 1])
     grad_blocks += 0.0
-    return _caller(grad_x, cache.batched)
+    return _caller(grad_x)
 
 
 # --- LSTM ---
@@ -263,12 +254,12 @@ def maxpool1d_backward(grad_y: np.ndarray, cache: LayerCache):
 def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: bool = True):
     """Run the gated recurrence over T steps from h_0 = c_0 = 0.
 
-    Returns the full hidden sequence ``[T,H]`` when ``return_sequence`` else
-    the final state ``[H]`` (batched variants carry the leading axis). With
-    ``training`` false no backward can follow: the cache is None and the gates
-    and state are kept one and two steps deep.
+    Returns the full hidden sequence ``[B,T,H]`` when ``return_sequence``
+    else the final state ``[B,H]``. With ``training`` false no backward can
+    follow: the cache is None and the gates and state are kept one and two
+    steps deep.
     """
-    xf, batched = _stored(x, 2, "lstm_forward")
+    xf = _stored(x, 2, "lstm_forward")
     t, f, b = xf.shape
     if f != p.w.shape[1]:
         raise ShapeError(
@@ -314,7 +305,7 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
             np.multiply(i_t, g_t, out=c[now])
         np.tanh(c[now], out=tanh_c[now])
         np.multiply(o_t, tanh_c[now], out=h[s % len(h)])
-    out = _caller(h if return_sequence else h[(t - 1) % len(h)], batched)
+    out = _caller(h if return_sequence else h[(t - 1) % len(h)])
     if not training:
         return out, None
     cache = LayerCache(
@@ -329,7 +320,6 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
             "h": h,
             "return_sequence": return_sequence,
         },
-        batched,
     )
     return out, cache
 
@@ -349,7 +339,7 @@ def lstm_backward(grad_out: np.ndarray, cache: LayerCache):
     return_sequence = cache.data["return_sequence"]
     t, hs, b = cache.data["h"].shape
     shape = (t, hs, b) if return_sequence else (hs, b)
-    g_out = _upstream(grad_out, cache, shape, "lstm_backward")
+    g_out = _upstream(grad_out, shape, "lstm_backward")
     data, cache.data = cache.data, {}
     dpre, c, tanh_c, h = data["gates"], data["c"], data["tanh_c"], data["h"]
 
@@ -405,7 +395,7 @@ def lstm_backward(grad_out: np.ndarray, cache: LayerCache):
     du = d2[:, b:] @ h[:-1].transpose(1, 0, 2).reshape(hs, (t - 1) * b).T  # h_0 = 0
     db = d2.sum(axis=1)
     grad_x = np.matmul(data["w"].T, dpre)
-    return _caller(grad_x, cache.batched), LstmParams(w=dw, u=du, b=db)
+    return _caller(grad_x), LstmParams(w=dw, u=du, b=db)
 
 
 # --- Dropout (inverted: survivors scaled at train time) ---
@@ -458,16 +448,16 @@ def dropout_backward(grad_y: np.ndarray, cache: LayerCache):
 
 
 def dense_forward(x: np.ndarray, p: DenseParams):
-    """y = W x + b for a single sample [in] or a batch [B, in]."""
-    xf, batched = _stored(x, 1, "dense_forward")
+    """y = W x + b for each row of a batch [B, in]."""
+    xf = _stored(x, 1, "dense_forward")
     if xf.shape[0] != p.weight.shape[1]:
         raise ShapeError(
             f"dense input has {xf.shape[0]} features but weight expects {p.weight.shape[1]}"
         )
     y = p.weight @ xf
     y += p.bias[:, None]
-    cache = LayerCache("dense", {"x": xf, "params": p}, batched)
-    return _caller(y, batched), cache
+    cache = LayerCache("dense", {"x": xf, "params": p})
+    return _caller(y), cache
 
 
 def dense_backward(grad_y: np.ndarray, cache: LayerCache):
@@ -475,8 +465,8 @@ def dense_backward(grad_y: np.ndarray, cache: LayerCache):
         raise ShapeError(f"dense_backward got a {cache.kind!r} cache")
     xf = cache.data["x"]
     p: DenseParams = cache.data["params"]
-    g = _upstream(grad_y, cache, (p.weight.shape[0], xf.shape[1]), "dense_backward")
+    g = _upstream(grad_y, (p.weight.shape[0], xf.shape[1]), "dense_backward")
     grad_w = g @ xf.T
     grad_b = g.sum(axis=1)
     grad_x = p.weight.T @ g
-    return _caller(grad_x, cache.batched), grad_w, grad_b
+    return _caller(grad_x), grad_w, grad_b

@@ -209,20 +209,12 @@ def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
             f"batch shape {x.shape} does not match config "
             f"[B, {cfg.lookback}, {cfg.features}]"
         )
-    lengths = cfg.stage_lengths()
     stages = []
     for stage in (1, 2, 3):
         last = stage == 3
         y, conv_cache = layers.conv1d_forward(x, model.conv(stage))
         np.tanh(y, out=y)
         p, pool_cache = layers.maxpool1d_forward(y, cfg.pool_window)
-        expect_conv, expect_pool = lengths[stage - 1]
-        if y.shape[1] != expect_conv or p.shape[1] != expect_pool:
-            raise ShapeError(
-                f"stage {stage} length drifted: conv gave {y.shape[1]} "
-                f"(expected {expect_conv}), pool gave {p.shape[1]} "
-                f"(expected {expect_pool})"
-            )
         h, lstm_cache = layers.lstm_forward(
             p, model.lstm(stage), return_sequence=not last, training=training
         )
@@ -242,8 +234,8 @@ def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray,
 
     ``grad_predictions[i]`` is the upstream derivative for sample i's scalar
     prediction. A sum, not a mean, so that the sums of two slices of a batch
-    add up to the batch's (see ``training.train``). It is written into
-    ``out``, a vector like ``theta``, if given.
+    add up to the batch's (see ``loss_sums``). It is written into ``out``, a
+    vector like ``theta``, if given.
     """
     if caches is None or caches.consumed:
         raise ShapeError("backward needs unconsumed caches from a training-mode forward")
@@ -272,21 +264,16 @@ def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray,
     return grad
 
 
-def loss_gradients(model: Model, batch, targets, rng):
-    """MSE loss and its exact gradient, laid out like ``theta``, for one
-    training batch whose dropout masks the ``np.random.Generator`` ``rng``
-    draws. (Not an annotation: evaluating one imports ``numpy.random`` with
-    the package.)
-
-    The upstream fed to ``backward`` is each sample's squared-error
-    derivative 2*(pred - target); backward's batch sum divided by B is then
-    exactly d(MSE)/d(param).
+def loss_sums(model: Model, batch, targets, rng, out=None):
+    """``(sse, grad_sum)``: the squared-error sum of one training batch, whose
+    dropout masks ``rng`` draws, and its exact gradient (the upstream of
+    ``backward`` is 2*(pred - target)), laid out like ``theta`` and written
+    into ``out`` if given. Divided by B they are bitwise the batch's ``mse``
+    and d(MSE)/d(theta); the sums of two slices of a batch add up to its own.
     """
     preds, caches = forward(model, batch, training=True, rng=rng)
-    loss = mse(preds, targets)
-    grad = backward(model, caches, 2.0 * (preds - np.asarray(targets)))
-    grad /= preds.shape[0]
-    return loss, grad
+    diff = preds - np.asarray(targets)
+    return float(np.sum(diff * diff)), backward(model, caches, 2.0 * diff, out)
 
 
 def _finite_difference(loss, arr: np.ndarray, eps: float) -> np.ndarray:
@@ -325,7 +312,8 @@ def grad_check(model: Model, batch, targets=None, eps: float = 1e-6, rng_seed: i
     batch = np.asarray(batch, dtype=np.float64)
     if targets is None:
         targets = np.random.default_rng(rng_seed + 1).random(batch.shape[0])
-    _, grad = loss_gradients(model, batch, targets, np.random.default_rng(rng_seed))
+    _, grad = loss_sums(model, batch, targets, np.random.default_rng(rng_seed))
+    grad /= batch.shape[0]
     _, analytic = model.views(grad)
     if corrupt:
         analytic["conv2.kernels"] += 0.05
@@ -402,7 +390,8 @@ def verification_config(features: int = 3, lookback: int = 16, seed: int = 0) ->
 
 
 def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False):
-    """Per-layer and full-stack finite-difference checks on small instances.
+    """Per-layer and full-stack finite-difference checks on small instances,
+    each layer on a batch of one.
 
     Returns an ordered list of ``(name, worst_relative_error)``. ``corrupt``
     deliberately perturbs one analytic gradient (negative-control hook).
@@ -417,9 +406,9 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
         return max(_relative_error(g, _finite_difference(loss, arr, eps)) for g, arr in pairs)
 
     # conv1d: weight the outputs with a fixed random sheet so the loss is scalar
-    x = rng.standard_normal((8, 3))
+    x = rng.standard_normal((1, 8, 3))
     p = Conv1dParams(kernels=rng.standard_normal((2, 3, 3)), bias=rng.standard_normal(2))
-    w_out = rng.standard_normal((6, 2))
+    w_out = rng.standard_normal((1, 6, 2))
     gx, gk, gb = layers.conv1d_backward(w_out, layers.conv1d_forward(x, p)[1])
 
     def conv_loss():
@@ -428,8 +417,8 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
     results.append(("conv1d", worst(conv_loss, [(gx, x), (gk, p.kernels), (gb, p.bias)])))
 
     # maxpool1d: continuous random input, ties have probability zero
-    x = rng.standard_normal((9, 2))
-    w_out = rng.standard_normal((4, 2))
+    x = rng.standard_normal((1, 9, 2))
+    w_out = rng.standard_normal((1, 4, 2))
     gx = layers.maxpool1d_backward(w_out, layers.maxpool1d_forward(x, 2)[1])
 
     def pool_loss():
@@ -438,14 +427,14 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
     results.append(("maxpool1d", worst(pool_loss, [(gx, x)])))
 
     # lstm: T=8, H=4, all params and input; each gate drawn in checkpoint order
-    x = rng.standard_normal((8, 3))
+    x = rng.standard_normal((1, 8, 3))
     order = [CKPT_GATES.index(gate) for gate in GATES]
     p = LstmParams(
         w=0.5 * rng.standard_normal((4, 4, 3))[order].reshape(16, 3),
         u=0.5 * rng.standard_normal((4, 4, 4))[order].reshape(16, 4),
         b=0.1 * rng.standard_normal((4, 4))[order].reshape(16),
     )
-    w_out = rng.standard_normal((8, 4))
+    w_out = rng.standard_normal((1, 8, 4))
 
     def lstm_loss():
         return float((layers.lstm_forward(x, p, return_sequence=True)[0] * w_out).sum())
@@ -458,9 +447,9 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
     results.append(("lstm", worst(lstm_loss, pairs)))
 
     # dense
-    x = rng.standard_normal(5)
+    x = rng.standard_normal((1, 5))
     p = DenseParams(weight=rng.standard_normal((2, 5)), bias=rng.standard_normal(2))
-    w_out = rng.standard_normal(2)
+    w_out = rng.standard_normal((1, 2))
 
     def dense_loss():
         return float((layers.dense_forward(x, p)[0] * w_out).sum())
@@ -469,8 +458,8 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
     results.append(("dense", worst(dense_loss, [(gx, x), (gw, p.weight), (gb, p.bias)])))
 
     # dropout: identical seed reproduces the mask inside the loss closure
-    x = rng.standard_normal((6, 3))
-    w_out = rng.standard_normal((6, 3))
+    x = rng.standard_normal((1, 6, 3))
+    w_out = rng.standard_normal((1, 6, 3))
 
     def drop_loss():
         y, _ = layers.dropout(x, 0.4, training=True, rng=np.random.default_rng(seed + 7))

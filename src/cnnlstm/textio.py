@@ -54,18 +54,22 @@ def writing(path):
 
 
 def check_writable(path):
-    """Raise now the ``OutputError`` that writing ``path`` would raise later
-    because its directory is missing, ``path`` is a directory, or the file
-    (for a new file, its directory) is not writable, so that a command can
-    refuse before work it could not save."""
+    """Raise now the ``OutputError`` that ``write_lines(path, ...)`` would
+    raise later because its directory is missing, ``path`` is a directory,
+    or what it writes is not writable: the directory, where a regular file
+    is made or replaced, or a named pipe or device itself. A command can
+    then refuse before work it could not save."""
     with writing(path):
         target = os.path.realpath(path)
         # the trailing separator makes a missing directory or a file in its place fail here
         os.stat(os.path.join(os.path.dirname(target), ""))
-        if os.path.isdir(target):
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = stat.S_IFREG  # a new regular file
+        if stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        exists = os.path.exists(target)
-        if not os.access(target if exists else os.path.dirname(target), os.W_OK):
+        if not os.access(os.path.dirname(target) if stat.S_ISREG(mode) else target, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 

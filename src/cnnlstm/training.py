@@ -15,6 +15,7 @@ the caller's context, so numpy's error state (``np.errstate``) holds in each.
 import contextvars
 import math
 import os
+import pickle
 import threading
 import time
 from contextlib import contextmanager
@@ -25,7 +26,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import pipeline as pl
 from .errors import CompatibilityError, ConfigError, DivergenceError, PipelineError
-from .model import Model, backward, forward, loss_gradients
+from .model import Model, forward, loss_sums
 from .optim import OptimConfig, adam_step, init_adam_state, mse, schedule_lr, sgd_step
 
 
@@ -154,14 +155,6 @@ class _Rows:
         return out
 
 
-def _slice_sums(model: Model, dataset: pl.WindowedDataset, rows, rng: _Rows, out=None):
-    """Squared-error sum and gradient sum of the windows ``rows``; the
-    gradient goes into ``out`` if given (see ``backward``)."""
-    preds, caches = forward(model, dataset.inputs[rows], training=True, rng=rng)
-    diff = preds - dataset.targets[rows]
-    return float(np.sum(diff * diff)), backward(model, caches, 2.0 * diff, out)
-
-
 def _keep_freed_memory():
     """Have glibc's malloc, where it is the allocator, serve arrays of up to
     32 MB from the heap and keep the heap it frees. The worker frees and
@@ -185,7 +178,6 @@ def _serve(model, dataset, rng, grad, requests, replies):
     the reply is their squared-error sum, with their gradient sum left in
     ``grad``, or the exception that stopped them and its traceback. Returns
     at end of file on ``requests``."""
-    import pickle
     import traceback
 
     with os.fdopen(requests, "rb") as inbox, os.fdopen(replies, "wb") as outbox:
@@ -196,7 +188,8 @@ def _serve(model, dataset, rng, grad, requests, replies):
                 return
             rng.bit_generator.state = state
             try:
-                sse, _ = _slice_sums(model, dataset, rows, _Rows(rng, n, n - rows.size), grad)
+                rows_rng = _Rows(rng, n, n - rows.size)
+                sse, _ = loss_sums(model, dataset.inputs[rows], dataset.targets[rows], rows_rng, grad)
                 reply = (sse, None)
             except Exception as exc:  # sent back and raised in the parent
                 try:
@@ -211,76 +204,73 @@ def _serve(model, dataset, rng, grad, requests, replies):
 @contextmanager
 def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng):
     """``step(rows) -> (loss, grad)``: the mean loss and gradient of the
-    mini-batch ``rows``, dropout drawn from ``rng``, for one ``train`` call,
-    computed in halves with the worker that ``train`` describes when one can
-    be forked (a forked child keeps only the calling thread, hence no other
-    thread may run), else whole by ``loss_gradients``."""
+    mini-batch ``rows``, dropout drawn from ``rng``, for one ``train`` call:
+    the caller's sums plus those of the worker that ``train`` describes,
+    divided once. The worker is forked when one can be (a forked child keeps
+    only the calling thread, hence no other thread may run); without it, and
+    for a batch of one, the caller takes every row."""
+    pid = None  # the worker's, once it is forked
+    if batch_size > 1 and _cpus() > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        import mmap
 
-    def whole(rows):
-        return loss_gradients(model, dataset.inputs[rows], dataset.targets[rows], rng)
-
-    if batch_size < 2 or _cpus() < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield whole
-        return
-    import mmap
-    import pickle
-
-    # an anonymous map is shared with a forked child: theta and the worker's gradient sum
-    size = model.theta.size
-    shared = np.frombuffer(mmap.mmap(-1, 16 * size), dtype=np.float64)
-    theta, worker_grad = shared[:size], shared[size:]
-    requests_r, requests_w = os.pipe()
-    replies_r, replies_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to be had (a process limit, say): steps stay whole
-        for fd in (requests_r, requests_w, replies_r, replies_w):
-            os.close(fd)
-        yield whole
-        return
-    if pid == 0:  # the worker never returns into the caller
-        status = 1
+        # an anonymous map is shared with a forked child: theta and the worker's gradient sum
+        size = model.theta.size
+        shared = np.frombuffer(mmap.mmap(-1, 16 * size), dtype=np.float64)
+        theta, worker_grad = shared[:size], shared[size:]
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
         try:
-            os.close(requests_w)
-            os.close(replies_r)
-            _keep_freed_memory()
-            _serve(Model(model.config, theta), dataset, rng, worker_grad, requests_r, replies_w)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(requests_r)
-    os.close(replies_w)
-    requests = os.fdopen(requests_w, "wb")
-    replies = os.fdopen(replies_r, "rb")
+            pid = os.fork()
+        except OSError:  # no process to be had (a process limit, say): no worker
+            for fd in (requests_r, requests_w, replies_r, replies_w):
+                os.close(fd)
+        if pid == 0:  # the worker never returns into the caller
+            status = 1
+            try:
+                os.close(requests_w)
+                os.close(replies_r)
+                _keep_freed_memory()
+                _serve(Model(model.config, theta), dataset, rng, worker_grad, requests_r, replies_w)
+                status = 0
+            finally:
+                os._exit(status)
+        if pid:
+            os.close(requests_r)
+            os.close(replies_w)
+            requests = os.fdopen(requests_w, "wb")
+            replies = os.fdopen(replies_r, "rb")
 
-    def split(rows):
+    def step(rows):
         n = rows.size
-        if n < 2:
-            return whole(rows)
-        half = -(-n // 2)
-        theta[...] = model.theta
-        pickle.dump((rows[half:], n, rng.bit_generator.state), requests)
-        requests.flush()
-        sse, grad = _slice_sums(model, dataset, rows[:half], _Rows(rng, n, 0))
-        try:
-            worker_sse, failure = pickle.load(replies)
-        except EOFError:
-            raise RuntimeError("the training worker exited without a reply") from None
-        if failure is not None:
-            exc, trace = failure
-            raise exc from RuntimeError(f"raised in the training worker:\n{trace.rstrip()}")
-        grad += worker_grad
+        share = -(-n // 2) if pid and n > 1 else n
+        if share < n:
+            theta[...] = model.theta
+            pickle.dump((rows[share:], n, rng.bit_generator.state), requests)
+            requests.flush()
+        mine = rows[:share]
+        sse, grad = loss_sums(model, dataset.inputs[mine], dataset.targets[mine], _Rows(rng, n, 0))
+        if share < n:
+            try:
+                worker_sse, failure = pickle.load(replies)
+            except EOFError:
+                raise RuntimeError("the training worker exited without a reply") from None
+            if failure is not None:
+                exc, trace = failure
+                raise exc from RuntimeError(f"raised in the training worker:\n{trace.rstrip()}")
+            sse += worker_sse
+            grad += worker_grad
         grad /= n
-        return (sse + worker_sse) / n, grad
+        return sse / n, grad
 
     try:
-        yield split
+        yield step
     finally:
-        try:
-            requests.close()  # end of file: the worker returns
-        finally:
-            replies.close()
-            os.waitpid(pid, 0)
+        if pid:
+            try:
+                requests.close()  # end of file: the worker returns
+            finally:
+                replies.close()
+                os.waitpid(pid, 0)
 
 
 def train(
@@ -296,19 +286,20 @@ def train(
     final short batch is trained on; mean-gradient scaling keeps its step
     size consistent. A non-finite loss aborts with the epoch number.
 
-    With two or more CPUs left free by BLAS threads (``_cpus``), ``os.fork``
-    available and no other thread running, the call forks one worker
-    process for its length. Of each batch of n >= 2 windows the caller
-    takes rows ``[:ceil(n/2)]`` and the worker the rest; each computes the
-    squared-error sum and gradient sum of its rows, and the caller forms
-    ``grad = (g_a + g_b) / n`` and ``loss = (sse_a + sse_b) / n`` before the
-    usual optimiser step. Processes, not threads: a step is some 1,100
+    Each step of a batch of n windows computes the squared-error sum and
+    gradient sum (``loss_sums``) of its rows in two shares, and forms
+    ``loss = (sse_a + sse_b) / n`` and ``grad = (g_a + g_b) / n`` before
+    the optimiser step. With two or more CPUs left free by BLAS threads
+    (``_cpus``), ``os.fork`` available and no other thread running, the
+    call forks one worker process for its length: of each batch of n >= 2
+    windows the caller takes rows ``[:ceil(n/2)]`` and the worker the rest.
+    Otherwise, and for a batch of one, the caller takes every row and the
+    worker's share is empty. Processes, not threads: a step is some 1,100
     small numpy calls, and two threads passing the GIL between them were
     no faster than one. The dropout masks are bitwise the whole batch's
     (``_Rows``), so only the order of the batch sums changes: losses stay
     within 1e-12 relative of a run without the worker, and a run with it
-    repeats bitwise. Otherwise, and for a batch of one window, each step is
-    ``loss_gradients`` of the whole batch, as it always was.
+    repeats bitwise.
 
     theta and the worker's gradient sum cross in a shared anonymous map,
     the rows and the generator state through a pipe. The worker is forked

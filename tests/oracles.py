@@ -262,11 +262,10 @@ def reference_lstm_forward(x, w, u, b, return_sequence):
     """The LSTM gate by gate and step by step, batch-major.
 
     ``w``, ``u``, ``b``: gate ('i', 'f', 'o', 'g') -> [H,F], [H,H], [H].
-    ``x`` is [T,F] or [B,T,F]. Returns ``(output, state)``; ``state`` holds
-    what ``reference_lstm_backward`` needs.
+    ``x`` is [B,T,F]. Returns ``(output, state)``; ``state`` holds what
+    ``reference_lstm_backward`` needs.
     """
-    x3 = x[None] if x.ndim == 2 else x
-    batch, steps, _ = x3.shape
+    batch, steps, _ = x.shape
     size = b["i"].shape[0]
     acts = {g: np.empty((batch, steps, size)) for g in "ifog"}
     cs = np.empty((batch, steps, size))
@@ -275,7 +274,7 @@ def reference_lstm_forward(x, w, u, b, return_sequence):
     h = np.zeros((batch, size))
     c = np.zeros((batch, size))
     for step in range(steps):
-        x_t = x3[:, step, :]
+        x_t = x[:, step, :]
         pre = {g: x_t @ w[g].T + h @ u[g].T + b[g] for g in "ifog"}
         i_t = _sigmoid(pre["i"])
         f_t = _sigmoid(pre["f"])
@@ -290,30 +289,29 @@ def reference_lstm_forward(x, w, u, b, return_sequence):
         tcs[:, step] = tc
         hs[:, step] = h
     out = hs if return_sequence else hs[:, -1, :]
-    state = dict(x=x3, w=w, u=u, acts=acts, c=cs, tanh_c=tcs, h=hs,
-                 return_sequence=return_sequence, batched=x.ndim == 3)
-    return (out if x.ndim == 3 else out[0]), state
+    state = dict(x=x, w=w, u=u, acts=acts, c=cs, tanh_c=tcs, h=hs,
+                 return_sequence=return_sequence)
+    return out, state
 
 
 def reference_lstm_backward(grad_out, state):
     """BPTT gate by gate and step by step: ``(grad_x, dw, du, db)`` as gate dicts."""
-    x3, w, u, acts = state["x"], state["w"], state["u"], state["acts"]
+    x, w, u, acts = state["x"], state["w"], state["u"], state["acts"]
     cs, tcs, hs = state["c"], state["tanh_c"], state["h"]
-    batch, steps, _ = x3.shape
+    batch, steps, _ = x.shape
     size = hs.shape[2]
-    g_out = grad_out if state["batched"] else grad_out[None]
     dw = {g: np.zeros_like(w[g]) for g in "ifog"}
     du = {g: np.zeros_like(u[g]) for g in "ifog"}
     db = {g: np.zeros(size) for g in "ifog"}
-    grad_x = np.empty_like(x3)
+    grad_x = np.empty_like(x)
     dh_next = np.zeros((batch, size))
     dc_next = np.zeros((batch, size))
     for step in reversed(range(steps)):
         dh = dh_next.copy()
         if state["return_sequence"]:
-            dh += g_out[:, step, :]
+            dh += grad_out[:, step, :]
         elif step == steps - 1:
-            dh += g_out
+            dh += grad_out
         i_t, f_t, o_t, g_t = (acts[g][:, step] for g in "ifog")
         tc = tcs[:, step]
         c_prev = cs[:, step - 1] if step > 0 else np.zeros((batch, size))
@@ -327,7 +325,7 @@ def reference_lstm_backward(grad_out, state):
             "o": do * o_t * (1.0 - o_t),
             "g": dc * i_t * (1.0 - g_t * g_t),
         }
-        x_t = x3[:, step, :]
+        x_t = x[:, step, :]
         dx = np.zeros_like(x_t)
         dh_next = np.zeros((batch, size))
         for g in "ifog":
@@ -337,50 +335,47 @@ def reference_lstm_backward(grad_out, state):
             dx += dpre[g] @ w[g]
             dh_next += dpre[g] @ u[g]
         grad_x[:, step, :] = dx
-    return (grad_x if state["batched"] else grad_x[0]), dw, du, db
+    return grad_x, dw, du, db
 
 
 def reference_conv1d_forward(x, kernels, bias):
     """Valid conv1d as explicit sums over output step t, tap w and feature f.
 
-    ``x`` is [T,F] or [B,T,F], ``kernels`` [K,W,F], ``bias`` [K].
+    ``x`` is [B,T,F], ``kernels`` [K,W,F], ``bias`` [K].
     """
-    x3 = x[None] if x.ndim == 2 else x
-    batch, steps, feats = x3.shape
+    batch, steps, feats = x.shape
     k_out, width, _ = kernels.shape
     y = np.empty((batch, steps - width + 1, k_out))
     for t in range(steps - width + 1):
         acc = np.tile(bias, (batch, 1))
         for w in range(width):
             for f in range(feats):
-                acc = acc + np.outer(x3[:, t + w, f], kernels[:, w, f])
+                acc = acc + np.outer(x[:, t + w, f], kernels[:, w, f])
         y[:, t] = acc
-    return y if x.ndim == 3 else y[0]
+    return y
 
 
 def reference_conv1d_backward(grad_y, x, kernels):
     """``(grad_x, grad_kernels, grad_bias)`` of ``reference_conv1d_forward``,
     each term of the sum differentiated in turn."""
-    x3 = x[None] if x.ndim == 2 else x
-    g = grad_y[None] if x.ndim == 2 else grad_y
-    _, steps, feats = x3.shape
+    _, steps, feats = x.shape
     _, width, _ = kernels.shape
-    grad_x = np.zeros_like(x3)
+    grad_x = np.zeros_like(x)
     grad_kernels = np.zeros_like(kernels)
     for t in range(steps - width + 1):
         for w in range(width):
             for f in range(feats):
-                grad_x[:, t + w, f] += g[:, t] @ kernels[:, w, f]
-                grad_kernels[:, w, f] += g[:, t].T @ x3[:, t + w, f]
-    grad_bias = g.sum(axis=(0, 1))
-    return (grad_x if x.ndim == 3 else grad_x[0]), grad_kernels, grad_bias
+                grad_x[:, t + w, f] += grad_y[:, t] @ kernels[:, w, f]
+                grad_kernels[:, w, f] += grad_y[:, t].T @ x[:, t + w, f]
+    grad_bias = grad_y.sum(axis=(0, 1))
+    return grad_x, grad_kernels, grad_bias
 
 
 def reference_maxpool(x, window):
     """Max pooling element by element: ``(y, route)``, where ``route(grad_y)``
-    sends each gradient to the earliest position holding its window's max."""
-    x3 = x[None] if x.ndim == 2 else x
-    batch, steps, feats = x3.shape
+    sends each gradient to the earliest position holding its window's max.
+    ``x`` is [B,T,F]."""
+    batch, steps, feats = x.shape
     t_out = steps // window
     y = np.empty((batch, t_out, feats))
     at = np.empty((batch, t_out, feats), dtype=int)
@@ -389,18 +384,17 @@ def reference_maxpool(x, window):
             for k in range(feats):
                 best = t * window
                 for pos in range(t * window + 1, (t + 1) * window):
-                    if x3[n, pos, k] > x3[n, best, k]:
+                    if x[n, pos, k] > x[n, best, k]:
                         best = pos
-                y[n, t, k] = x3[n, best, k]
+                y[n, t, k] = x[n, best, k]
                 at[n, t, k] = best
 
     def route(grad_y):
-        g = grad_y if x.ndim == 3 else grad_y[None]
-        grad_x = np.zeros_like(x3)
+        grad_x = np.zeros_like(x)
         for n in range(batch):
             for t in range(t_out):
                 for k in range(feats):
-                    grad_x[n, at[n, t, k], k] = g[n, t, k]
-        return grad_x if x.ndim == 3 else grad_x[0]
+                    grad_x[n, at[n, t, k], k] = grad_y[n, t, k]
+        return grad_x
 
-    return (y if x.ndim == 3 else y[0]), route
+    return y, route

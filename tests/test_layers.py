@@ -33,7 +33,8 @@ from oracles import (
 
 
 def col(values):
-    return np.asarray(values, dtype=np.float64)[:, None]
+    """One sample of one feature, as a batch of one [1, T, 1]."""
+    return np.asarray(values, dtype=np.float64)[None, :, None]
 
 
 def lstm_params(w, u, b):
@@ -69,10 +70,10 @@ class TestConv1d:
         assert np.array_equal(y, col([1.5, 2.5, 3.5]))
 
     def test_zero_kernels(self, rng):
-        x = rng.standard_normal((7, 3))
+        x = rng.standard_normal((1, 7, 3))
         p = Conv1dParams(kernels=np.zeros((4, 2, 3)), bias=np.zeros(4))
         y, _ = conv1d_forward(x, p)
-        assert np.array_equal(y, np.zeros((6, 4)))
+        assert np.array_equal(y, np.zeros((1, 6, 4)))
 
     def test_too_short(self):
         p = Conv1dParams(kernels=np.zeros((1, 5, 1)), bias=np.zeros(1))
@@ -82,36 +83,36 @@ class TestConv1d:
     def test_feature_mismatch(self, rng):
         p = Conv1dParams(kernels=rng.standard_normal((2, 3, 4)), bias=np.zeros(2))
         with pytest.raises(ShapeError):
-            conv1d_forward(rng.standard_normal((8, 3)), p)
+            conv1d_forward(rng.standard_normal((1, 8, 3)), p)
 
     def test_linearity_with_zero_bias(self, rng):
         p = Conv1dParams(kernels=rng.standard_normal((3, 2, 2)), bias=np.zeros(3))
-        x = rng.standard_normal((6, 2))
-        z = rng.standard_normal((6, 2))
+        x = rng.standard_normal((1, 6, 2))
+        z = rng.standard_normal((1, 6, 2))
         combined, _ = conv1d_forward(2.5 * x - 1.5 * z, p)
         yx, _ = conv1d_forward(x, p)
         yz, _ = conv1d_forward(z, p)
         assert np.abs(combined - (2.5 * yx - 1.5 * yz)).max() <= 1e-12
 
     def test_backward_zero_grad(self, rng):
-        x = rng.standard_normal((6, 2))
+        x = rng.standard_normal((1, 6, 2))
         p = Conv1dParams(kernels=rng.standard_normal((3, 2, 2)), bias=rng.standard_normal(3))
         _, cache = conv1d_forward(x, p)
-        gx, gk, gb = conv1d_backward(np.zeros((5, 3)), cache)
+        gx, gk, gb = conv1d_backward(np.zeros((1, 5, 3)), cache)
         assert not gx.any() and not gk.any() and not gb.any()
 
     def test_backward_identity_kernel_passes_grad(self, rng):
         x = col([1.0, 2.0, 3.0])
         p = Conv1dParams(kernels=np.array([[[1.0]]]), bias=np.zeros(1))
         _, cache = conv1d_forward(x, p)
-        g = rng.standard_normal((3, 1))
+        g = rng.standard_normal((1, 3, 1))
         gx, _, _ = conv1d_backward(g, cache)
         assert np.array_equal(gx, g)
 
     def test_backward_matches_finite_differences(self, rng):
-        x = rng.standard_normal((8, 3))
+        x = rng.standard_normal((1, 8, 3))
         p = Conv1dParams(kernels=rng.standard_normal((2, 3, 3)), bias=rng.standard_normal(2))
-        weights = rng.standard_normal((6, 2))
+        weights = rng.standard_normal((1, 6, 2))
 
         def loss():
             return float((conv1d_forward(x, p)[0] * weights).sum())
@@ -123,17 +124,17 @@ class TestConv1d:
         assert rel_deviation(gb, finite_difference(loss, p.bias)) < 1e-6
 
     def test_wrong_cache_kind(self, rng):
-        _, cache = maxpool1d_forward(rng.standard_normal((4, 1)), 2)
+        _, cache = maxpool1d_forward(rng.standard_normal((1, 4, 1)), 2)
         with pytest.raises(ShapeError):
-            conv1d_backward(np.zeros((3, 1)), cache)
+            conv1d_backward(np.zeros((1, 3, 1)), cache)
 
     def test_batched_matches_per_sample(self, rng):
         xs = rng.standard_normal((3, 7, 2))
         p = Conv1dParams(kernels=rng.standard_normal((4, 2, 2)), bias=rng.standard_normal(4))
         batched, _ = conv1d_forward(xs, p)
         for b in range(3):
-            single, _ = conv1d_forward(xs[b], p)
-            assert np.abs(batched[b] - single).max() <= 1e-12
+            single, _ = conv1d_forward(xs[b : b + 1], p)
+            assert np.abs(batched[b] - single[0]).max() <= 1e-12
 
 
 class TestMaxPool1d:
@@ -143,19 +144,19 @@ class TestMaxPool1d:
 
     def test_remainder_dropped(self):
         y, _ = maxpool1d_forward(col([1.0] * 5), 2)
-        assert y.shape == (2, 1)
+        assert y.shape == (1, 2, 1)
         assert np.array_equal(y, col([1.0, 1.0]))
 
     def test_window_one_identity(self, rng):
-        x = rng.standard_normal((5, 3))
+        x = rng.standard_normal((1, 5, 3))
         y, _ = maxpool1d_forward(x, 1)
         assert np.array_equal(y, x)
 
     def test_output_length_is_floor(self, rng):
         for t in range(3, 20):
-            x = rng.standard_normal((t, 2))
+            x = rng.standard_normal((1, t, 2))
             y, _ = maxpool1d_forward(x, 3)
-            assert y.shape == (t // 3, 2)
+            assert y.shape == (1, t // 3, 2)
 
     def test_too_short(self):
         with pytest.raises(SequenceTooShortError):
@@ -167,7 +168,7 @@ class TestMaxPool1d:
 
     def test_tie_breaks_to_earliest(self):
         y, cache = maxpool1d_forward(col([2.0, 2.0]), 2)
-        assert y[0, 0] == 2.0
+        assert y[0, 0, 0] == 2.0
         gx = maxpool1d_backward(col([1.0]), cache)
         assert np.array_equal(gx, col([1.0, 0.0]))
 
@@ -177,8 +178,8 @@ class TestMaxPool1d:
         assert np.array_equal(gx, col([1.0, 0.0, 0.0, 1.0]))
 
     def test_backward_zero_grad(self, rng):
-        _, cache = maxpool1d_forward(rng.standard_normal((6, 2)), 2)
-        assert not maxpool1d_backward(np.zeros((3, 2)), cache).any()
+        _, cache = maxpool1d_forward(rng.standard_normal((1, 6, 2)), 2)
+        assert not maxpool1d_backward(np.zeros((1, 3, 2)), cache).any()
 
     @pytest.mark.parametrize(
         "tied",
@@ -208,7 +209,7 @@ class TestMaxPool1d:
     def test_matches_loop_oracle_with_rounded_values(self, rng):
         # values on a coarse grid make ties common in every window size
         for window in (1, 2, 3, 4):
-            for shape in ((5, 11, 3), (11, 3)):
+            for shape in ((5, 11, 3), (1, 11, 3)):
                 x = np.round(rng.standard_normal(shape))
                 y, cache = maxpool1d_forward(x, window)
                 want_y, route = reference_maxpool(x, window)
@@ -218,8 +219,8 @@ class TestMaxPool1d:
                 assert maxpool1d_backward(g, cache).tobytes() == route(g).tobytes()
 
     def test_backward_matches_finite_differences(self, rng):
-        x = rng.standard_normal((9, 2))  # continuous values: ties have measure zero
-        weights = rng.standard_normal((4, 2))
+        x = rng.standard_normal((1, 9, 2))  # continuous values: ties have measure zero
+        weights = rng.standard_normal((1, 4, 2))
 
         def loss():
             return float((maxpool1d_forward(x, 2)[0] * weights).sum())
@@ -236,7 +237,7 @@ class TestLstm:
             u={g: np.zeros((3, 3)) for g in "ifog"},
             b={g: np.zeros(3) for g in "ifog"},
         )
-        x = rng.standard_normal((6, 2))
+        x = rng.standard_normal((1, 6, 2))
         seq, _ = lstm_forward(x, p, return_sequence=True)
         last, _ = lstm_forward(x, p, return_sequence=False)
         assert not seq.any() and not last.any()
@@ -247,7 +248,7 @@ class TestLstm:
             ui=0.2, uf=0.5, uo=-0.6, ug=0.9,
             bi=0.1, bf=1.0, bo=-0.2, bg=0.3,
         )
-        x = np.array([[0.7]])
+        x = np.array([[[0.7]]])
         out, _ = lstm_forward(x, p, return_sequence=False)
 
         def sig(v):
@@ -258,7 +259,7 @@ class TestLstm:
         g = math.tanh(1.1 * 0.7 + 0.3)
         c = i * g  # f * c0 vanishes, c0 = 0
         expected = o * math.tanh(c)
-        assert out[0] == pytest.approx(expected, rel=1e-12)
+        assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_last_state_equals_final_sequence_row(self, rng):
         p = lstm_params(
@@ -266,10 +267,10 @@ class TestLstm:
             u={g: rng.standard_normal((4, 4)) for g in "ifog"},
             b={g: rng.standard_normal(4) for g in "ifog"},
         )
-        x = rng.standard_normal((7, 3))
+        x = rng.standard_normal((1, 7, 3))
         seq, _ = lstm_forward(x, p, return_sequence=True)
         last, _ = lstm_forward(x, p, return_sequence=False)
-        assert np.array_equal(last, seq[-1])
+        assert np.array_equal(last, seq[:, -1])
 
     def test_input_mismatch(self, rng):
         p = lstm_params(
@@ -278,7 +279,7 @@ class TestLstm:
             b={g: np.zeros(2) for g in "ifog"},
         )
         with pytest.raises(ShapeError):
-            lstm_forward(rng.standard_normal((4, 3)), p, return_sequence=True)
+            lstm_forward(rng.standard_normal((1, 4, 3)), p, return_sequence=True)
 
     def test_backward_zero_grad(self, rng):
         p = lstm_params(
@@ -286,8 +287,8 @@ class TestLstm:
             u={g: rng.standard_normal((3, 3)) for g in "ifog"},
             b={g: rng.standard_normal(3) for g in "ifog"},
         )
-        _, cache = lstm_forward(rng.standard_normal((5, 2)), p, return_sequence=True)
-        gx, gp = lstm_backward(np.zeros((5, 3)), cache)
+        _, cache = lstm_forward(rng.standard_normal((1, 5, 2)), p, return_sequence=True)
+        gx, gp = lstm_backward(np.zeros((1, 5, 3)), cache)
         assert not gx.any()
         assert not gp.w.any() and not gp.u.any() and not gp.b.any()
 
@@ -297,10 +298,10 @@ class TestLstm:
             ui=0.2, uf=0.5, uo=-0.6, ug=0.9,
             bi=0.1, bf=1.0, bo=-0.2, bg=0.3,
         )
-        x = np.array([[0.7]])
+        x = np.array([[[0.7]]])
         _, cache = lstm_forward(x, p, return_sequence=False)
         upstream = 1.3
-        gx, gp = lstm_backward(np.array([upstream]), cache)
+        gx, gp = lstm_backward(np.array([[upstream]]), cache)
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -329,7 +330,7 @@ class TestLstm:
         # recurrent weights see h0 = 0, so their gradient vanishes at T=1
         assert per_gate(gp.u)["i"][0, 0] == 0.0
         expected_dx = dzi * 0.4 + dzf * -0.3 + dzo * 0.8 + dzg * 1.1
-        assert gx[0, 0] == pytest.approx(expected_dx, rel=1e-12)
+        assert gx[0, 0, 0] == pytest.approx(expected_dx, rel=1e-12)
 
     def test_bptt_matches_finite_differences(self, rng):
         p = lstm_params(
@@ -337,8 +338,8 @@ class TestLstm:
             u={g: 0.6 * rng.standard_normal((4, 4)) for g in "ifog"},
             b={g: 0.3 * rng.standard_normal(4) for g in "ifog"},
         )
-        x = rng.standard_normal((8, 3))
-        weights = rng.standard_normal((8, 4))
+        x = rng.standard_normal((1, 8, 3))
+        weights = rng.standard_normal((1, 8, 4))
 
         def loss():
             return float((lstm_forward(x, p, return_sequence=True)[0] * weights).sum())
@@ -358,8 +359,8 @@ class TestLstm:
             u={g: 0.6 * rng.standard_normal((3, 3)) for g in "ifog"},
             b={g: 0.3 * rng.standard_normal(3) for g in "ifog"},
         )
-        x = rng.standard_normal((6, 2))
-        weights = rng.standard_normal(3)
+        x = rng.standard_normal((1, 6, 2))
+        weights = rng.standard_normal((1, 3))
 
         def loss():
             return float((lstm_forward(x, p, return_sequence=False)[0] * weights).sum())
@@ -397,8 +398,16 @@ class TestLstm:
         xs = rng.standard_normal((3, 6, 3))
         batched, _ = lstm_forward(xs, p, return_sequence=True)
         for b in range(3):
-            single, _ = lstm_forward(xs[b], p, return_sequence=True)
-            assert np.abs(batched[b] - single).max() <= 1e-12
+            single, _ = lstm_forward(xs[b : b + 1], p, return_sequence=True)
+            assert np.abs(batched[b] - single[0]).max() <= 1e-12
+
+
+def lone_or_batch(rng, sample_shape, batch):
+    """A drawn batch of ``batch`` samples, or for ``batch`` None a lone
+    sample passed as a batch of one with ``[None]``."""
+    if batch is None:
+        return rng.standard_normal(sample_shape)[None]
+    return rng.standard_normal((batch, *sample_shape))
 
 
 def random_lstm_params(rng, hidden, features, gain=0.3):
@@ -417,8 +426,7 @@ class TestLstmAgainstGateLoop:
     @pytest.mark.parametrize("batch", [32, None], ids=["batched", "unbatched"])
     def test_outputs_and_gradients_agree(self, rng, steps, features, return_sequence, batch):
         p = random_lstm_params(rng, 64, features)
-        shape = (steps, features) if batch is None else (batch, steps, features)
-        x = rng.standard_normal(shape)
+        x = lone_or_batch(rng, (steps, features), batch)
         out, cache = lstm_forward(x, p, return_sequence)
         want, state = reference_lstm_forward(
             x, per_gate(p.w), per_gate(p.u), per_gate(p.b), return_sequence
@@ -437,7 +445,7 @@ class TestLstmAgainstGateLoop:
 
     def test_cache_is_used_once(self, rng):
         p = random_lstm_params(rng, 3, 2)
-        out, cache = lstm_forward(rng.standard_normal((4, 2)), p, return_sequence=True)
+        out, cache = lstm_forward(rng.standard_normal((1, 4, 2)), p, return_sequence=True)
         lstm_backward(np.ones_like(out), cache)
         with pytest.raises(ShapeError, match="already used"):
             lstm_backward(np.ones_like(out), cache)
@@ -457,8 +465,7 @@ class TestConvAgainstDirectSum:
             kernels=0.3 * rng.standard_normal((kernels, 3, features)),
             bias=rng.standard_normal(kernels),
         )
-        shape = (steps, features) if batch is None else (batch, steps, features)
-        x = rng.standard_normal(shape)
+        x = lone_or_batch(rng, (steps, features), batch)
         y, cache = conv1d_forward(x, p)
         want = reference_conv1d_forward(x, p.kernels, p.bias)
         assert y.shape == want.shape
@@ -474,8 +481,7 @@ class TestConvAgainstDirectSum:
     @pytest.mark.parametrize("steps,features,kernels", CONV_STAGES)
     @pytest.mark.parametrize("batch", [32, None], ids=["batched", "unbatched"])
     def test_pool_of_conv_output_matches_loop_oracle(self, rng, steps, features, kernels, batch):
-        shape = (steps - 2, kernels) if batch is None else (batch, steps - 2, kernels)
-        x = np.tanh(rng.standard_normal(shape))
+        x = np.tanh(lone_or_batch(rng, (steps - 2, kernels), batch))
         y, cache = maxpool1d_forward(x, 2)
         want, route = reference_maxpool(x, 2)
         assert np.array_equal(y, want)
@@ -527,24 +533,24 @@ class TestDropout:
 class TestDense:
     def test_identity_weight(self):
         p = DenseParams(weight=np.eye(3), bias=np.zeros(3))
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         y, _ = dense_forward(x, p)
         assert np.array_equal(y, x)
 
     def test_direct_evaluation(self):
         p = DenseParams(weight=np.array([[1.0, 1.0]]), bias=np.array([1.0]))
-        y, _ = dense_forward(np.array([2.0, 3.0]), p)
-        assert np.array_equal(y, [6.0])
+        y, _ = dense_forward(np.array([[2.0, 3.0]]), p)
+        assert np.array_equal(y, [[6.0]])
 
     def test_shape_mismatch(self, rng):
         p = DenseParams(weight=rng.standard_normal((2, 4)), bias=np.zeros(2))
         with pytest.raises(ShapeError):
-            dense_forward(np.ones(3), p)
+            dense_forward(np.ones((1, 3)), p)
 
     def test_linearity(self, rng):
         p = DenseParams(weight=rng.standard_normal((3, 4)), bias=np.zeros(3))
-        x = rng.standard_normal(4)
-        z = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
+        z = rng.standard_normal((1, 4))
         combined, _ = dense_forward(1.5 * x + 0.5 * z, p)
         yx, _ = dense_forward(x, p)
         yz, _ = dense_forward(z, p)
@@ -552,8 +558,8 @@ class TestDense:
 
     def test_backward_matches_finite_differences(self, rng):
         p = DenseParams(weight=rng.standard_normal((2, 5)), bias=rng.standard_normal(2))
-        x = rng.standard_normal(5)
-        weights = rng.standard_normal(2)
+        x = rng.standard_normal((1, 5))
+        weights = rng.standard_normal((1, 2))
 
         def loss():
             return float((dense_forward(x, p)[0] * weights).sum())
@@ -569,8 +575,8 @@ class TestDense:
         xs = rng.standard_normal((4, 3))
         batched, _ = dense_forward(xs, p)
         for b in range(4):
-            single, _ = dense_forward(xs[b], p)
-            assert np.abs(batched[b] - single).max() <= 1e-12
+            single, _ = dense_forward(xs[b : b + 1], p)
+            assert np.abs(batched[b] - single[0]).max() <= 1e-12
 
 
 def op_table(rng):
@@ -612,18 +618,25 @@ def same_bits(a, b):
 
 def window_sample(rng, sample_shape, batch):
     """A read-only sliding-window view [batch, *sample_shape] over a drawn series,
-    as ``pipeline.window_view`` gives; one sample when ``batch`` is None."""
+    as ``pipeline.window_view`` gives; for ``batch`` None one window passed
+    as a batch of one with ``[None]``."""
     length = sample_shape[0]
     series = rng.standard_normal((length + (batch or 1) - 1, *sample_shape[1:]))
     win = sliding_window_view(series, length, axis=0)
     if len(sample_shape) == 2:
         win = win.transpose(0, 2, 1)
-    return win if batch is not None else win[0]
+    return win if batch is not None else win[0][None]
 
 
 def batch_minor(x):
     """The values of ``x`` as a view of storage with the batch axis last."""
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+
+
+def lone(arrange):
+    """``arrange`` for a batch of one whose sample is arranged on its own and
+    passed as a batch with ``[None]``."""
+    return lambda a: arrange(a[0])[None]
 
 
 class TestPurity:
@@ -633,8 +646,9 @@ class TestPurity:
     def test_no_op_writes_into_its_input_or_upstream(self, rng, op, batch, layout):
         forward, backward, sample_shape = op_table(rng)[op]
         arrange = np.ascontiguousarray if layout == "c" else batch_minor
-        shape = sample_shape if batch is None else (batch, *sample_shape)
-        x = arrange(rng.standard_normal(shape))
+        if batch is None:
+            arrange = lone(arrange)
+        x = arrange(rng.standard_normal((batch or 1, *sample_shape)))
         x0 = x.copy()
         y, cache = forward(x)
         upstream = arrange(rng.standard_normal(y.shape))
@@ -660,7 +674,7 @@ class TestPurity:
             assert all(same_bits(a, b) for a, b in zip(got, results[0]))
 
     def test_forward_ops_leave_inputs_alone(self, rng):
-        x = rng.standard_normal((8, 2))
+        x = rng.standard_normal((1, 8, 2))
         x0 = x.copy()
         p = Conv1dParams(kernels=rng.standard_normal((2, 3, 2)), bias=rng.standard_normal(2))
         conv1d_forward(x, p)

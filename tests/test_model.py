@@ -18,12 +18,12 @@ from cnnlstm.model import (
     forward,
     grad_check,
     load,
-    loss_gradients,
+    loss_sums,
     run_gradient_checks,
     save,
     verification_config,
 )
-from cnnlstm.optim import sgd_step
+from cnnlstm.optim import mse, sgd_step
 from cnnlstm.pipeline import PcaState, PreprocessState, ScalerState
 from oracles import reference_array_lines
 
@@ -418,12 +418,25 @@ class TestCheckpoint:
 
 class TestLossGradients:
     def test_matches_mse_scale(self, rng):
-        # gradient magnitude must be independent of batch size
+        # sums over the batch: divided by B, the gradient is independent of batch size
         m = build(tiny_config())
         x1 = rng.standard_normal((1, 16, 3))
         x = np.concatenate([x1, x1], axis=0)
         t1 = np.array([0.3])
         t = np.array([0.3, 0.3])
-        _, g1 = loss_gradients(m, x1, t1, np.random.default_rng(0))
-        _, g2 = loss_gradients(m, x, t, np.random.default_rng(0))
-        assert np.allclose(g1, g2, rtol=1e-10, atol=1e-15)
+        sse1, g1 = loss_sums(m, x1, t1, np.random.default_rng(0))
+        sse2, g2 = loss_sums(m, x, t, np.random.default_rng(0))
+        assert sse2 / 2 == pytest.approx(sse1, rel=1e-12)
+        assert np.allclose(g1, g2 / 2, rtol=1e-10, atol=1e-15)
+
+    def test_sums_divided_by_b_are_the_mse_and_its_gradient_bitwise(self, rng):
+        m = build(tiny_config(dropout_rate=0.3))
+        x, t = rng.standard_normal((5, 16, 3)), rng.random(5)
+        preds, caches = forward(m, x, training=True, rng=np.random.default_rng(4))
+        want = backward(m, caches, 2.0 * (preds - t)) / 5
+        out = np.full_like(m.theta, np.nan)
+        sse, grad = loss_sums(m, x, t, np.random.default_rng(4), out)
+        assert grad is out
+        assert sse / 5 == mse(preds, t)
+        grad /= 5
+        assert grad.tobytes() == want.tobytes()

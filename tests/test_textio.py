@@ -303,6 +303,27 @@ def test_check_writable_names_the_failure_a_write_would_meet(tmp_path, monkeypat
     check_writable("file.txt")
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_check_writable_asks_for_what_write_lines_writes(tmp_path, monkeypatch):
+    # a regular file, new or existing, is replaced through its directory, so a
+    # writable file in a read-only directory cannot be written; a named pipe
+    # is written in place. os.access is patched, as root may write anything.
+    folder = os.path.realpath(tmp_path)
+    (tmp_path / "model.ckpt").write_text("old\n")
+    os.mkfifo(tmp_path / "pipe")
+    denied = set()
+    monkeypatch.setattr(os, "access", lambda path, mode: os.fspath(path) not in denied)
+    denied.add(folder)
+    for name in ("model.ckpt", "new.ckpt"):
+        with pytest.raises(OutputError, match="cannot write .*: Permission denied"):
+            check_writable(tmp_path / name)
+    check_writable(tmp_path / "pipe")
+    denied = {os.path.join(folder, "pipe")}
+    check_writable(tmp_path / "model.ckpt")
+    with pytest.raises(OutputError, match="cannot write .*pipe: Permission denied"):
+        check_writable(tmp_path / "pipe")
+
+
 class TestTrainingRows:
     @FAST
     @given(st.data(), st.integers(1, 12), st.integers(1, 4), st.integers(0, 40))

@@ -11,8 +11,8 @@ import pytest
 
 from cnnlstm import training
 from cnnlstm.errors import CompatibilityError, DivergenceError, PipelineError
-from cnnlstm.model import ModelConfig, build, forward, load, loss_gradients, save
-from cnnlstm.optim import OptimConfig, schedule_lr, sgd_step
+from cnnlstm.model import ModelConfig, backward, build, forward, load, save
+from cnnlstm.optim import OptimConfig, mse, schedule_lr, sgd_step
 from cnnlstm.pipeline import PrepareConfig, prepare_dataset
 from cnnlstm.synth import synthetic_ohlcv
 from cnnlstm.training import TrainConfig, evaluate, predict, split_predictions, train
@@ -292,8 +292,9 @@ class TestInfer:
 
 
 def whole_batch_losses(model, dataset, cfg):
-    """``train``'s SGD epochs with one whole-batch ``loss_gradients`` step per
-    batch; returns the per-epoch train losses."""
+    """``train``'s SGD epochs, each step the whole batch's training-mode
+    ``forward``, its ``mse`` and its ``backward`` divided by B; returns the
+    per-epoch train losses."""
     shuffle_ss, dropout_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng, dropout_rng = np.random.default_rng(shuffle_ss), np.random.default_rng(dropout_ss)
     losses = []
@@ -302,11 +303,24 @@ def whole_batch_losses(model, dataset, cfg):
         batch_losses = []
         for start in range(0, order.size, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            loss, grad = loss_gradients(model, dataset.inputs[sel], dataset.targets[sel], dropout_rng)
+            preds, caches = forward(model, dataset.inputs[sel], training=True, rng=dropout_rng)
+            grad = backward(model, caches, 2.0 * (preds - dataset.targets[sel]))
+            grad /= sel.size
             sgd_step(model.theta, grad, schedule_lr(epoch, cfg.optim), cfg.optim.l2, model.n_weights)
-            batch_losses.append(loss)
+            batch_losses.append(mse(preds, dataset.targets[sel]))
         losses.append(float(np.mean(batch_losses)))
     return losses
+
+
+def test_import_loads_neither_numpy_random_nor_mmap():
+    # both are imported only where a run needs them: a generator, a worker
+    import cnnlstm
+
+    src = str(Path(cnnlstm.__file__).resolve().parent.parent)
+    check = "import sys, cnnlstm; print(sorted({'numpy.random', 'mmap'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "[]\n")
 
 
 def assert_no_child_left():
@@ -372,29 +386,25 @@ class TestTrainWorker:
         # 197 train windows: the last batch is split 3 + 2, 11 + 10, or not at all
         assert prepared.dataset.indices("train").size % batch_size == last
         cfg = train_config(epochs=3, batch_size=batch_size)
+        shares = []
+        loss_sums = training.loss_sums
+
+        def record(model, batch, targets, rng, out=None):
+            shares.append(len(batch))
+            return loss_sums(model, batch, targets, rng, out)
+
+        monkeypatch.setattr(training, "loss_sums", record)
         monkeypatch.setattr(training, "_cpus", lambda: 1)
         one = train(fresh_model(prepared), prepared.dataset, prepared.preprocess, cfg)
+        sizes = [min(batch_size, 197 - start) for start in range(0, 197, batch_size)]
+        assert shares == sizes * cfg.epochs  # no worker: the caller takes every row
         monkeypatch.setattr(training, "_cpus", lambda: 2)
-        halves, wholes = [], []
-        slice_sums, whole = training._slice_sums, training.loss_gradients
-
-        def record_half(model, dataset, rows, rng, out=None):
-            halves.append(rows.size)
-            return slice_sums(model, dataset, rows, rng, out)
-
-        def record_whole(model, batch, targets, rng):
-            wholes.append(len(batch))
-            return whole(model, batch, targets, rng)
-
-        monkeypatch.setattr(training, "_slice_sums", record_half)
-        monkeypatch.setattr(training, "loss_gradients", record_whole)
+        shares.clear()
         two = [train(fresh_model(prepared), prepared.dataset, prepared.preprocess, cfg)
                for _ in range(2)]
         assert_no_child_left()
-        # the caller's half of each batch of two or more, the whole of a batch of one
-        sizes = [min(batch_size, 197 - start) for start in range(0, 197, batch_size)]
-        assert halves == [(n + 1) // 2 for n in sizes if n > 1] * 2 * cfg.epochs
-        assert wholes == [n for n in sizes if n == 1] * 2 * cfg.epochs
+        # the caller's half of each batch, rounded up: the whole of a batch of one
+        assert shares == [(n + 1) // 2 for n in sizes] * 2 * cfg.epochs
         assert two[0].train_loss == two[1].train_loss and two[0].val_loss == two[1].val_loss
         for got, want in [(two[0].train_loss, one.train_loss), (two[0].val_loss, one.val_loss)]:
             assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-12
@@ -421,14 +431,14 @@ class TestTrainWorker:
     def fail_in(monkeypatch, side, error):
         """Make ``side``'s half of every batch raise ``error``."""
         monkeypatch.setattr(training, "_cpus", lambda: 2)
-        caller, slice_sums = os.getpid(), training._slice_sums
+        caller, loss_sums = os.getpid(), training.loss_sums
 
         def failing(*args):
             if (os.getpid() == caller) == (side == "caller"):
                 raise error
-            return slice_sums(*args)
+            return loss_sums(*args)
 
-        monkeypatch.setattr(training, "_slice_sums", failing)
+        monkeypatch.setattr(training, "loss_sums", failing)
 
     @pytest.mark.parametrize("side", ["caller", "worker"])
     def test_a_failing_half_reaches_the_caller(self, prepared, monkeypatch, side):
@@ -446,14 +456,14 @@ class TestTrainWorker:
 
     def test_divergence_in_the_workers_half(self, prepared, monkeypatch, capfd):
         monkeypatch.setattr(training, "_cpus", lambda: 2)
-        caller, slice_sums = os.getpid(), training._slice_sums
+        caller, loss_sums = os.getpid(), training.loss_sums
 
         def overflowing(model, *args):
             if os.getpid() != caller:
                 model.theta[:] = 1e308  # the shared copy, which the caller rewrites each step
-            return slice_sums(model, *args)
+            return loss_sums(model, *args)
 
-        monkeypatch.setattr(training, "_slice_sums", overflowing)
+        monkeypatch.setattr(training, "loss_sums", overflowing)
         with pytest.raises(DivergenceError) as err:
             train(fresh_model(prepared), prepared.dataset, prepared.preprocess, train_config())
         assert err.value.epoch == 1
