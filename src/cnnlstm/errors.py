@@ -9,10 +9,6 @@ class ShapeError(CnnLstmError):
     """Operands or caches have incompatible shapes."""
 
 
-class NumericError(CnnLstmError):
-    """An operation produced non-finite values."""
-
-
 class ConfigError(CnnLstmError):
     """Invalid or inconsistent configuration."""
 
