@@ -137,7 +137,10 @@ class Model:
         self.n_weights = self._layout[2]
         size = sum(math.prod(shape) for _, shape in self._layout[0].values())
         if theta is None:
-            theta = np.zeros(size)
+            try:
+                theta = np.zeros(size)
+            except (ValueError, MemoryError) as exc:  # extents read from a file or config
+                raise ConfigError(f"a model of {size} parameters cannot be allocated: {exc}") from None
         elif theta.shape != (size,) or theta.dtype != np.float64:
             raise ShapeError(f"theta must be {size} float64 values, got {theta.dtype} {theta.shape}")
         self.theta = theta

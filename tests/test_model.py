@@ -110,6 +110,11 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(features=3, dropout_rate=1.0).validate()
 
+    def test_a_model_too_large_to_allocate_is_a_config_error(self):
+        # a checkpoint header with lstm_units=99999999999999999999992,2,2 raised a raw ValueError
+        with pytest.raises(ConfigError, match="cannot be allocated"):
+            Model(ModelConfig(features=3, lstm_units=(10**22, 2, 2)).validate())
+
 
 class TestBuild:
     def test_same_seed_identical(self):
