@@ -1,7 +1,9 @@
-"""Synthetic OHLCV benchmark data: a noisy sine with drift.
+"""Synthetic OHLCV data: a noisy two-wave sine with no drift.
 
-Used by the demos and the convergence checks; the shape (prices roughly
-40-90, ~1200 business days) mimics a few years of a large-cap stock.
+The close is a constant level plus sines of 251 and 53 business days and
+Gaussian noise, so the series is stationary. Used by the tests; the shape
+(prices roughly 40-90, ~1200 business days) mimics a few years of a
+large-cap stock.
 """
 
 from datetime import date, timedelta
@@ -44,14 +46,3 @@ def synthetic_ohlcv(rows: int = 1200, seed: int = 7, start=date(2019, 1, 2)) -> 
             "volume": volume,
         },
     )
-
-
-def write_csv(frame: FeatureFrame, path):
-    lines = ["Date,Open,High,Low,Close,Volume"]
-    for i, day in enumerate(frame.dates):
-        cells = [day.isoformat()]
-        for name in ("open", "high", "low", "close", "volume"):
-            cells.append(format(frame.columns[name][i], ".6f"))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

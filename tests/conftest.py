@@ -10,6 +10,18 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+def write_csv(frame, path):
+    """Write ``frame``'s OHLCV columns as a CSV that ``load_ohlcv`` reads, to 6 decimals."""
+    lines = ["Date,Open,High,Low,Close,Volume"]
+    for i, day in enumerate(frame.dates):
+        cells = [day.isoformat()]
+        for name in ("open", "high", "low", "close", "volume"):
+            cells.append(format(frame.columns[name][i], ".6f"))
+        lines.append(",".join(cells))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

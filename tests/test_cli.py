@@ -13,7 +13,8 @@ import cnnlstm
 from cnnlstm import model, pipeline, training
 from cnnlstm.cli import main
 from cnnlstm.config import load_config
-from cnnlstm.synth import synthetic_ohlcv, write_csv
+from cnnlstm.synth import synthetic_ohlcv
+from conftest import write_csv
 
 SMALL = "lookback=8\ncorr_threshold=0.3\n"
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from cnnlstm import config, model, pipeline
 from cnnlstm.errors import CnnLstmError
-from cnnlstm.synth import synthetic_ohlcv, write_csv
+from cnnlstm.synth import synthetic_ohlcv
+from conftest import write_csv
 
 FUZZ = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

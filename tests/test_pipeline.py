@@ -38,8 +38,9 @@ from cnnlstm.pipeline import (
 )
 from cnnlstm.model import ModelConfig, build
 from cnnlstm.optim import OptimConfig
-from cnnlstm.synth import synthetic_ohlcv, write_csv
+from cnnlstm.synth import synthetic_ohlcv
 from cnnlstm.training import TrainConfig, train
+from conftest import write_csv
 from oracles import (
     ReferenceCsvError,
     jacobi_eigh,
