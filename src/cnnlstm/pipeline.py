@@ -272,25 +272,25 @@ def engineer(raw: FeatureFrame, sma_windows=SMA_WINDOWS):
     return drop_rows(frame, max(sma_windows)), imputed_cells
 
 
-def correlations(frame: FeatureFrame, rows=None, target="close") -> dict:
-    """Pearson r of every non-target column against the target.
+def correlations(frame: FeatureFrame, rows=None) -> dict:
+    """Pearson r of every column but ``close`` against ``close``, the target.
 
     Constant columns map to NaN. ``rows`` restricts the statistics (the
     orchestrator passes training rows).
     """
-    if target not in frame.columns:
-        raise PipelineError(f"target column {target!r} not in frame")
+    if "close" not in frame.columns:
+        raise PipelineError("target column 'close' not in frame")
     idx = np.arange(len(frame)) if rows is None else np.asarray(rows)
     if idx.size < 2:
         raise PipelineError("correlation needs at least 2 rows")
-    y = frame.columns[target][idx]
+    y = frame.columns["close"][idx]
     yc = y - y.mean()
     ss_y = float(yc @ yc)
     if ss_y == 0.0:
         raise PipelineError("target column has zero variance")
     out = {}
     for name, col in frame.columns.items():
-        if name == target:
+        if name == "close":
             continue
         x = col[idx]
         xc = x - x.mean()
@@ -463,8 +463,9 @@ def window_view(x: np.ndarray, lookback: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, lookback, axis=0).transpose(0, 2, 1)
 
 
-def make_windows(frame: FeatureFrame, lookback: int, horizon: int = 1, target="close") -> WindowedDataset:
-    """Build sample i from input rows [i, i+T) and the target at i+T+horizon-1."""
+def make_windows(frame: FeatureFrame, lookback: int, horizon: int = 1) -> WindowedDataset:
+    """Build sample i from input rows [i, i+T) of every column but ``close``
+    and the target: ``close`` at row i+T+horizon-1."""
     if lookback < 1 or horizon < 1:
         raise ConfigError(f"lookback and horizon must be >= 1, got {lookback}, {horizon}")
     length = len(frame)
@@ -472,16 +473,16 @@ def make_windows(frame: FeatureFrame, lookback: int, horizon: int = 1, target="c
         raise PipelineError(
             f"frame too short to window: need at least {lookback + horizon} rows, got {length}"
         )
-    features = tuple(n for n in frame.columns if n != target)
+    features = tuple(n for n in frame.columns if n != "close")
     if not features:
         raise PipelineError("no feature columns besides the target")
-    if target not in frame.columns:
-        raise PipelineError(f"target column {target!r} not in frame")
+    if "close" not in frame.columns:
+        raise PipelineError("target column 'close' not in frame")
     n = length - lookback - horizon + 1
     t0 = lookback + horizon - 1
     return WindowedDataset(
         inputs=window_view(frame.matrix(features), lookback)[:n],
-        targets=frame.columns[target][t0 : t0 + n].copy(),
+        targets=frame.columns["close"][t0 : t0 + n].copy(),
         target_dates=list(frame.dates[t0 : t0 + n]),
         feature_names=features,
         lookback=lookback,
@@ -641,7 +642,7 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
     )
     fit_rows = training_rows(length, train_idx, cfg.lookback, cfg.horizon)
 
-    rs = correlations(frame, rows=fit_rows, target="close")
+    rs = correlations(frame, rows=fit_rows)
     selected = tuple(select_by_correlation(rs, cfg.corr_threshold))
     dropped_constant = tuple(n for n, r in rs.items() if math.isnan(r))
     if not selected:
