@@ -4,10 +4,20 @@ Subcommands: prepare, train, evaluate, predict, plot, gradcheck. Results go
 to stdout, diagnostics to stderr. Exit statuses: 0 ok, 2 input error,
 3 diverged training, 4 checkpoint/dataset incompatibility, 5 gradient
 verification failure.
+
+``evaluate`` and ``plot`` take a checkpoint and a dataset only when the
+checkpoint fits the dataset: its ``[preprocessing]`` block equals the
+dataset's, compared as the lines ``preprocess_lines`` writes, and the
+model's lookback and feature count equal the dataset's. A re-prepare of the
+training CSV with the training config fits; any other pair is exit 4, with
+a message naming the first key that differs. So the prices they report
+come from the scaler that scaled the dataset's targets.
 """
 
 import argparse
+import re
 import sys
+from itertools import zip_longest
 
 from . import model as model_mod
 from . import pipeline as pl
@@ -18,25 +28,6 @@ from .textio import check_writable, fmt_float, write_lines
 
 GRADCHECK_TOLERANCE = 1e-5
 OUTPUTS = ("out", "history", "svg", "predictions")  # the flags that name a file to write
-
-
-def _check_compat(ckpt_pre: pl.PreprocessState, data_pre: pl.PreprocessState, features: int, n_model_features: int):
-    if ckpt_pre.selected != data_pre.selected:
-        raise CompatibilityError(
-            f"checkpoint selected features {','.join(ckpt_pre.selected)} but the "
-            f"dataset was prepared with {','.join(data_pre.selected)}"
-        )
-    if (ckpt_pre.pca is None) != (data_pre.pca is None):
-        raise CompatibilityError("checkpoint and dataset disagree on PCA on/off")
-    if ckpt_pre.pca is not None and ckpt_pre.pca.n_components != data_pre.pca.n_components:
-        raise CompatibilityError(
-            f"checkpoint uses {ckpt_pre.pca.n_components} PCA components, "
-            f"dataset has {data_pre.pca.n_components}"
-        )
-    if features != n_model_features:
-        raise CompatibilityError(
-            f"dataset provides {features} model features, checkpoint expects {n_model_features}"
-        )
 
 
 def cmd_prepare(args) -> int:
@@ -89,24 +80,39 @@ def cmd_train(args) -> int:
 
 
 def _load_pair(args):
+    """The checkpoint's model and the prepared dataset, if the one fits the other.
+
+    The lookback, the feature count and the ``[preprocessing]`` lines of
+    the checkpoint must equal the dataset's; the first key that differs is
+    a ``CompatibilityError``.
+    """
     net, ckpt_pre = model_mod.load(args.checkpoint)
     prepared, _ = pl.load_dataset(args.data)
-    _check_compat(
-        ckpt_pre,
-        prepared.preprocess,
-        len(prepared.dataset.feature_names),
-        net.config.features,
-    )
-    return net, ckpt_pre, prepared
+    data = prepared.dataset
+    fitted = [f"lookback={net.config.lookback}", f"features={net.config.features}",
+              *pl.preprocess_lines(ckpt_pre)]
+    given = [f"lookback={data.lookback}", f"features={len(data.feature_names)}",
+             *pl.preprocess_lines(prepared.preprocess)]
+    key = None
+    for mine, theirs in zip_longest(fitted, given, fillvalue=""):
+        if key != "pca_basis":  # the lines after its header are the basis itself
+            key = re.split("[= ]", mine or theirs, maxsplit=1)[0]
+        if mine != theirs:
+            values = f" ({mine} in the checkpoint, {theirs} in the dataset)"
+            raise CompatibilityError(
+                f"checkpoint {args.checkpoint} does not fit dataset {args.data}: {key} differs"
+                + (values if mine.startswith(key + "=") else "")
+            )
+    return net, prepared
 
 
 def cmd_evaluate(args) -> int:
-    net, ckpt_pre, prepared = _load_pair(args)
-    rep = training.evaluate(net, prepared.dataset, ckpt_pre, args.split)
+    net, prepared = _load_pair(args)
+    rep = training.evaluate(net, prepared.dataset, prepared.preprocess, args.split)
     print(f"metrics on {args.split} split (price space):")
     print(rep.format())
     if args.predictions:
-        rows = training.split_predictions(net, prepared.dataset, ckpt_pre, args.split)
+        rows = training.split_predictions(net, prepared.dataset, prepared.preprocess, args.split)
         lines = ["date,actual,predicted"]
         lines.extend(
             f"{day.isoformat()},{fmt_float(actual)},{fmt_float(pred)}"
@@ -132,8 +138,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    net, ckpt_pre, prepared = _load_pair(args)
-    rows = training.split_predictions(net, prepared.dataset, ckpt_pre, args.split)
+    net, prepared = _load_pair(args)
+    rows = training.split_predictions(net, prepared.dataset, prepared.preprocess, args.split)
     dates = [day.isoformat() for day, _, _ in rows]
     chart = svg.line_chart(
         [
@@ -191,7 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="metrics for a checkpoint on one split")
+    fits = ("The checkpoint must fit the dataset: its [preprocessing] block, lookback and "
+            "feature count must equal the dataset's, as they do for the dataset it was trained "
+            "on or a re-prepare of the same CSV with the same config. Any other pair exits 4, "
+            "naming the first key that differs.")
+    p = sub.add_parser("evaluate", help="metrics for a checkpoint on one split", description=fits)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
@@ -204,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write date,predicted CSV here instead of stdout")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("plot", help="actual-vs-predicted overlay SVG for one split")
+    p = sub.add_parser("plot", help="actual-vs-predicted overlay SVG for one split", description=fits)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))

@@ -46,7 +46,12 @@ class OutputError(CnnLstmError, OSError):
 
 
 class CompatibilityError(CnnLstmError):
-    """Checkpoint and dataset disagree (feature names, dimensions, empty split)."""
+    """A checkpoint does not fit its input (CLI exit 4).
+
+    With a dataset, the checkpoint fits when its ``[preprocessing]`` block,
+    lookback and feature count equal the dataset's. Also raised for an
+    empty split, or for a frame that lacks a column the checkpoint needs.
+    """
 
 
 class DivergenceError(CnnLstmError):

@@ -1,5 +1,6 @@
-"""Bad input (exit 2) and diverged training (exit 3) reach the CLI as a one-line
-error, never a traceback or a raw warning."""
+"""Bad input (exit 2), diverged training (exit 3) and a checkpoint that does not
+fit its dataset (exit 4) reach the CLI as a one-line error, never a traceback or
+a raw warning."""
 
 import os
 import subprocess
@@ -235,6 +236,55 @@ def test_train_rejects_version_1_cache(prepared, capsys):
              "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
             f"unsupported dataset version '{version}'",
         )
+
+
+def trained(prepared):
+    """Train ``m.ckpt`` for one epoch on the ``prepared`` cache; returns its path."""
+    (prepared / "one.cfg").write_text(SMALL + "kernel_width=2\npool_window=1\nepochs=1\n")
+    ckpt = prepared / "m.ckpt"
+    assert main(["train", "--data", str(prepared / "data.txt"), "--config", str(prepared / "one.cfg"),
+                 "--out", str(ckpt), "--history", str(prepared / "h.csv")]) == 0
+    return ckpt
+
+
+def reprepare(prepared, config_text, name):
+    """Prepare ``prices.csv`` again with ``config_text``; returns the new cache's path."""
+    (prepared / f"{name}.cfg").write_text(config_text)
+    data = prepared / f"{name}.txt"
+    assert main(["prepare", "--input", str(prepared / "prices.csv"), "--config",
+                 str(prepared / f"{name}.cfg"), "--out", str(data)]) == 0
+    return data
+
+
+def score(command, ckpt, data, out):
+    return [command, "--checkpoint", str(ckpt), "--data", str(data),
+            "--predictions" if command == "evaluate" else "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "plot"])
+@pytest.mark.parametrize("config_text, differs", [
+    (SMALL + "split_ratios=0.8,0.1,0.1\n", "scaler_min differs"),
+    (SMALL + "horizon=3\n", "horizon differs (horizon=1 in the checkpoint, horizon=3 in the dataset)"),
+    ("lookback=16\ncorr_threshold=0.3\n",
+     "lookback differs (lookback=8 in the checkpoint, lookback=16 in the dataset)"),
+])
+def test_a_checkpoint_scores_only_a_dataset_it_fits(prepared, capsys, command, config_text, differs):
+    # the first two exited 0, scoring the model with another scaler or horizon; the third exited 2
+    ckpt = trained(prepared)
+    data = reprepare(prepared, config_text, "other")
+    capsys.readouterr()
+    assert main(score(command, ckpt, data, prepared / "out")) == 4
+    assert capsys.readouterr().err == f"error: checkpoint {ckpt} does not fit dataset {data}: {differs}\n"
+    assert not (prepared / "out").exists()
+
+
+def test_a_re_prepared_dataset_fits_its_checkpoint(prepared):
+    ckpt = trained(prepared)
+    again = reprepare(prepared, SMALL, "again")
+    for command in ("evaluate", "plot"):
+        for data in (prepared / "data.txt", again):
+            assert main(score(command, ckpt, data, prepared / f"{command}-{data.stem}")) == 0
+        assert (prepared / f"{command}-data").read_bytes() == (prepared / f"{command}-again").read_bytes()
 
 
 
