@@ -21,7 +21,7 @@ from itertools import zip_longest
 
 from . import model as model_mod
 from . import pipeline as pl
-from . import svg, training
+from . import metrics, svg, training
 from .config import SCHEMA, load_config
 from .errors import CnnLstmError, CompatibilityError, DivergenceError
 from .textio import check_writable, fmt_float, write_lines
@@ -108,15 +108,14 @@ def _load_pair(args):
 
 def cmd_evaluate(args) -> int:
     net, prepared = _load_pair(args)
-    rep = training.evaluate(net, prepared.dataset, prepared.preprocess, args.split)
+    rows = training.split_predictions(net, prepared.dataset, prepared.preprocess, args.split)
+    _, actual, predicted = zip(*rows)
     print(f"metrics on {args.split} split (price space):")
-    print(rep.format())
+    print(metrics.report(actual, predicted).format())
     if args.predictions:
-        rows = training.split_predictions(net, prepared.dataset, prepared.preprocess, args.split)
         lines = ["date,actual,predicted"]
         lines.extend(
-            f"{day.isoformat()},{fmt_float(actual)},{fmt_float(pred)}"
-            for day, actual, pred in rows
+            f"{day.isoformat()},{fmt_float(price)},{fmt_float(pred)}" for day, price, pred in rows
         )
         write_lines(args.predictions, lines)
         print(f"predictions written to {args.predictions}")

@@ -360,16 +360,21 @@ def train(
     )
 
 
-def _split_prices(
-    model: Model, dataset: pl.WindowedDataset, preprocess: pl.PreprocessState, split: str
+def split_predictions(
+    model: Model,
+    dataset: pl.WindowedDataset,
+    preprocess: pl.PreprocessState,
+    split: str = "test",
 ):
-    """Indices, actual prices and predicted prices of one split."""
+    """(date, actual price, predicted price) rows for one split, from one inference pass."""
     idx = dataset.indices(split)
     if idx.size == 0:
         raise CompatibilityError(f"{split} split is empty")
     preds = _infer(model, dataset.inputs[idx])
     actual = pl.invert_minmax(dataset.targets[idx], preprocess.scaler, "close")
-    return idx, actual, pl.invert_minmax(preds, preprocess.scaler, "close")
+    predicted = pl.invert_minmax(preds, preprocess.scaler, "close")
+    dates = [dataset.target_dates[i] for i in idx]
+    return list(zip(dates, actual.tolist(), predicted.tolist()))
 
 
 def evaluate(
@@ -379,20 +384,8 @@ def evaluate(
     split: str = "test",
 ) -> metrics_mod.MetricsReport:
     """Inference over one split, metrics in inverse-scaled price space."""
-    _, actual, predicted = _split_prices(model, dataset, preprocess, split)
+    _, actual, predicted = zip(*split_predictions(model, dataset, preprocess, split))
     return metrics_mod.report(actual, predicted)
-
-
-def split_predictions(
-    model: Model,
-    dataset: pl.WindowedDataset,
-    preprocess: pl.PreprocessState,
-    split: str = "test",
-):
-    """(date, actual price, predicted price) rows for one split."""
-    idx, actual, predicted = _split_prices(model, dataset, preprocess, split)
-    dates = [dataset.target_dates[i] for i in idx]
-    return list(zip(dates, actual.tolist(), predicted.tolist()))
 
 
 def predict(model: Model, preprocess: pl.PreprocessState, frame: pl.FeatureFrame):

@@ -288,6 +288,15 @@ def test_a_re_prepared_dataset_fits_its_checkpoint(prepared):
 
 
 
+def test_evaluate_infers_once_for_metrics_and_predictions(prepared, monkeypatch):
+    # the metrics and the --predictions CSV each ran inference over the split
+    ckpt = trained(prepared)
+    calls, infer = [], training._infer
+    monkeypatch.setattr(training, "_infer", lambda *args: calls.append(1) or infer(*args))
+    assert main(score("evaluate", ckpt, prepared / "data.txt", prepared / "p.csv")) == 0
+    assert len(calls) == 1
+
+
 def test_divergent_train_prints_only_the_error_line(tmp_path):
     # a fresh interpreter, so stderr is exactly what a user of the command sees
     write_csv(synthetic_ohlcv(rows=1200, seed=3), tmp_path / "prices.csv")
