@@ -287,7 +287,6 @@ def test_a_re_prepared_dataset_fits_its_checkpoint(prepared):
         assert (prepared / f"{command}-data").read_bytes() == (prepared / f"{command}-again").read_bytes()
 
 
-
 def test_evaluate_infers_once_for_metrics_and_predictions(prepared, monkeypatch):
     # the metrics and the --predictions CSV each ran inference over the split
     ckpt = trained(prepared)
