@@ -156,7 +156,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = model_mod.run_gradient_checks(seed=args.seed, corrupt=args.corrupt_backward)
+    results = model_mod.run_gradient_checks(seed=args.seed)
     for name, err in results:
         print(f"{name:<12} max_rel_error={err:.3e}")
     failing = [name for name, err in results if not err < GRADCHECK_TOLERANCE]
@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all backward passes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt-backward", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -302,15 +302,13 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / scale)
 
 
-def grad_check(model: Model, batch, targets=None, eps: float = 1e-6, rng_seed: int = 0,
-               corrupt: bool = False):
+def grad_check(model: Model, batch, targets=None, eps: float = 1e-6, rng_seed: int = 0):
     """Worst relative deviation of analytic vs central finite-difference grads.
 
     Every forward uses a fresh rng with the same seed, so dropout masks are
     identical across the two-sided evaluations. The deviation for each
     parameter named in the checkpoint, an LSTM gate's rows on their own, is
     max|a-n| / max(max|a|, max|n|, 1e-12); returns ``(worst, per_parameter)``.
-    ``corrupt`` falsifies one analytic gradient (a negative control).
     """
     batch = np.asarray(batch, dtype=np.float64)
     if targets is None:
@@ -318,8 +316,6 @@ def grad_check(model: Model, batch, targets=None, eps: float = 1e-6, rng_seed: i
     _, grad = loss_sums(model, batch, targets, np.random.default_rng(rng_seed))
     grad /= batch.shape[0]
     _, analytic = model.views(grad)
-    if corrupt:
-        analytic["conv2.kernels"] += 0.05
 
     def loss():
         preds, _ = forward(model, batch, training=True, rng=np.random.default_rng(rng_seed))
@@ -392,44 +388,41 @@ def verification_config(features: int = 3, lookback: int = 16, seed: int = 0) ->
     )
 
 
-def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False):
+def run_gradient_checks(seed: int = 0, eps: float = 1e-6):
     """Per-layer and full-stack finite-difference checks on small instances,
     each layer on a batch of one.
 
-    Returns an ordered list of ``(name, worst_relative_error)``. ``corrupt``
-    deliberately perturbs one analytic gradient (negative-control hook).
+    Returns an ordered list of ``(name, worst_relative_error)``.
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     results = []
 
-    def worst(loss, pairs):
-        """Largest error over (analytic gradient, the array it is taken against)."""
-        return max(_relative_error(g, _finite_difference(loss, arr, eps)) for g, arr in pairs)
+    def check(name, forward, backward, wrt, out_shape):
+        """Weight ``forward()``'s output with a random sheet so the loss is
+        scalar, and compare ``backward(sheet, cache)``, one gradient per array
+        in ``wrt``, with central differences against that array."""
+        sheet = rng.standard_normal(out_shape)
 
-    # conv1d: weight the outputs with a fixed random sheet so the loss is scalar
+        def loss():
+            return float((forward()[0] * sheet).sum())
+
+        grads = backward(sheet, forward()[1])
+        results.append((name, max(_relative_error(g, _finite_difference(loss, arr, eps))
+                                  for g, arr in zip(grads, wrt, strict=True))))
+
     x = rng.standard_normal((1, 8, 3))
     p = Conv1dParams(kernels=rng.standard_normal((2, 3, 3)), bias=rng.standard_normal(2))
-    w_out = rng.standard_normal((1, 6, 2))
-    gx, gk, gb = layers.conv1d_backward(w_out, layers.conv1d_forward(x, p)[1])
+    check("conv1d", lambda: layers.conv1d_forward(x, p), layers.conv1d_backward,
+          [x, p.kernels, p.bias], (1, 6, 2))
 
-    def conv_loss():
-        return float((layers.conv1d_forward(x, p)[0] * w_out).sum())
-
-    results.append(("conv1d", worst(conv_loss, [(gx, x), (gk, p.kernels), (gb, p.bias)])))
-
-    # maxpool1d: continuous random input, ties have probability zero
+    # continuous random input, ties have probability zero
     x = rng.standard_normal((1, 9, 2))
-    w_out = rng.standard_normal((1, 4, 2))
-    gx = layers.maxpool1d_backward(w_out, layers.maxpool1d_forward(x, 2)[1])
+    check("maxpool1d", lambda: layers.maxpool1d_forward(x, 2),
+          lambda g, cache: [layers.maxpool1d_backward(g, cache)], [x], (1, 4, 2))
 
-    def pool_loss():
-        return float((layers.maxpool1d_forward(x, 2)[0] * w_out).sum())
-
-    results.append(("maxpool1d", worst(pool_loss, [(gx, x)])))
-
-    # lstm: T=8, H=4, all params and input; each gate drawn in checkpoint order
+    # T=8, H=4, all params and input; each gate drawn in checkpoint order
     x = rng.standard_normal((1, 8, 3))
     order = [CKPT_GATES.index(gate) for gate in GATES]
     p = LstmParams(
@@ -437,45 +430,31 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6, corrupt: bool = False)
         u=0.5 * rng.standard_normal((4, 4, 4))[order].reshape(16, 4),
         b=0.1 * rng.standard_normal((4, 4))[order].reshape(16),
     )
-    w_out = rng.standard_normal((1, 8, 4))
 
-    def lstm_loss():
-        return float((layers.lstm_forward(x, p, return_sequence=True)[0] * w_out).sum())
+    def by_gate(params):
+        """Each gate's rows on their own, so one normaliser cannot hide a small gate's error."""
+        return [getattr(params, part)[k * 4 : (k + 1) * 4] for part in "wub" for k in range(4)]
 
-    gx, gp = layers.lstm_backward(w_out, layers.lstm_forward(x, p, return_sequence=True)[1])
-    # each gate's rows on their own, so one normaliser cannot hide a small gate's error
-    gates = [slice(k * 4, (k + 1) * 4) for k in range(4)]
-    pairs = [(gx, x)] + [(getattr(gp, part)[rows], getattr(p, part)[rows])
-                         for part in "wub" for rows in gates]
-    results.append(("lstm", worst(lstm_loss, pairs)))
+    def lstm_backward(g, cache):
+        gx, gp = layers.lstm_backward(g, cache)
+        return [gx, *by_gate(gp)]
 
-    # dense
+    check("lstm", lambda: layers.lstm_forward(x, p, return_sequence=True), lstm_backward,
+          [x, *by_gate(p)], (1, 8, 4))
+
     x = rng.standard_normal((1, 5))
     p = DenseParams(weight=rng.standard_normal((2, 5)), bias=rng.standard_normal(2))
-    w_out = rng.standard_normal((1, 2))
+    check("dense", lambda: layers.dense_forward(x, p), layers.dense_backward,
+          [x, p.weight, p.bias], (1, 2))
 
-    def dense_loss():
-        return float((layers.dense_forward(x, p)[0] * w_out).sum())
-
-    gx, gw, gb = layers.dense_backward(w_out, layers.dense_forward(x, p)[1])
-    results.append(("dense", worst(dense_loss, [(gx, x), (gw, p.weight), (gb, p.bias)])))
-
-    # dropout: identical seed reproduces the mask inside the loss closure
+    # an identical seed reproduces the mask on every forward
     x = rng.standard_normal((1, 6, 3))
-    w_out = rng.standard_normal((1, 6, 3))
+    check("dropout", lambda: layers.dropout(x, 0.4, True, np.random.default_rng(seed + 7)),
+          lambda g, cache: [layers.dropout_backward(g, cache)], [x], (1, 6, 3))
 
-    def drop_loss():
-        y, _ = layers.dropout(x, 0.4, training=True, rng=np.random.default_rng(seed + 7))
-        return float((y * w_out).sum())
-
-    _, cache = layers.dropout(x, 0.4, training=True, rng=np.random.default_rng(seed + 7))
-    results.append(("dropout", worst(drop_loss, [(layers.dropout_backward(w_out, cache), x)])))
-
-    # full stack; the corrupt hook falsifies one analytic gradient so the
-    # comparison must fail (negative control for the verification command)
     config = verification_config(seed=seed)
     net = build(config)
     batch = rng.standard_normal((2, config.lookback, config.features))
     targets = rng.random(2)
-    results.append(("full_stack", grad_check(net, batch, targets, eps, seed, corrupt)[0]))
+    results.append(("full_stack", grad_check(net, batch, targets, eps, seed)[0]))
     return results

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cnnlstm import layers
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 
@@ -25,6 +27,19 @@ def write_csv(frame, path):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def corrupt_conv_backward(monkeypatch):
+    """``layers.conv1d_backward`` with 0.05 added to its kernel gradient: a
+    negative control, which the conv1d and full-stack gradient checks must fail."""
+    real = layers.conv1d_backward
+
+    def corrupt(grad_y, cache):
+        dx, dk, db = real(grad_y, cache)
+        return dx, dk + 0.05, db
+
+    monkeypatch.setattr(layers, "conv1d_backward", corrupt)
 
 
 class _HalfWriter:

@@ -1,6 +1,6 @@
-"""Bad input (exit 2), diverged training (exit 3) and a checkpoint that does not
-fit its dataset (exit 4) reach the CLI as a one-line error, never a traceback or
-a raw warning."""
+"""Bad input (exit 2), diverged training (exit 3), a checkpoint that does not
+fit its dataset (exit 4) and a failed gradient verification (exit 5) reach the
+CLI as a one-line error, never a traceback or a raw warning."""
 
 import os
 import subprocess
@@ -101,6 +101,17 @@ def test_negative_seed_is_an_input_error(prepared, capsys, command, given):
 
 def test_gradcheck_rejects_a_negative_seed(capsys):
     assert_input_error(capsys, ["gradcheck", "--seed", "-1"], "seed must be >= 0, got -1")
+
+
+def test_gradcheck_passes(capsys):
+    assert main(["gradcheck"]) == 0
+    assert capsys.readouterr().out.endswith("all gradients within 1e-05\n")
+
+
+def test_gradcheck_names_the_checks_a_wrong_backward_fails(capsys, corrupt_conv_backward):
+    assert main(["gradcheck"]) == 5
+    err = capsys.readouterr().err
+    assert err == "gradient check FAILED (tolerance 1e-05): conv1d, full_stack\n"
 
 
 @pytest.mark.parametrize("mode", ["chronological", "random"])
