@@ -34,8 +34,8 @@ def cmd_prepare(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    series = pl.load_ohlcv(args.input)
-    prepared = pl.prepare_dataset(series, cfg.prepare_config())
+    recipe = cfg.prepare_config()  # a bad value fails before the CSV is parsed
+    prepared = pl.prepare_dataset(pl.load_ohlcv(args.input), recipe)
     pl.save_dataset(prepared, args.out)
     print(prepared.summary.format())
     print(f"dataset written to {args.out}")

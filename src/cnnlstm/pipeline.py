@@ -377,11 +377,10 @@ def pca_fit(frame: FeatureFrame, rows, variance_target: float, columns) -> PcaSt
     """Eigendecompose the covariance of the standardized fit rows.
 
     Retains the smallest component count whose cumulative eigenvalue share
-    reaches ``variance_target`` (a 1e-12 slack absorbs cumsum round-off).
+    reaches ``variance_target``, in (0,1] as ``PrepareConfig.validate``
+    requires (a 1e-12 slack absorbs cumsum round-off).
     Sign convention: each basis row's largest-magnitude entry is positive.
     """
-    if not 0.0 < variance_target <= 1.0:
-        raise ConfigError(f"variance target must be in (0,1], got {variance_target}")
     idx = np.asarray(rows)
     columns = tuple(columns)
     d = len(columns)
@@ -537,6 +536,8 @@ class PrepareConfig:
             raise ConfigError("lookback and horizon must be >= 1")
         if not 0.0 <= self.corr_threshold <= 1.0:
             raise ConfigError(f"corr_threshold must be in [0,1], got {self.corr_threshold}")
+        if not 0.0 < self.pca_variance <= 1.0:
+            raise ConfigError(f"pca_variance must be in (0,1], got {self.pca_variance}")
         if len(self.split_ratios) != 3 or not all(r >= 0.0 for r in self.split_ratios):
             raise ConfigError(
                 f"split_ratios must be three non-negative shares (train, val, test), "

@@ -55,6 +55,18 @@ def test_prepare_rejects_two_split_ratios(prepared, capsys):
     )
 
 
+def test_prepare_rejects_a_pca_variance_outside_0_1(prepared, capsys):
+    # with PCA off this exited 0 and wrote pca_variance=7 into the cache header
+    (prepared / "var.cfg").write_text(SMALL + "pca=off\npca_variance=7\n")
+    assert_input_error(
+        capsys,
+        ["prepare", "--input", str(prepared / "prices.csv"), "--config", str(prepared / "var.cfg"),
+         "--out", str(prepared / "d2.txt")],
+        "pca_variance must be in (0,1], got 7.0",
+    )
+    assert not (prepared / "d2.txt").exists()
+
+
 def test_train_rejects_adam_beta1_of_one(prepared, capsys):
     # a beta of 1 divides by zero in Adam's bias correction: bad input, not divergence
     (prepared / "adam.cfg").write_text(
@@ -132,7 +144,7 @@ def test_loaded_split_is_the_prepared_split(prepared, mode):
 
 
 @pytest.mark.parametrize("recipe", ["split_ratios=1.5,-0.3,-0.2", "split_ratios=nan,0.5,0.5",
-                                    "split_mode=sideways"])
+                                    "split_mode=sideways", "pca_variance=7"])
 def test_train_rejects_a_damaged_split_recipe(prepared, capsys, recipe):
     path = prepared / "data.txt"
     key = recipe.split("=")[0]
