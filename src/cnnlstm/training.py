@@ -17,7 +17,6 @@ import math
 import os
 import pickle
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -54,7 +53,6 @@ class TrainReport:
     train_loss: list  # scaled-space MSE, one entry per epoch
     val_loss: list
     final_metrics: metrics_mod.MetricsReport
-    duration_s: float
 
 
 MAX_CHUNK = 128  # windows per forward pass
@@ -320,7 +318,6 @@ def train(
     opt = cfg.optim
     adam = init_adam_state(model.theta, opt) if opt.optimizer == "adam" else None
 
-    started = time.monotonic()
     train_hist, val_hist = [], []
     # a diverging run overflows before its loss turns non-finite; the checks
     # below report that as DivergenceError, so numpy's warnings add nothing
@@ -352,12 +349,7 @@ def train(
             val_hist.append(val_loss)
 
     final = evaluate(model, dataset, preprocess, "test") if dataset.test_idx.size else None
-    return TrainReport(
-        train_loss=train_hist,
-        val_loss=val_hist,
-        final_metrics=final,
-        duration_s=time.monotonic() - started,
-    )
+    return TrainReport(train_loss=train_hist, val_loss=val_hist, final_metrics=final)
 
 
 def split_predictions(
