@@ -560,7 +560,6 @@ class PrepareSummary:
     rows_after_warmup: int
     correlations: dict
     selected: tuple
-    dropped_constant: tuple
     pca_components: int
     pca_explained: float
     n_windows: int
@@ -645,7 +644,6 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
 
     rs = correlations(frame, rows=fit_rows)
     selected = tuple(select_by_correlation(rs, cfg.corr_threshold))
-    dropped_constant = tuple(n for n, r in rs.items() if math.isnan(r))
     if not selected:
         raise PipelineError(
             f"no feature passes the correlation threshold {cfg.corr_threshold}"
@@ -671,7 +669,6 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
         rows_after_warmup=length,
         correlations=rs,
         selected=selected,
-        dropped_constant=dropped_constant,
         pca_components=pca_state.n_components if pca_state else 0,
         pca_explained=pca_state.explained_share if pca_state else 0.0,
         n_windows=n_windows,
