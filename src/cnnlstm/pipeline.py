@@ -441,7 +441,6 @@ class WindowedDataset:
     target_dates: list
     feature_names: tuple
     lookback: int
-    horizon: int
     train_idx: np.ndarray = None
     val_idx: np.ndarray = None
     test_idx: np.ndarray = None
@@ -485,7 +484,6 @@ def make_windows(frame: FeatureFrame, lookback: int, horizon: int = 1) -> Window
         target_dates=list(frame.dates[t0 : t0 + n]),
         feature_names=features,
         lookback=lookback,
-        horizon=horizon,
     )
 
 
