@@ -25,19 +25,15 @@ class PipelineError(CnnLstmError):
     """A preprocessing stage cannot run on the given series."""
 
 
-class CheckpointError(CnnLstmError):
-    """Base class for checkpoint read/write failures."""
-
-
-class CheckpointVersionError(CheckpointError):
+class CheckpointVersionError(CnnLstmError):
     """Checkpoint carries an unsupported format version."""
 
 
-class CheckpointFormatError(CheckpointError):
+class CheckpointFormatError(CnnLstmError):
     """Checkpoint file is truncated or structurally malformed."""
 
 
-class CheckpointShapeError(CheckpointError):
+class CheckpointShapeError(CnnLstmError):
     """A stored parameter disagrees with the declared shape."""
 
 
