@@ -15,7 +15,9 @@ from cnnlstm.errors import CnnLstmError
 from cnnlstm.synth import synthetic_ohlcv
 from conftest import write_csv
 
-FUZZ = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# a failing draw prints its @reproduce_failure line, so a fresh checkout can replay it
+FUZZ = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+                print_blob=True)
 
 # tokens that have broken parsers: non-numbers, huge or out-of-range
 # integers, non-finite floats, full-width digits, separators, bad UTF-8,
