@@ -449,7 +449,8 @@ def run_gradient_checks(seed: int = 0, eps: float = 1e-6):
 
     # an identical seed reproduces the mask on every forward
     x = rng.standard_normal((1, 6, 3))
-    check("dropout", lambda: layers.dropout(x, 0.4, True, np.random.default_rng(seed + 7)),
+    check("dropout",
+          lambda: layers.dropout(x, 0.4, training=True, rng=np.random.default_rng(seed + 7)),
           lambda g, cache: [layers.dropout_backward(g, cache)], [x], (1, 6, 3))
 
     config = verification_config(seed=seed)
