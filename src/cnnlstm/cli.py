@@ -12,6 +12,11 @@ model's lookback and feature count equal the dataset's. A re-prepare of the
 training CSV with the training config fits; any other pair is exit 4, with
 a message naming the first key that differs. So the prices they report
 come from the scaler that scaled the dataset's targets.
+
+``train``, ``evaluate``, ``plot`` and ``predict`` compute with one BLAS
+thread and use the CPUs themselves (a worker process in ``train``, threads
+in inference), so ``OPENBLAS_NUM_THREADS`` no longer changes their output:
+a seed gives the same bytes at any thread and CPU count.
 """
 
 import argparse
@@ -52,7 +57,7 @@ def cmd_train(args) -> int:
         features=len(dataset.feature_names), lookback=dataset.lookback
     )
     net = model_mod.build(mcfg)
-    report = training.train(net, dataset, prepared.preprocess, cfg.train_config())
+    report = training.train(net, dataset, cfg.train_config())
     model_mod.save(net, prepared.preprocess, args.out)
 
     history = ["epoch,train_loss,val_loss"]
@@ -72,9 +77,9 @@ def cmd_train(args) -> int:
     print(f"epochs             {len(report.train_loss)}")
     print(f"final train loss   {report.train_loss[-1]:.6g}")
     print(f"final val loss     {report.val_loss[-1]:.6g}")
-    if report.final_metrics is not None:
+    if dataset.test_idx.size >= 2:  # a metric needs two windows; the run is saved either way
         print("test metrics (price space):")
-        print(report.final_metrics.format())
+        print(training.evaluate(net, dataset, prepared.preprocess, "test").format())
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -176,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cnnlstm",
         description="OHLCV forecasting: prepare data, train the conv/LSTM stack, "
         "evaluate, predict, and verify gradients.",
-        epilog="config keys (key=value file): " + ", ".join(sorted(SCHEMA)),
+        epilog="config keys (key=value file): " + ", ".join(sorted(SCHEMA)) + ". "
+        "train, evaluate, plot and predict compute with one BLAS thread and use the CPUs "
+        "themselves, so OPENBLAS_NUM_THREADS no longer changes their output.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,18 +1,23 @@
 """Training loop, split evaluation, and checkpoint-driven prediction.
 
-Training splits each mini-batch between the calling process and one worker
-process when a second CPU is free (see ``train``). Inference (validation,
-evaluation, prediction) goes through ``_infer``, which cuts its windows into
-contiguous chunks of at most ``MAX_CHUNK`` and runs them on as many threads
-as there are chunks and CPUs left free by BLAS's own threads, the calling
-thread included; numpy releases the GIL inside BLAS and ufunc loops, so the
-chunks overlap.
-The chunk bounds depend on the window count only, so every forecast is
-bitwise the same whatever the core count, and every thread runs in a copy of
-the caller's context, so numpy's error state (``np.errstate``) holds in each.
+One run configuration, whatever the environment: ``train`` and ``_infer``
+hold the loaded OpenBLAS at one thread while they run (``_one_blas_thread``)
+and use the CPUs themselves. Training sums every mini-batch as two fixed
+shares, the second run by one worker process when a second CPU is free and
+by the caller otherwise (see ``train``). Inference (validation, evaluation,
+prediction) goes through ``_infer``, which cuts its windows into contiguous
+chunks of at most ``MAX_CHUNK`` and runs them on as many threads as there
+are chunks and CPUs, the calling thread included; numpy releases the GIL
+inside BLAS and ufunc loops, so the chunks overlap.
+The shares and the chunk bounds depend on the window counts only, so a seed
+gives the same bytes whatever the core count and ``OPENBLAS_NUM_THREADS``,
+and every thread runs in a copy of the caller's context, so numpy's error
+state (``np.errstate``) holds in each.
 """
 
 import contextvars
+import ctypes
+import functools
 import math
 import os
 import pickle
@@ -52,7 +57,6 @@ class TrainConfig:
 class TrainReport:
     train_loss: list  # scaled-space MSE, one entry per epoch
     val_loss: list
-    final_metrics: metrics_mod.MetricsReport
 
 
 MAX_CHUNK = 128  # windows per forward pass
@@ -69,37 +73,84 @@ def _chunk_bounds(n: int) -> list:
     return list(zip(cuts, cuts[1:]))
 
 
-def _blas_threads(cpus: int) -> int:
-    """Threads each BLAS call may start: the first of OpenBLAS's thread
-    variables that holds a positive count, else ``cpus``, OpenBLAS's default."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
+@functools.cache
+def _openblas():
+    """``(get, set)``: the thread-count getter and setter of the OpenBLAS
+    that numpy loaded, found by symbol in the libraries this process maps,
+    or None where there is none (another BLAS, or no ``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            try:
+                handle = ctypes.CDLL(lib)
+                get = getattr(handle, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}")
+            except (AttributeError, OSError):
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # calls inside _one_blas_thread, in any thread
+_pin_saved = 1  # the count the first of them found, given back by the last
+
+
+@contextmanager
+def _one_blas_thread():
+    """Holds the loaded OpenBLAS (``_openblas``) at one thread for the
+    ``with`` body, or as a decorator for the call, and gives the caller back
+    its own count on return or raise. Nested and concurrent holds share the
+    pin: the first sets it and the last gives the count back. Without an
+    OpenBLAS, BLAS is left alone."""
+    global _pin_depth, _pin_saved
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _pin_lock:
+        if not _pin_depth:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if not _pin_depth:
+                set_(_pin_saved)
 
 
 def _cpus() -> int:
-    """CPUs left for chunk threads: those this process may run on, divided by
-    the threads each BLAS call may start. A BLAS that already spreads over
-    every CPU leaves one: a second chunk thread would only contend with it
-    (at B=137 the median forward took 47 ms on two chunk threads against
-    33 ms on one, with two BLAS threads on two CPUs)."""
+    """CPUs for the worker and the chunk threads: those this process may run
+    on, as BLAS runs on one thread beside them (``_one_blas_thread``). Where
+    no OpenBLAS can be held, 1: that BLAS may spread over every CPU itself."""
+    if _openblas() is None:
+        return 1
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // _blas_threads(cpus))
+        return os.cpu_count() or 1
 
 
+@_one_blas_thread()
 def _infer(model: Model, inputs: np.ndarray) -> np.ndarray:
     """Inference-mode predictions, one forward pass per ``_chunk_bounds`` chunk.
 
     With k = min(chunks, ``_cpus()``) the chunks are dealt round-robin to k
     groups; the calling thread runs the first group and k - 1 new threads the
-    others. Each thread runs in a copy of the caller's context, so numpy's
-    error state (``np.errstate``) holds there too. An exception raised in a
-    chunk reaches the caller once every thread has ended.
+    others, with BLAS held at one thread (``_one_blas_thread``). Each thread
+    runs in a copy of the caller's context, so numpy's error state
+    (``np.errstate``) holds there too. An exception raised in a chunk reaches
+    the caller once every thread has ended.
     """
     preds = np.empty(inputs.shape[0])
     bounds = _chunk_bounds(inputs.shape[0])
@@ -159,8 +210,6 @@ def _keep_freed_memory():
     reallocates the same few megabytes every batch; with the limits it
     inherits, its heap shrank and regrew each time: 450 to 1,100 page
     faults a batch at B=32, 1 to 2.5 ms on a 2-vCPU Xeon."""
-    import ctypes
-
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except AttributeError:  # another C library
@@ -203,18 +252,19 @@ def _serve(model, dataset, rng, grad, requests, replies):
 def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng):
     """``step(rows) -> (loss, grad)``: the mean loss and gradient of the
     mini-batch ``rows``, dropout drawn from ``rng``, for one ``train`` call:
-    the caller's sums plus those of the worker that ``train`` describes,
-    divided once. The worker is forked when one can be (a forked child keeps
-    only the calling thread, hence no other thread may run); without it, and
-    for a batch of one, the caller takes every row."""
+    the sums of its two shares that ``train`` describes, added in that order
+    and divided once. The worker that runs the second share is forked when
+    one can be (a forked child keeps only the calling thread, hence no other
+    thread may run); without it the caller runs the second share after the
+    first, from the generator state it saved before the batch."""
     pid = None  # the worker's, once it is forked
+    size = model.theta.size
     if batch_size > 1 and _cpus() > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         import mmap
 
         # an anonymous map is shared with a forked child: theta and the worker's gradient sum
-        size = model.theta.size
         shared = np.frombuffer(mmap.mmap(-1, 16 * size), dtype=np.float64)
-        theta, worker_grad = shared[:size], shared[size:]
+        theta, rest_grad = shared[:size], shared[size:]
         requests_r, requests_w = os.pipe()
         replies_r, replies_w = os.pipe()
         try:
@@ -228,7 +278,7 @@ def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng
                 os.close(requests_w)
                 os.close(replies_r)
                 _keep_freed_memory()
-                _serve(Model(model.config, theta), dataset, rng, worker_grad, requests_r, replies_w)
+                _serve(Model(model.config, theta), dataset, rng, rest_grad, requests_r, replies_w)
                 status = 0
             finally:
                 os._exit(status)
@@ -237,26 +287,35 @@ def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng
             os.close(replies_w)
             requests = os.fdopen(requests_w, "wb")
             replies = os.fdopen(replies_r, "rb")
+    if not pid:
+        rest_grad = np.empty(size)
 
     def step(rows):
         n = rows.size
-        share = -(-n // 2) if pid and n > 1 else n
-        if share < n:
+        share = -(-n // 2)
+        state = rng.bit_generator.state
+        if pid and share < n:
             theta[...] = model.theta
-            pickle.dump((rows[share:], n, rng.bit_generator.state), requests)
+            pickle.dump((rows[share:], n, state), requests)
             requests.flush()
         mine = rows[:share]
         sse, grad = loss_sums(model, dataset.inputs[mine], dataset.targets[mine], _Rows(rng, n, 0))
         if share < n:
-            try:
-                worker_sse, failure = pickle.load(replies)
-            except EOFError:
-                raise RuntimeError("the training worker exited without a reply") from None
-            if failure is not None:
-                exc, trace = failure
-                raise exc from RuntimeError(f"raised in the training worker:\n{trace.rstrip()}")
-            sse += worker_sse
-            grad += worker_grad
+            if pid:
+                try:
+                    rest_sse, failure = pickle.load(replies)
+                except EOFError:
+                    raise RuntimeError("the training worker exited without a reply") from None
+                if failure is not None:
+                    exc, trace = failure
+                    raise exc from RuntimeError(f"raised in the training worker:\n{trace.rstrip()}")
+            else:
+                rest = rows[share:]
+                rng.bit_generator.state = state
+                rest_sse, _ = loss_sums(model, dataset.inputs[rest], dataset.targets[rest],
+                                        _Rows(rng, n, share), rest_grad)
+            sse += rest_sse
+            grad += rest_grad
         grad /= n
         return sse / n, grad
 
@@ -271,12 +330,8 @@ def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng
                 os.waitpid(pid, 0)
 
 
-def train(
-    model: Model,
-    dataset: pl.WindowedDataset,
-    preprocess: pl.PreprocessState,
-    cfg: TrainConfig,
-) -> TrainReport:
+@_one_blas_thread()
+def train(model: Model, dataset: pl.WindowedDataset, cfg: TrainConfig) -> TrainReport:
     """Mini-batch descent over the train split, validated each epoch.
 
     Shuffling and dropout draw from separate streams spawned off the run
@@ -284,20 +339,21 @@ def train(
     final short batch is trained on; mean-gradient scaling keeps its step
     size consistent. A non-finite loss aborts with the epoch number.
 
-    Each step of a batch of n windows computes the squared-error sum and
-    gradient sum (``loss_sums``) of its rows in two shares, and forms
-    ``loss = (sse_a + sse_b) / n`` and ``grad = (g_a + g_b) / n`` before
-    the optimiser step. With two or more CPUs left free by BLAS threads
-    (``_cpus``), ``os.fork`` available and no other thread running, the
-    call forks one worker process for its length: of each batch of n >= 2
-    windows the caller takes rows ``[:ceil(n/2)]`` and the worker the rest.
-    Otherwise, and for a batch of one, the caller takes every row and the
-    worker's share is empty. Processes, not threads: a step is some 1,100
-    small numpy calls, and two threads passing the GIL between them were
-    no faster than one. The dropout masks are bitwise the whole batch's
-    (``_Rows``), so only the order of the batch sums changes: losses stay
-    within 1e-12 relative of a run without the worker, and a run with it
-    repeats bitwise.
+    The call holds BLAS at one thread (``_one_blas_thread``). Each step of
+    a batch of n >= 2 windows computes the squared-error sum and gradient
+    sum (``loss_sums``) of rows ``[:ceil(n/2)]`` and then of the rest, and
+    forms ``loss = (sse_a + sse_b) / n`` and ``grad = (g_a + g_b) / n``
+    before the optimiser step; a batch of one is one share. With two or
+    more CPUs (``_cpus``), ``os.fork`` available and no other thread
+    running, the call forks one worker process for its length, which runs
+    every second share while the caller runs the first. Otherwise the
+    caller runs both. Processes, not threads: a step is some 1,100 small
+    numpy calls, and two threads passing the GIL between them were no
+    faster than one. The dropout masks are bitwise the whole batch's
+    (``_Rows``) and the sums are added in one order, so theta and the
+    losses have the same bytes with and without the worker, at any CPU
+    count and any BLAS setting, and stay within 1e-12 relative of
+    whole-batch steps.
 
     theta and the worker's gradient sum cross in a shared anonymous map,
     the rows and the generator state through a pipe. The worker is forked
@@ -347,9 +403,7 @@ def train(
                     f"training diverged: non-finite validation loss in epoch {epoch + 1}",
                 )
             val_hist.append(val_loss)
-
-    final = evaluate(model, dataset, preprocess, "test") if dataset.test_idx.size else None
-    return TrainReport(train_loss=train_hist, val_loss=val_hist, final_metrics=final)
+    return TrainReport(train_loss=train_hist, val_loss=val_hist)
 
 
 def split_predictions(

@@ -2,6 +2,7 @@
 fit its dataset (exit 4) and a failed gradient verification (exit 5) reach the
 CLI as a one-line error, never a traceback or a raw warning."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -335,6 +336,60 @@ def test_divergent_train_prints_only_the_error_line(tmp_path):
     )
     assert run.returncode == 3
     assert run.stderr == "error: training diverged: non-finite loss in epoch 1\n"
+
+
+def test_train_saves_a_run_whose_test_split_has_one_window(tmp_path, capsys):
+    # train ran every epoch, then exited 2 scoring the one test window, writing no file
+    write_csv(synthetic_ohlcv(), tmp_path / "full.csv")
+    rows = (tmp_path / "full.csv").read_text().splitlines()[:175]
+    (tmp_path / "prices.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "run.cfg").write_text("epochs=1\n")
+    assert main(["prepare", "--input", str(tmp_path / "prices.csv"),
+                 "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "data.txt")]) == 0
+    assert "train=7 val=2 test=1" in capsys.readouterr().out
+    assert main(["train", "--data", str(tmp_path / "data.txt"), "--config", str(tmp_path / "run.cfg"),
+                 "--out", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]) == 0
+    assert "test metrics" not in capsys.readouterr().out
+    model.load(tmp_path / "m.ckpt")
+    assert len((tmp_path / "h.csv").read_text().splitlines()) == 2
+
+
+# prepare, train, evaluate --predictions and predict in the directory argv[1]
+CHAIN = """
+import sys
+from cnnlstm.cli import main
+
+d = sys.argv[1] + "/"
+for argv in (
+    ["prepare", "--input", d + "prices.csv", "--config", d + "run.cfg", "--out", d + "data.txt"],
+    ["train", "--data", d + "data.txt", "--config", d + "run.cfg", "--out", d + "m.ckpt",
+     "--history", d + "h.csv"],
+    ["evaluate", "--checkpoint", d + "m.ckpt", "--data", d + "data.txt", "--predictions", d + "p.csv"],
+    ["predict", "--checkpoint", d + "m.ckpt", "--input", d + "prices.csv", "--out", d + "f.csv"],
+):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_a_seed_gives_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    # at the paper's shapes OpenBLAS splits a GEMM over its threads, and so
+    # changed these bytes, unless train and inference hold it at one thread
+    src = str(Path(cnnlstm.__file__).resolve().parent.parent)
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    digests = {}
+    for threads in (None, "1", "2"):
+        run_dir = tmp_path / f"threads-{threads}"
+        run_dir.mkdir()
+        write_csv(synthetic_ohlcv(rows=400), run_dir / "prices.csv")
+        (run_dir / "run.cfg").write_text("epochs=1\n")
+        blas = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", CHAIN, str(run_dir)], capture_output=True,
+                             text=True, env={**env, **blas, "PYTHONPATH": src}, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests[threads] = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                            for name in ("data.txt", "m.ckpt", "h.csv", "p.csv", "f.csv")}
+    assert digests[None] == digests["1"] == digests["2"]
 
 
 @pytest.mark.parametrize("output", [

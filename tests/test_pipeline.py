@@ -805,7 +805,7 @@ class TestDatasetCache:
         )
         train_cfg = TrainConfig(epochs=2, batch_size=16, seed=9, optim=OptimConfig(optimizer="adam"))
         reports = [
-            train(build(model_cfg), ds, loaded.preprocess, train_cfg) for ds in (view, copy)
+            train(build(model_cfg), ds, train_cfg) for ds in (view, copy)
         ]
         assert reports[0].train_loss == reports[1].train_loss
         assert reports[0].val_loss == reports[1].val_loss

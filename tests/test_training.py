@@ -3,12 +3,14 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cnnlstm import model as model_mod
 from cnnlstm import training
 from cnnlstm.errors import CompatibilityError, DivergenceError, PipelineError
 from cnnlstm.model import ModelConfig, backward, build, forward, load, save
@@ -57,7 +59,7 @@ def memorized_r2(prepared, ds, epochs):
     """r2 on ds's train split after undecayed Adam at lr 0.01 on it alone."""
     model = fresh_model(prepared, dropout_rate=0.0)
     train(
-        model, ds, prepared.preprocess,
+        model, ds,
         train_config(
             epochs=epochs, batch_size=5,
             optim=dict(optimizer="adam", lr0=0.01, l2=0.0, decay_factor=1.0),
@@ -71,7 +73,7 @@ class TestTrain:
         model = fresh_model(prepared)
         before = {k: v.copy() for k, v in model.params.items()}
         report = train(
-            model, prepared.dataset, prepared.preprocess,
+            model, prepared.dataset,
             train_config(epochs=1, optim=dict(lr0=0.0, l2=0.0)),
         )
         for k in before:
@@ -79,46 +81,43 @@ class TestTrain:
         # with untouched parameters the recorded loss is the initial loss
         model2 = fresh_model(prepared)
         report2 = train(
-            model2, prepared.dataset, prepared.preprocess,
+            model2, prepared.dataset,
             train_config(epochs=3, optim=dict(lr0=0.0, l2=0.0)),
         )
         assert report.train_loss[0] == report2.train_loss[0]
         assert len(set(report2.val_loss)) == 1  # constant history at lr 0
 
     def test_same_seed_bit_identical_history(self, prepared):
-        r1 = train(fresh_model(prepared), prepared.dataset, prepared.preprocess, train_config())
-        r2 = train(fresh_model(prepared), prepared.dataset, prepared.preprocess, train_config())
+        r1 = train(fresh_model(prepared), prepared.dataset, train_config())
+        r2 = train(fresh_model(prepared), prepared.dataset, train_config())
         assert r1.train_loss == r2.train_loss
         assert r1.val_loss == r2.val_loss
 
     def test_history_lengths_match_epochs(self, prepared):
-        report = train(
-            fresh_model(prepared), prepared.dataset, prepared.preprocess, train_config(epochs=4)
-        )
+        report = train(fresh_model(prepared), prepared.dataset, train_config(epochs=4))
         assert len(report.train_loss) == 4
         assert len(report.val_loss) == 4
-        assert report.final_metrics is not None
         assert all(np.isfinite(v) for v in report.train_loss + report.val_loss)
 
     def test_divergence_aborts_with_epoch(self, prepared):
         model = fresh_model(prepared)
         with pytest.raises(DivergenceError) as err:
             train(
-                model, prepared.dataset, prepared.preprocess,
+                model, prepared.dataset,
                 train_config(epochs=5, optim=dict(lr0=1e12, l2=0.0)),
             )
         assert err.value.epoch >= 1
 
     def test_loss_decreases_on_learnable_data(self, prepared):
         report = train(
-            fresh_model(prepared), prepared.dataset, prepared.preprocess,
+            fresh_model(prepared), prepared.dataset,
             train_config(epochs=6, optim=dict(optimizer="adam", lr0=0.005)),
         )
         assert report.train_loss[-1] < report.train_loss[0]
 
     def test_adam_path_runs(self, prepared):
         report = train(
-            fresh_model(prepared), prepared.dataset, prepared.preprocess,
+            fresh_model(prepared), prepared.dataset,
             train_config(optim=dict(optimizer="adam", lr0=0.002)),
         )
         assert len(report.train_loss) == 2
@@ -206,23 +205,14 @@ class TestInfer:
     def test_chunk_bounds(self, n, bounds):
         assert training._chunk_bounds(n) == bounds
 
-    @pytest.mark.parametrize("cpus,env,free", [
-        (2, {}, 1),  # OpenBLAS then starts a thread per CPU
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-        (2, {"OMP_NUM_THREADS": "1"}, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2),
-        (2, {"OMP_NUM_THREADS": "1,1"}, 1),  # not a count OpenBLAS reads
-        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
-        (1, {"OPENBLAS_NUM_THREADS": "4"}, 1),
-    ])
-    def test_cpus_left_by_blas_threads(self, monkeypatch, cpus, env, free):
-        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        assert training._cpus() == free
+    @pytest.mark.parametrize("found,cpus", [(True, 3), (False, 1)], ids=["found", "missing"])
+    def test_cpus_where_openblas_is_found_or_missing(self, monkeypatch, found, cpus):
+        # numpy's wheels load OpenBLAS; without one BLAS may spread over every CPU itself
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(3)))
+        if not found:
+            monkeypatch.setattr(training, "_openblas", lambda: None)
+        assert (training._openblas() is not None) == found
+        assert training._cpus() == cpus
 
     def test_same_bits_for_one_and_two_cpus(self, prepared, monkeypatch, rng):
         model = fresh_model(prepared)
@@ -291,6 +281,79 @@ class TestInfer:
         assert threading.active_count() == threads
 
 
+class TestOneBlasThread:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """A stand-in OpenBLAS at 3 threads: ``counts`` holds its count, then
+        the count each ``forward`` in this process ran at."""
+        counts = [3]
+
+        def set_threads(n):
+            counts[0] = n
+
+        monkeypatch.setattr(training, "_openblas", lambda: (lambda: counts[0], set_threads))
+        forward = training.forward
+
+        def counted(*args, **kwargs):
+            counts.append(counts[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", counted)
+        monkeypatch.setattr(model_mod, "forward", counted)  # loss_sums' forward
+        return counts
+
+    def test_infer_holds_one_thread_and_gives_the_count_back(self, prepared, counts, rng):
+        x = rng.standard_normal((207, 8, len(prepared.dataset.feature_names)))
+        training._infer(fresh_model(prepared), x)
+        assert counts == [3, 1, 1]  # two chunks
+
+    def test_train_holds_one_thread_and_gives_the_count_back(self, prepared, counts):
+        train(fresh_model(prepared), prepared.dataset, train_config(epochs=1))
+        assert counts[0] == 3 and set(counts[1:]) == {1}
+
+    def test_a_diverging_train_gives_the_count_back(self, prepared, counts):
+        with pytest.raises(DivergenceError):
+            train(fresh_model(prepared), prepared.dataset,
+                  train_config(epochs=5, optim=dict(lr0=1e12, l2=0.0)))
+        assert counts[0] == 3 and set(counts[1:]) == {1}
+
+    def test_nested_and_concurrent_holds_share_one_pin(self, counts):
+        inner = threading.Barrier(2, timeout=60)
+
+        def hold():
+            with training._one_blas_thread():
+                inner.wait()  # both threads hold the pin here
+                counts.append(counts[0])
+                inner.wait()
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        with training._one_blas_thread():
+            hold()
+        thread.join(60)
+        assert not thread.is_alive() and counts == [3, 1, 1]
+
+    def test_the_loaded_openblas_is_held_and_given_back(self, prepared, rng):
+        get, set_threads = training._openblas()
+        before = get()
+        seen = []
+        forward = training.forward
+
+        def counted(*args, **kwargs):
+            seen.append(get())
+            return forward(*args, **kwargs)
+
+        x = rng.standard_normal((207, 8, len(prepared.dataset.feature_names)))
+        set_threads(2)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(training, "forward", counted)
+                training._infer(fresh_model(prepared), x)
+            assert (seen, get()) == ([1, 1], 2)
+        finally:
+            set_threads(before)
+
+
 def whole_batch_losses(model, dataset, cfg):
     """``train``'s SGD epochs, each step the whole batch's training-mode
     ``forward``, its ``mse`` and its ``backward`` divided by B; returns the
@@ -351,19 +414,21 @@ def fork_and_print():
 def die(*args):
     os.kill(os.getpid(), signal.SIGKILL)
 os.fork, training.sgd_step, training._cpus = fork_and_print, die, lambda: 2
-training.train(model, prepared.dataset, prepared.preprocess, training.TrainConfig())
+training.train(model, prepared.dataset, training.TrainConfig())
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="training forks no worker here")
 class TestTrainWorker:
     def test_one_cpu_steps_are_whole_batch_loss_gradients(self, prepared, monkeypatch):
+        # the same masks, the batch summed as two shares: only rounding differs
         monkeypatch.setattr(training, "_cpus", lambda: 1)
         cfg = train_config(epochs=3)
         model, want = fresh_model(prepared), fresh_model(prepared)
-        report = train(model, prepared.dataset, prepared.preprocess, cfg)
-        assert report.train_loss == whole_batch_losses(want, prepared.dataset, cfg)
-        assert model.theta.tobytes() == want.theta.tobytes()
+        report = train(model, prepared.dataset, cfg)
+        losses = whole_batch_losses(want, prepared.dataset, cfg)
+        assert np.max(np.abs(np.subtract(report.train_loss, losses)) / np.abs(losses)) <= 1e-12
+        assert np.max(np.abs(model.theta - want.theta)) <= 1e-12 * np.max(np.abs(want.theta))
         assert_no_child_left()
 
     def test_no_process_to_fork_keeps_steps_whole(self, prepared, monkeypatch):
@@ -372,12 +437,14 @@ class TestTrainWorker:
 
         cfg = train_config()
         monkeypatch.setattr(training, "_cpus", lambda: 1)
-        one = train(fresh_model(prepared), prepared.dataset, prepared.preprocess, cfg)
+        one_model, refused_model = fresh_model(prepared), fresh_model(prepared)
+        one = train(one_model, prepared.dataset, cfg)
         monkeypatch.setattr(training, "_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", refuse)
         fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-        refused = train(fresh_model(prepared), prepared.dataset, prepared.preprocess, cfg)
+        refused = train(refused_model, prepared.dataset, cfg)
         assert refused.train_loss == one.train_loss and refused.val_loss == one.val_loss
+        assert refused_model.theta.tobytes() == one_model.theta.tobytes()
         if fds is not None:  # its pipes are closed
             assert len(os.listdir("/proc/self/fd")) == fds
 
@@ -395,19 +462,20 @@ class TestTrainWorker:
 
         monkeypatch.setattr(training, "loss_sums", record)
         monkeypatch.setattr(training, "_cpus", lambda: 1)
-        one = train(fresh_model(prepared), prepared.dataset, prepared.preprocess, cfg)
+        models = [fresh_model(prepared) for _ in range(3)]
+        one = train(models[0], prepared.dataset, cfg)
         sizes = [min(batch_size, 197 - start) for start in range(0, 197, batch_size)]
-        assert shares == sizes * cfg.epochs  # no worker: the caller takes every row
+        # no worker: the caller runs both shares, the first rounded up; a batch of one is one
+        assert shares == [s for n in sizes for s in ((n + 1) // 2, n // 2) if s] * cfg.epochs
         monkeypatch.setattr(training, "_cpus", lambda: 2)
         shares.clear()
-        two = [train(fresh_model(prepared), prepared.dataset, prepared.preprocess, cfg)
-               for _ in range(2)]
+        two = [train(model, prepared.dataset, cfg) for model in models[1:]]
         assert_no_child_left()
-        # the caller's half of each batch, rounded up: the whole of a batch of one
+        # the caller's share of each batch; the worker runs the rest
         assert shares == [(n + 1) // 2 for n in sizes] * 2 * cfg.epochs
-        assert two[0].train_loss == two[1].train_loss and two[0].val_loss == two[1].val_loss
-        for got, want in [(two[0].train_loss, one.train_loss), (two[0].val_loss, one.val_loss)]:
-            assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-12
+        for report, model in zip(two, models[1:]):
+            assert report.train_loss == one.train_loss and report.val_loss == one.val_loss
+            assert model.theta.tobytes() == models[0].theta.tobytes()
 
     def test_halves_draw_the_whole_batchs_masks(self, prepared, rng):
         model = fresh_model(prepared, dropout_rate=0.5)
@@ -444,14 +512,14 @@ class TestTrainWorker:
     def test_a_failing_half_reaches_the_caller(self, prepared, monkeypatch, side):
         self.fail_in(monkeypatch, side, LookupError(f"{side} half failed"))
         with pytest.raises(LookupError, match=f"{side} half failed"):
-            train(fresh_model(prepared), prepared.dataset, prepared.preprocess, train_config())
+            train(fresh_model(prepared), prepared.dataset, train_config())
         assert_no_child_left()
 
     def test_an_unpicklable_failure_arrives_by_name(self, prepared, monkeypatch):
         # DivergenceError cannot be rebuilt from its args alone
         self.fail_in(monkeypatch, "worker", DivergenceError(7, "worker half failed"))
         with pytest.raises(RuntimeError, match="DivergenceError: worker half failed"):
-            train(fresh_model(prepared), prepared.dataset, prepared.preprocess, train_config())
+            train(fresh_model(prepared), prepared.dataset, train_config())
         assert_no_child_left()
 
     def test_divergence_in_the_workers_half(self, prepared, monkeypatch, capfd):
@@ -465,7 +533,7 @@ class TestTrainWorker:
 
         monkeypatch.setattr(training, "loss_sums", overflowing)
         with pytest.raises(DivergenceError) as err:
-            train(fresh_model(prepared), prepared.dataset, prepared.preprocess, train_config())
+            train(fresh_model(prepared), prepared.dataset, train_config())
         assert err.value.epoch == 1
         assert_no_child_left()
         assert "Warning" not in capfd.readouterr().err
@@ -479,10 +547,19 @@ class TestTrainWorker:
         run = subprocess.run([sys.executable, "-c", ORPHAN], capture_output=True, text=True,
                              env=env, timeout=120)
         assert run.returncode == -signal.SIGKILL
-        pid = int(run.stdout)
-        status = Path(f"/proc/{pid}/stat")
-        if status.exists():  # a zombie not yet reaped by init has exited too
-            assert status.read_text().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+        status = Path(f"/proc/{int(run.stdout)}/stat")
+
+        def exited():  # a zombie not yet reaped by init has exited too
+            try:
+                return status.read_text().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+            except FileNotFoundError:
+                return True
+
+        # past its last close the worker may still wait for a CPU before it is a zombie
+        deadline = time.monotonic() + 10
+        while not exited() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert exited()
 
 
 class TestPredict:
