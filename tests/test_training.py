@@ -214,6 +214,29 @@ class TestInfer:
         assert (training._openblas() is not None) == found
         assert training._cpus() == cpus
 
+    @pytest.mark.parametrize("cpus,env,free", [
+        (2, {}, 1),  # with OpenBLAS free to start a thread per CPU, one was left
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "1,1"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        (1, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+    ])
+    def test_cpus_left_by_blas_threads(self, monkeypatch, cpus, env, free):
+        # `free` is what the environment's BLAS thread count left to the chunk
+        # threads; held at one thread, BLAS now leaves every CPU, never fewer
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        get, _ = training._openblas()
+        with training._one_blas_thread():
+            assert get() == 1
+            assert training._cpus() == cpus >= free
+
     def test_same_bits_for_one_and_two_cpus(self, prepared, monkeypatch, rng):
         model = fresh_model(prepared)
         x = rng.standard_normal((207, 8, len(prepared.dataset.feature_names)))
