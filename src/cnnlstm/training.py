@@ -75,9 +75,11 @@ def _chunk_bounds(n: int) -> list:
 
 @functools.cache
 def _openblas():
-    """``(get, set)``: the thread-count getter and setter of the OpenBLAS
-    that numpy loaded, found by symbol in the libraries this process maps,
-    or None where there is none (another BLAS, or no ``/proc/self/maps``)."""
+    """``(get, set, shut)``: the thread-count getter and setter of the
+    OpenBLAS that numpy loaded, found by symbol in the libraries this
+    process maps, and its ``blas_thread_shutdown_`` (a no-op where it is
+    not exported), or None where there is none (another BLAS, or no
+    ``/proc/self/maps``)."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
@@ -93,7 +95,8 @@ def _openblas():
                 continue
             get.argtypes, get.restype = (), ctypes.c_int
             set_.argtypes, set_.restype = (ctypes.c_int,), None
-            return get, set_
+            shut = getattr(handle, "blas_thread_shutdown_", None) or (lambda: 0)
+            return get, set_, shut
     return None
 
 
@@ -108,13 +111,18 @@ def _one_blas_thread():
     ``with`` body, or as a decorator for the call, and gives the caller back
     its own count on return or raise. Nested and concurrent holds share the
     pin: the first sets it and the last gives the count back. Without an
-    OpenBLAS, BLAS is left alone."""
+    OpenBLAS, BLAS is left alone.
+
+    A count above one is given back with OpenBLAS's thread pool shut, as
+    after a fork; OpenBLAS starts it again at its next call that uses it.
+    Setting the count starts a pool that a fork (``train``'s worker) shut,
+    and its threads then busy-wait some 0.13 s of CPU with no work."""
     global _pin_depth, _pin_saved
     blas = _openblas()
     if blas is None:
         yield
         return
-    get, set_ = blas
+    get, set_, shut = blas
     with _pin_lock:
         if not _pin_depth:
             _pin_saved = get()
@@ -127,6 +135,8 @@ def _one_blas_thread():
             _pin_depth -= 1
             if not _pin_depth:
                 set_(_pin_saved)
+                if _pin_saved > 1:
+                    shut()
 
 
 def _cpus() -> int:

@@ -354,6 +354,16 @@ def test_train_saves_a_run_whose_test_split_has_one_window(tmp_path, capsys):
     assert len((tmp_path / "h.csv").read_text().splitlines()) == 2
 
 
+def test_train_prints_the_metrics_of_a_test_split_of_two_windows_or_more(prepared, capsys):
+    test = pipeline.load_dataset(prepared / "data.txt")[0].dataset.test_idx.size
+    assert test >= 2
+    capsys.readouterr()
+    ckpt = trained(prepared)
+    out = capsys.readouterr().out
+    assert f"test metrics (price space):\nsamples            {test}\nexplained_variance " in out
+    assert out.endswith(f"checkpoint written to {ckpt}\n")
+
+
 # prepare, train, evaluate --predictions and predict in the directory argv[1]
 CHAIN = """
 import sys

@@ -3,7 +3,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -232,7 +231,7 @@ class TestInfer:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        get, _ = training._openblas()
+        get = loaded_openblas()[0]
         with training._one_blas_thread():
             assert get() == 1
             assert training._cpus() == cpus >= free
@@ -304,6 +303,14 @@ class TestInfer:
         assert threading.active_count() == threads
 
 
+def loaded_openblas():
+    """``training._openblas()``; the test is skipped where numpy loaded none."""
+    blas = training._openblas()
+    if blas is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    return blas
+
+
 class TestOneBlasThread:
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -314,7 +321,8 @@ class TestOneBlasThread:
         def set_threads(n):
             counts[0] = n
 
-        monkeypatch.setattr(training, "_openblas", lambda: (lambda: counts[0], set_threads))
+        monkeypatch.setattr(training, "_openblas",
+                            lambda: (lambda: counts[0], set_threads, lambda: 0))
         forward = training.forward
 
         def counted(*args, **kwargs):
@@ -357,7 +365,7 @@ class TestOneBlasThread:
         assert not thread.is_alive() and counts == [3, 1, 1]
 
     def test_the_loaded_openblas_is_held_and_given_back(self, prepared, rng):
-        get, set_threads = training._openblas()
+        get, set_threads, _ = loaded_openblas()
         before = get()
         seen = []
         forward = training.forward
@@ -373,6 +381,38 @@ class TestOneBlasThread:
                 patch.setattr(training, "forward", counted)
                 training._infer(fresh_model(prepared), x)
             assert (seen, get()) == ([1, 1], 2)
+        finally:
+            set_threads(before)
+
+    @pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/task")),
+                        reason="training forks no worker here, or no task list to count")
+    def test_a_count_given_back_after_the_workers_fork_starts_no_thread(self, prepared,
+                                                                        monkeypatch):
+        # a pool started with no work busy-waits; OpenBLAS starts it at its next call
+        get, set_threads, _ = loaded_openblas()
+        before = get()
+        a = np.random.default_rng(0).random((300, 300))
+
+        def tasks():
+            return len(os.listdir("/proc/self/task"))
+
+        set_threads(2)
+        try:
+            want = a @ a  # starts OpenBLAS's pool: one thread beside the caller
+            pooled = tasks()
+            forks = []
+            fork = os.fork
+
+            def counted_fork():
+                forks.append(1)
+                return fork()
+
+            monkeypatch.setattr(training, "_cpus", lambda: 2)
+            monkeypatch.setattr(os, "fork", counted_fork)
+            train(fresh_model(prepared), prepared.dataset, train_config(epochs=1))
+            assert forks == [1]  # the worker's fork shut the pool down
+            assert (get(), tasks()) == (2, pooled - 1)
+            assert (a @ a).tobytes() == want.tobytes() and tasks() == pooled
         finally:
             set_threads(before)
 
@@ -570,19 +610,10 @@ class TestTrainWorker:
         run = subprocess.run([sys.executable, "-c", ORPHAN], capture_output=True, text=True,
                              env=env, timeout=120)
         assert run.returncode == -signal.SIGKILL
-        status = Path(f"/proc/{int(run.stdout)}/stat")
-
-        def exited():  # a zombie not yet reaped by init has exited too
-            try:
-                return status.read_text().rsplit(")", 1)[1].split()[0] in ("Z", "X")
-            except FileNotFoundError:
-                return True
-
-        # past its last close the worker may still wait for a CPU before it is a zombie
-        deadline = time.monotonic() + 10
-        while not exited() and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert exited()
+        pid = int(run.stdout)
+        status = Path(f"/proc/{pid}/stat")
+        if status.exists():  # a zombie not yet reaped by init has exited too
+            assert status.read_text().rsplit(")", 1)[1].split()[0] in ("Z", "X")
 
 
 class TestPredict:
