@@ -42,7 +42,7 @@ def cmd_prepare(args) -> int:
     recipe = cfg.prepare_config()  # a bad value fails before the CSV is parsed
     prepared = pl.prepare_dataset(pl.load_ohlcv(args.input), recipe)
     pl.save_dataset(prepared, args.out)
-    print(prepared.summary.format())
+    print(prepared.describe())
     print(f"dataset written to {args.out}")
     return 0
 

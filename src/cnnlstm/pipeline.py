@@ -552,57 +552,62 @@ class PrepareConfig:
 
 @dataclass
 class PrepareSummary:
+    """What a prepare run saw that its ``PreparedData`` cannot tell: rows
+    loaded, cells cleaning marked and imputation filled, rows left after the
+    warm-up cut, and each feature's correlation with close over the fit rows."""
+
     rows_loaded: int
     outlier_cells: int
     imputed_cells: int
     rows_after_warmup: int
     correlations: dict
-    selected: tuple
-    pca_components: int
-    pca_explained: float
-    n_windows: int
-    lookback: int
-    horizon: int
-    split_sizes: tuple
-
-    def format(self) -> str:
-        lines = [
-            f"rows loaded             {self.rows_loaded}",
-            f"outlier cells replaced  {self.outlier_cells}",
-            f"cells imputed           {self.imputed_cells}",
-            f"rows after warm-up cut  {self.rows_after_warmup}",
-            "feature correlations with close:",
-        ]
-        for name, r in self.correlations.items():
-            if math.isnan(r):
-                lines.append(f"  {name:<8} constant   dropped")
-            else:
-                verdict = "kept" if name in self.selected else "dropped"
-                lines.append(f"  {name:<8} |r|={abs(r):.4f} {verdict}")
-        lines.append(f"selected features       {','.join(self.selected)}")
-        if self.pca_components:
-            lines.append(
-                f"pca                     {self.pca_components} components "
-                f"(explained share {self.pca_explained:.4f})"
-            )
-        else:
-            lines.append("pca                     off")
-        lines.append(
-            f"window samples          {self.n_windows} "
-            f"(lookback {self.lookback}, horizon {self.horizon})"
-        )
-        tr, va, te = self.split_sizes
-        lines.append(f"split sizes             train={tr} val={va} test={te}")
-        return "\n".join(lines)
 
 
 @dataclass
 class PreparedData:
+    """The windows and their split, the fitted preprocessing, the recipe and
+    the frame the windows read; ``summary`` is the prepare run's own counts,
+    and None for a loaded cache."""
+
     dataset: WindowedDataset
     preprocess: PreprocessState
     config: PrepareConfig  # the recipe that made it, split included
     summary: PrepareSummary
     frame: FeatureFrame  # transformed feature frame the windows came from
+
+    def describe(self) -> str:
+        """The report ``cnnlstm prepare`` prints: the summary's counts, then
+        the selection, PCA, windows and split read from the data itself."""
+        s, pre, ds = self.summary, self.preprocess, self.dataset
+        lines = [
+            f"rows loaded             {s.rows_loaded}",
+            f"outlier cells replaced  {s.outlier_cells}",
+            f"cells imputed           {s.imputed_cells}",
+            f"rows after warm-up cut  {s.rows_after_warmup}",
+            "feature correlations with close:",
+        ]
+        for name, r in s.correlations.items():
+            if math.isnan(r):
+                lines.append(f"  {name:<8} constant   dropped")
+            else:
+                verdict = "kept" if name in pre.selected else "dropped"
+                lines.append(f"  {name:<8} |r|={abs(r):.4f} {verdict}")
+        lines.append(f"selected features       {','.join(pre.selected)}")
+        if pre.pca:
+            lines.append(
+                f"pca                     {pre.pca.n_components} components "
+                f"(explained share {pre.pca.explained_share:.4f})"
+            )
+        else:
+            lines.append("pca                     off")
+        lines.append(
+            f"window samples          {ds.n} (lookback {ds.lookback}, horizon {pre.horizon})"
+        )
+        lines.append(
+            f"split sizes             train={ds.train_idx.size} val={ds.val_idx.size} "
+            f"test={ds.test_idx.size}"
+        )
+        return "\n".join(lines)
 
 
 def training_rows(length: int, train_idx, lookback: int, horizon: int) -> np.ndarray:
@@ -622,6 +627,16 @@ def training_rows(length: int, train_idx, lookback: int, horizon: int) -> np.nda
     return np.nonzero(mask)[0]
 
 
+def _windowed(frame: FeatureFrame, cfg: PrepareConfig) -> WindowedDataset:
+    """``frame``'s windows with the split ``cfg`` derives over them, for
+    ``prepare_dataset`` and for ``load_dataset``'s rebuild alike."""
+    dataset = make_windows(frame, cfg.lookback, cfg.horizon)
+    train_idx, val_idx, test_idx = split_indices(
+        dataset.n, cfg.split_ratios, cfg.split_mode, cfg.seed
+    )
+    return replace(dataset, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
+
+
 def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
     """Run the whole preprocessing chain on a raw OHLCV frame."""
     cfg.validate()
@@ -634,10 +649,8 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
             f"series too short: {length} rows remain after the {max(cfg.sma_windows)}-row "
             f"warm-up cut, need at least {cfg.lookback + cfg.horizon}"
         )
-    n_windows = length - cfg.lookback - cfg.horizon + 1
-    train_idx, val_idx, test_idx = split_indices(
-        n_windows, cfg.split_ratios, cfg.split_mode, cfg.seed
-    )
+    # the engineered frame has the rows of the modeled one, so its windows' split is theirs
+    train_idx = _windowed(frame, cfg).train_idx
     fit_rows = training_rows(length, train_idx, cfg.lookback, cfg.horizon)
 
     rs = correlations(frame, rows=fit_rows)
@@ -657,28 +670,19 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
         pca_state = None
         modeled = scaled
 
-    dataset = make_windows(modeled, cfg.lookback, cfg.horizon)
-    dataset = replace(dataset, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
-
     summary = PrepareSummary(
         rows_loaded=len(raw),
         outlier_cells=imputed_cells - missing_before,
         imputed_cells=imputed_cells,
         rows_after_warmup=length,
         correlations=rs,
-        selected=selected,
-        pca_components=pca_state.n_components if pca_state else 0,
-        pca_explained=pca_state.explained_share if pca_state else 0.0,
-        n_windows=n_windows,
-        lookback=cfg.lookback,
-        horizon=cfg.horizon,
-        split_sizes=(train_idx.size, val_idx.size, test_idx.size),
     )
     preprocess = PreprocessState(
         selected=selected, scaler=scaler, pca=pca_state, horizon=cfg.horizon
     )
     return PreparedData(
-        dataset=dataset, preprocess=preprocess, config=cfg, summary=summary, frame=modeled
+        dataset=_windowed(modeled, cfg), preprocess=preprocess, config=cfg, summary=summary,
+        frame=modeled,
     )
 
 
@@ -801,8 +805,8 @@ def save_dataset(prepared: PreparedData, path):
 def load_dataset(path):
     """Read a dataset cache; returns ``(PreparedData, PrepareConfig)``.
 
-    The header's recipe is validated, then the split is derived from it
-    over the rebuilt windows with the call ``prepare_dataset`` makes. A
+    The header's recipe is validated, then the windows and their split are
+    rebuilt from it by the function ``prepare_dataset`` makes them with. A
     line after the last column block, or a header horizon that disagrees
     with the ``[preprocessing]`` one, is a format error. The loaded
     PreparedData carries no summary (that belongs to prepare time).
@@ -830,12 +834,7 @@ def load_dataset(path):
         columns[name] = reader.read_array(rows)
     reader.expect_end()
     frame = FeatureFrame(dates=dates, columns=columns)
-    dataset = make_windows(frame, cfg.lookback, cfg.horizon)
-    train_idx, val_idx, test_idx = split_indices(
-        dataset.n, cfg.split_ratios, cfg.split_mode, cfg.seed
-    )
-    dataset = replace(dataset, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
     prepared = PreparedData(
-        dataset=dataset, preprocess=preprocess, config=cfg, summary=None, frame=frame
+        dataset=_windowed(frame, cfg), preprocess=preprocess, config=cfg, summary=None, frame=frame
     )
     return prepared, cfg

@@ -698,7 +698,7 @@ class TestPrepareDataset:
 
     def test_summary_reports_splits(self):
         prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config())
-        text = prepared.summary.format()
+        text = prepared.describe()
         n = prepared.dataset.n
         expected = (int(0.7 * n), int(0.2 * n), n - int(0.7 * n) - int(0.2 * n))
         assert f"train={expected[0]} val={expected[1]} test={expected[2]}" in text
