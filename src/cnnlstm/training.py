@@ -214,6 +214,14 @@ class _Rows:
         return out
 
 
+def _share_sums(model, dataset, rng, rows, n, first, state, out=None):
+    """``loss_sums`` of the windows ``rows``, rows ``first:`` of an n-window
+    batch, with ``rng`` set to ``state``, its state before the batch, and
+    drawing their rows of the batch's dropout masks (``_Rows``)."""
+    rng.bit_generator.state = state
+    return loss_sums(model, dataset.inputs[rows], dataset.targets[rows], _Rows(rng, n, first), out)
+
+
 def _keep_freed_memory():
     """Have glibc's malloc, where it is the allocator, serve arrays of up to
     32 MB from the heap and keep the heap it frees. The worker frees and
@@ -243,10 +251,8 @@ def _serve(model, dataset, rng, grad, requests, replies):
                 rows, n, state = pickle.load(inbox)
             except EOFError:
                 return
-            rng.bit_generator.state = state
             try:
-                rows_rng = _Rows(rng, n, n - rows.size)
-                sse, _ = loss_sums(model, dataset.inputs[rows], dataset.targets[rows], rows_rng, grad)
+                sse, _ = _share_sums(model, dataset, rng, rows, n, n - rows.size, state, grad)
                 reply = (sse, None)
             except Exception as exc:  # sent back and raised in the parent
                 try:
@@ -308,8 +314,7 @@ def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng
             theta[...] = model.theta
             pickle.dump((rows[share:], n, state), requests)
             requests.flush()
-        mine = rows[:share]
-        sse, grad = loss_sums(model, dataset.inputs[mine], dataset.targets[mine], _Rows(rng, n, 0))
+        sse, grad = _share_sums(model, dataset, rng, rows[:share], n, 0, state)
         if share < n:
             if pid:
                 try:
@@ -320,10 +325,7 @@ def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng
                     exc, trace = failure
                     raise exc from RuntimeError(f"raised in the training worker:\n{trace.rstrip()}")
             else:
-                rest = rows[share:]
-                rng.bit_generator.state = state
-                rest_sse, _ = loss_sums(model, dataset.inputs[rest], dataset.targets[rest],
-                                        _Rows(rng, n, share), rest_grad)
+                rest_sse, _ = _share_sums(model, dataset, rng, rows[share:], n, share, state, rest_grad)
             sse += rest_sse
             grad += rest_grad
         grad /= n
