@@ -191,19 +191,14 @@ def build(config: ModelConfig) -> Model:
     return model
 
 
-@dataclass
-class ForwardCaches:
-    """Per-layer caches from one training-mode forward; consumed once."""
-
-    stages: list
-    consumed: bool = False
-
-
 def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
     """Predict one scalar per sample; returns ``(predictions, caches)``.
 
-    Inference keeps no caches and returns None for them, so each stage's
-    intermediates are freed as the next stage replaces them.
+    In training mode ``caches`` is a list: each stage's ``(conv cache, tanh
+    output, pool cache, LSTM cache, dropout cache)``, then the dense cache;
+    ``backward`` empties it. Inference keeps no caches and returns None for
+    them, so each stage's intermediates are freed as the next stage
+    replaces them.
     """
     x = np.asarray(batch, dtype=np.float64)
     cfg = model.config
@@ -228,21 +223,23 @@ def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
     preds = out[:, 0]
     if not training:
         return preds, None
-    return preds, ForwardCaches(stages=stages + [dense_cache])
+    return preds, stages + [dense_cache]
 
 
-def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray,
-             out=None) -> np.ndarray:
+def backward(model: Model, caches: list, grad_predictions: np.ndarray, out=None) -> np.ndarray:
     """Sum over the batch of per-sample parameter gradients, laid out like ``theta``.
 
+    ``caches`` is the list a training-mode ``forward`` returned; it is
+    emptied before any gradient is written, so a second call with it fails.
     ``grad_predictions[i]`` is the upstream derivative for sample i's scalar
     prediction. A sum, not a mean, so that the sums of two slices of a batch
     add up to the batch's (see ``loss_sums``). It is written into ``out``, a
     vector like ``theta``, if given.
     """
-    if caches is None or caches.consumed:
+    if not caches:
         raise ShapeError("backward needs unconsumed caches from a training-mode forward")
-    caches.consumed = True
+    *stages, dense_cache = caches
+    caches.clear()
     g = np.asarray(grad_predictions, dtype=np.float64)
     if g.ndim != 1:
         raise ShapeError(f"grad_predictions must be rank-1, got shape {g.shape}")
@@ -250,10 +247,10 @@ def backward(model: Model, caches: ForwardCaches, grad_predictions: np.ndarray,
     grad = np.empty_like(model.theta) if out is None else out
     blocks, _ = model.views(grad)
     dx, blocks["dense.weight"][...], blocks["dense.bias"][...] = layers.dense_backward(
-        g[:, None], caches.stages[3]
+        g[:, None], dense_cache
     )
     for stage in (3, 2, 1):
-        conv_cache, a, pool_cache, lstm_cache, drop_cache = caches.stages[stage - 1]
+        conv_cache, a, pool_cache, lstm_cache, drop_cache = stages[stage - 1]
         if drop_cache is not None:
             dx = layers.dropout_backward(dx, drop_cache)
         dx, lstm_grads = layers.lstm_backward(dx, lstm_cache)

@@ -546,7 +546,7 @@ class TestTrainWorker:
 
         def masks(batch, generator):
             _, caches = forward(model, batch, training=True, rng=generator)
-            return [stage[4].data["mask"] for stage in caches.stages[:2]]
+            return [stage[4].data["mask"] for stage in caches[:2]]
 
         whole_rng = np.random.default_rng(11)
         want = masks(x, whole_rng)
