@@ -16,7 +16,6 @@ them.
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
 
@@ -305,17 +304,11 @@ def correlations(frame: FeatureFrame, rows=None) -> dict:
 def select_by_correlation(rs: dict, threshold: float) -> list:
     """Keep the features of ``rs`` (from ``correlations``) with |r| >= threshold.
 
-    Constant features (r is NaN) are dropped with a warning. Returns names
-    in the order of ``rs``, which is frame column order.
+    A constant feature's r is NaN, which passes no threshold; the prepare
+    report names it. Returns names in the order of ``rs``, which is frame
+    column order.
     """
-    selected = []
-    for name, r in rs.items():
-        if math.isnan(r):
-            warnings.warn(f"dropping constant feature {name!r}", stacklevel=2)
-            continue
-        if abs(r) >= threshold:
-            selected.append(name)
-    return selected
+    return [name for name, r in rs.items() if abs(r) >= threshold]
 
 
 @dataclass
@@ -600,13 +593,9 @@ class PreparedData:
             )
         else:
             lines.append("pca                     off")
-        lines.append(
-            f"window samples          {ds.n} (lookback {ds.lookback}, horizon {pre.horizon})"
-        )
-        lines.append(
-            f"split sizes             train={ds.train_idx.size} val={ds.val_idx.size} "
-            f"test={ds.test_idx.size}"
-        )
+        lines.append(f"window samples          {ds.n} (lookback {ds.lookback}, horizon {pre.horizon})")
+        tr, va, te = (ds.indices(split).size for split in ("train", "val", "test"))
+        lines.append(f"split sizes             train={tr} val={va} test={te}")
         return "\n".join(lines)
 
 
@@ -631,10 +620,8 @@ def _windowed(frame: FeatureFrame, cfg: PrepareConfig) -> WindowedDataset:
     """``frame``'s windows with the split ``cfg`` derives over them, for
     ``prepare_dataset`` and for ``load_dataset``'s rebuild alike."""
     dataset = make_windows(frame, cfg.lookback, cfg.horizon)
-    train_idx, val_idx, test_idx = split_indices(
-        dataset.n, cfg.split_ratios, cfg.split_mode, cfg.seed
-    )
-    return replace(dataset, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
+    train, val, test = split_indices(dataset.n, cfg.split_ratios, cfg.split_mode, cfg.seed)
+    return replace(dataset, train_idx=train, val_idx=val, test_idx=test)
 
 
 def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
@@ -649,9 +636,8 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
             f"series too short: {length} rows remain after the {max(cfg.sma_windows)}-row "
             f"warm-up cut, need at least {cfg.lookback + cfg.horizon}"
         )
-    # the engineered frame has the rows of the modeled one, so its windows' split is theirs
-    train_idx = _windowed(frame, cfg).train_idx
-    fit_rows = training_rows(length, train_idx, cfg.lookback, cfg.horizon)
+    # the engineered frame has the modeled one's rows, so its windows' split is theirs
+    fit_rows = training_rows(length, _windowed(frame, cfg).train_idx, cfg.lookback, cfg.horizon)
 
     rs = correlations(frame, rows=fit_rows)
     selected = tuple(select_by_correlation(rs, cfg.corr_threshold))

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -441,7 +442,8 @@ class TestCorrelationSelection:
 
     def test_constant_feature_dropped_with_warning(self, rng):
         frame = frame_of(close=rng.random(50), flat=np.full(50, 3.0))
-        with pytest.warns(UserWarning, match="flat"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the prepare report names it; no warning repeats it
             assert select_by_correlation(correlations(frame), 0.0) == []
 
     def test_scale_invariance(self, rng):
