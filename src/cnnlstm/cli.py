@@ -13,6 +13,12 @@ training CSV with the training config fits; any other pair is exit 4, with
 a message naming the first key that differs. So the prices they report
 come from the scaler that scaled the dataset's targets.
 
+``train`` saves the checkpoint and the history, then scores the test split:
+it prints the metrics, or ``test split not scored: <reason>`` when the split
+is empty or a metric is undefined on it (one window, or constant closes),
+and exits 0 either way. ``evaluate`` exits 2 on such a split, as the metrics
+are all it reports.
+
 ``train``, ``evaluate``, ``plot`` and ``predict`` compute with one BLAS
 thread and use the CPUs themselves (a worker process in ``train``, threads
 in inference), so ``OPENBLAS_NUM_THREADS`` no longer changes their output:
@@ -28,7 +34,7 @@ from . import model as model_mod
 from . import pipeline as pl
 from . import metrics, svg, training
 from .config import SCHEMA, load_config
-from .errors import CnnLstmError, CompatibilityError, DivergenceError
+from .errors import CnnLstmError, CompatibilityError, DataError, DivergenceError
 from .textio import check_writable, fmt_float, write_lines
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -77,9 +83,14 @@ def cmd_train(args) -> int:
     print(f"epochs             {len(report.train_loss)}")
     print(f"final train loss   {report.train_loss[-1]:.6g}")
     print(f"final val loss     {report.val_loss[-1]:.6g}")
-    if dataset.test_idx.size >= 2:  # a metric needs two windows; the run is saved either way
-        print("test metrics (price space):")
-        print(training.evaluate(net, dataset, prepared.preprocess, "test").format())
+    try:  # the run is saved: a test split that cannot be scored is reported, not an error
+        if not dataset.test_idx.size:
+            raise DataError("the split is empty")
+        scores = training.evaluate(net, dataset, prepared.preprocess, "test")
+    except DataError as exc:  # from metrics.report: too few windows, or constant closes
+        print(f"test split not scored: {exc}")
+    else:
+        print(f"test metrics (price space):\n{scores.format()}")
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -194,7 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", help="train on a prepared dataset")
+    p = sub.add_parser(
+        "train", help="train on a prepared dataset",
+        description="Train, save the checkpoint and the history, then score the test split. A "
+        "split that is empty or that a metric is undefined on (one window, constant closes) "
+        "prints 'test split not scored: <reason>' and still exits 0.",
+    )
     p.add_argument("--data", required=True, help="prepared dataset from 'prepare'")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="checkpoint to write")

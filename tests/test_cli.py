@@ -354,6 +354,130 @@ def test_train_saves_a_run_whose_test_split_has_one_window(tmp_path, capsys):
     assert len((tmp_path / "h.csv").read_text().splitlines()) == 2
 
 
+def test_train_saves_a_run_whose_test_closes_are_constant(tmp_path, capsys):
+    # train saved the run, printed the metrics header and then exited 2, as
+    # explained variance is undefined on a test split of equal closes
+    write_csv(synthetic_ohlcv(), tmp_path / "prices.csv")
+    lines = (tmp_path / "prices.csv").read_text().splitlines()
+    for i in range(1051, len(lines)):
+        cells = lines[i].split(",")
+        cells[4] = "64.000000"
+        lines[i] = ",".join(cells)
+    (tmp_path / "prices.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "run.cfg").write_text("epochs=2\n")
+    data, ckpt = str(tmp_path / "data.txt"), str(tmp_path / "m.ckpt")
+    assert main(["prepare", "--input", str(tmp_path / "prices.csv"), "--out", data]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", data, "--config", str(tmp_path / "run.cfg"), "--out", ckpt,
+                 "--history", str(tmp_path / "h.csv")]) == 0
+    undefined = "explained_variance undefined: actual values have zero variance"
+    out = capsys.readouterr().out
+    assert f"test split not scored: {undefined}\ncheckpoint written to {ckpt}\n" in out
+    assert "test metrics" not in out
+    model.load(ckpt)
+    assert len((tmp_path / "h.csv").read_text().splitlines()) == 3
+    assert_input_error(capsys, ["evaluate", "--checkpoint", ckpt, "--data", data], undefined)
+
+
+def test_train_saves_a_run_whose_test_split_is_empty(prepared, capsys):
+    data = reprepare(prepared, SMALL + "split_ratios=0.75,0.25,0\n", "no-test")
+    (prepared / "one.cfg").write_text(SMALL + "kernel_width=2\npool_window=1\nepochs=1\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--config", str(prepared / "one.cfg"),
+                 "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "test split not scored: the split is empty\n" in out and "test metrics" not in out
+    model.load(prepared / "m.ckpt")
+
+
+def test_evaluate_rejects_a_test_split_of_one_window(tmp_path, capsys):
+    write_csv(synthetic_ohlcv(), tmp_path / "full.csv")
+    rows = (tmp_path / "full.csv").read_text().splitlines()[:175]
+    (tmp_path / "prices.csv").write_text("\n".join(rows) + "\n")
+    data = tmp_path / "data.txt"
+    assert main(["prepare", "--input", str(tmp_path / "prices.csv"), "--out", str(data)]) == 0
+    loaded, _ = pipeline.load_dataset(data)
+    assert loaded.dataset.test_idx.size == 1
+    net = model.build(model.ModelConfig(features=len(loaded.dataset.feature_names)))
+    model.save(net, loaded.preprocess, tmp_path / "m.ckpt")
+    assert_input_error(capsys, ["evaluate", "--checkpoint", str(tmp_path / "m.ckpt"),
+                                "--data", str(data)], "metric needs at least 2 samples, got 1")
+
+
+def test_prepare_reports_a_constant_feature_once(prepared):
+    # stderr also got a UserWarning naming pipeline.py and a line of its source
+    lines = (prepared / "prices.csv").read_text().splitlines()
+    lines[1:] = [line.rsplit(",", 1)[0] + ",1000.000000" for line in lines[1:]]
+    (prepared / "prices.csv").write_text("\n".join(lines) + "\n")
+    src = str(Path(cnnlstm.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-m", "cnnlstm.cli", "prepare", "--input", str(prepared / "prices.csv"),
+         "--config", str(prepared / "run.cfg"), "--out", str(prepared / "flat.txt")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src,
+                                             "PYTHONWARNINGS": "default"}, timeout=300,
+    )
+    assert run.returncode == 0
+    assert "  volume   constant   dropped\n" in run.stdout and run.stderr == ""
+
+
+def damage(path, prefix, replacement):
+    """Replace the first line of ``path`` that starts with ``prefix``; returns its number."""
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = replacement
+    path.write_text("\n".join(lines) + "\n")
+    return i + 1
+
+
+@pytest.mark.parametrize("prefix, replacement, message", [
+    ("[frame]", "[frames]", "expected [frame] section"),
+    ("dates", "days", "expected dates block"),
+    ("column pc_2", "column pc_9", "expected 'column pc_2', got 'column pc_9'"),
+])
+def test_train_rejects_a_cache_with_a_damaged_frame_block(prepared, capsys, prefix, replacement,
+                                                         message):
+    path = prepared / "data.txt"
+    line = damage(path, prefix, replacement)
+    assert_input_error(
+        capsys,
+        ["train", "--data", str(path), "--config", str(prepared / "run.cfg"),
+         "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
+        f"{path}, line {line}: {message}",
+    )
+
+
+@pytest.mark.parametrize("prefix, replacement, message", [
+    ("pca=", "pca=maybe", "pca must be on or off, got 'maybe'"),
+    ("pca_basis ", "pca_basis 3", "expected pca_basis <k> <d>"),
+    ("pca_basis ", "pca_basis 2 8", "pca_basis dims 2x8 disagree with 3x8"),
+    ("param conv1.kernels ", "param conv1.kernels",
+     "expected 'param conv1.kernels ...', got 'param conv1.kernels'"),
+])
+def test_predict_rejects_a_checkpoint_with_a_damaged_block(prepared, capsys, prefix, replacement,
+                                                          message):
+    ckpt = saved_checkpoint(prepared)
+    line = damage(ckpt, prefix, replacement)
+    assert_input_error(
+        capsys,
+        ["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")],
+        f"{ckpt}, line {line}: {message}",
+    )
+
+
+def test_predict_rejects_a_checkpoint_whose_feature_count_its_preprocessing_does_not_give(
+        prepared, capsys):
+    data, _ = pipeline.load_dataset(prepared / "data.txt")
+    features = len(data.dataset.feature_names)
+    cfg = model.ModelConfig(features=features + 1, lookback=8, conv_filters=(2, 2, 2),
+                            kernel_width=2, pool_window=1, lstm_units=(2, 2, 2))
+    ckpt = prepared / "model.ckpt"
+    model.save(model.build(cfg), data.preprocess, ckpt)
+    assert main(["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")]) == 4
+    assert capsys.readouterr().err == (
+        f"error: prepared frame has {features} model features, checkpoint expects {features + 1}\n"
+    )
+
+
 def test_train_prints_the_metrics_of_a_test_split_of_two_windows_or_more(prepared, capsys):
     test = pipeline.load_dataset(prepared / "data.txt")[0].dataset.test_idx.size
     assert test >= 2
