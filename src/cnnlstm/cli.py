@@ -86,11 +86,10 @@ def cmd_train(args) -> int:
     try:  # the run is saved: a test split that cannot be scored is reported, not an error
         if not dataset.test_idx.size:
             raise DataError("the split is empty")
-        scores = training.evaluate(net, dataset, prepared.preprocess, "test")
+        scores = training.evaluate(net, dataset, prepared.preprocess, "test").format()
+        print(f"test metrics (price space):\n{scores}")
     except DataError as exc:  # from metrics.report: too few windows, or constant closes
         print(f"test split not scored: {exc}")
-    else:
-        print(f"test metrics (price space):\n{scores.format()}")
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -205,12 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser(
-        "train", help="train on a prepared dataset",
-        description="Train, save the checkpoint and the history, then score the test split. A "
-        "split that is empty or that a metric is undefined on (one window, constant closes) "
-        "prints 'test split not scored: <reason>' and still exits 0.",
-    )
+    p = sub.add_parser("train", help="train on a prepared dataset", description=(
+        "Train, save the checkpoint and the history, then score the test split. A split that "
+        "is empty or that a metric is undefined on (one window, constant closes) prints "
+        "'test split not scored: <reason>' and still exits 0."))
     p.add_argument("--data", required=True, help="prepared dataset from 'prepare'")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="checkpoint to write")

@@ -23,11 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import layers
-from .errors import (
-    CheckpointShapeError,
-    ConfigError,
-    ShapeError,
-)
+from .errors import CheckpointShapeError, ConfigError, ShapeError
 from .layers import GATES, Conv1dParams, DenseParams, LstmParams
 from .optim import mse
 from .pipeline import PreprocessState, preprocess_lines, read_preprocess_block

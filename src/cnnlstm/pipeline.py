@@ -642,19 +642,13 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
     rs = correlations(frame, rows=fit_rows)
     selected = tuple(select_by_correlation(rs, cfg.corr_threshold))
     if not selected:
-        raise PipelineError(
-            f"no feature passes the correlation threshold {cfg.corr_threshold}"
-        )
+        raise PipelineError(f"no feature passes the correlation threshold {cfg.corr_threshold}")
 
     scaler = fit_minmax(frame, fit_rows, selected + ("close",))
     scaled = apply_minmax(frame, scaler)
 
-    if cfg.pca:
-        pca_state = pca_fit(scaled, fit_rows, cfg.pca_variance, selected)
-        modeled = pca_transform(scaled, pca_state)
-    else:
-        pca_state = None
-        modeled = scaled
+    pca_state = pca_fit(scaled, fit_rows, cfg.pca_variance, selected) if cfg.pca else None
+    modeled = pca_transform(scaled, pca_state) if pca_state else scaled
 
     summary = PrepareSummary(
         rows_loaded=len(raw),
@@ -663,13 +657,9 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
         rows_after_warmup=length,
         correlations=rs,
     )
-    preprocess = PreprocessState(
-        selected=selected, scaler=scaler, pca=pca_state, horizon=cfg.horizon
-    )
-    return PreparedData(
-        dataset=_windowed(modeled, cfg), preprocess=preprocess, config=cfg, summary=summary,
-        frame=modeled,
-    )
+    preprocess = PreprocessState(selected=selected, scaler=scaler, pca=pca_state, horizon=cfg.horizon)
+    return PreparedData(dataset=_windowed(modeled, cfg), preprocess=preprocess, config=cfg,
+                        summary=summary, frame=modeled)
 
 
 # --- preprocessing-state text block (shared by checkpoints and data caches) ---
