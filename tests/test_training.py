@@ -3,6 +3,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -612,8 +613,17 @@ class TestTrainWorker:
         assert run.returncode == -signal.SIGKILL
         pid = int(run.stdout)
         status = Path(f"/proc/{pid}/stat")
-        if status.exists():  # a zombie not yet reaped by init has exited too
-            assert status.read_text().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+        # its files close before its exit ends, so it may still show as running
+        # for a moment; a zombie not yet reaped by init has exited too
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                if status.read_text().rsplit(")", 1)[1].split()[0] in ("Z", "X"):
+                    break
+            except FileNotFoundError:  # reaped
+                break
+            assert time.monotonic() < deadline, f"the worker {pid} is still running"
+            time.sleep(0.01)
 
 
 class TestPredict:
