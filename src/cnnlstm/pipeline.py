@@ -569,8 +569,9 @@ class PreparedData:
     frame: FeatureFrame  # transformed feature frame the windows came from
 
     def describe(self) -> str:
-        """The report ``cnnlstm prepare`` prints: the summary's counts, then
-        the selection, PCA, windows and split read from the data itself."""
+        """The report ``cnnlstm prepare`` prints: the summary's counts (so a
+        ``prepare_dataset`` result only), then the selection, PCA, windows
+        and split read from the data itself."""
         s, pre, ds = self.summary, self.preprocess, self.dataset
         lines = [
             f"rows loaded             {s.rows_loaded}",
