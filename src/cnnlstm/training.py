@@ -215,9 +215,10 @@ class _Rows:
 
 
 def _share_sums(model, dataset, rng, rows, n, first, state, out=None):
-    """``loss_sums`` of the windows ``rows``, rows ``first:`` of an n-window
-    batch, with ``rng`` set to ``state``, its state before the batch, and
-    drawing their rows of the batch's dropout masks (``_Rows``)."""
+    """The squared-error and gradient sums (``loss_sums``) of the windows
+    ``rows``, which start at row ``first`` of an n-window batch: ``rng`` is
+    set to ``state``, its state before the batch, and ``_Rows`` draws their
+    rows of the batch's dropout masks from it."""
     rng.bit_generator.state = state
     return loss_sums(model, dataset.inputs[rows], dataset.targets[rows], _Rows(rng, n, first), out)
 
