@@ -637,8 +637,9 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
             f"series too short: {length} rows remain after the {max(cfg.sma_windows)}-row "
             f"warm-up cut, need at least {cfg.lookback + cfg.horizon}"
         )
-    # the engineered frame has the modeled one's rows, so its windows' split is theirs
-    fit_rows = training_rows(length, _windowed(frame, cfg).train_idx, cfg.lookback, cfg.horizon)
+    n_windows = length - cfg.lookback - cfg.horizon + 1  # the modeled frame's, split by _windowed
+    train_idx, _, _ = split_indices(n_windows, cfg.split_ratios, cfg.split_mode, cfg.seed)
+    fit_rows = training_rows(length, train_idx, cfg.lookback, cfg.horizon)
 
     rs = correlations(frame, rows=fit_rows)
     selected = tuple(select_by_correlation(rs, cfg.corr_threshold))
@@ -811,7 +812,6 @@ def load_dataset(path):
         columns[name] = reader.read_array(rows)
     reader.expect_end()
     frame = FeatureFrame(dates=dates, columns=columns)
-    prepared = PreparedData(
-        dataset=_windowed(frame, cfg), preprocess=preprocess, config=cfg, summary=None, frame=frame
-    )
+    prepared = PreparedData(dataset=_windowed(frame, cfg), preprocess=preprocess, config=cfg,
+                            summary=None, frame=frame)
     return prepared, cfg
