@@ -23,7 +23,11 @@ from types import MappingProxyType
 import numpy as np
 
 from . import layers
-from .errors import CheckpointShapeError, ConfigError, ShapeError
+from .errors import (
+    CheckpointShapeError,
+    ConfigError,
+    ShapeError,
+)
 from .layers import GATES, Conv1dParams, DenseParams, LstmParams
 from .optim import mse
 from .pipeline import PreprocessState, preprocess_lines, read_preprocess_block
@@ -222,7 +226,8 @@ def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
     return preds, stages + [dense_cache]
 
 
-def backward(model: Model, caches: list, grad_predictions: np.ndarray, out=None) -> np.ndarray:
+def backward(model: Model, caches: list, grad_predictions: np.ndarray,
+             out=None) -> np.ndarray:
     """Sum over the batch of per-sample parameter gradients, laid out like ``theta``.
 
     ``caches`` is the list a training-mode ``forward`` returned; it is

@@ -594,7 +594,10 @@ class PreparedData:
             )
         else:
             lines.append("pca                     off")
-        lines.append(f"window samples          {ds.n} (lookback {ds.lookback}, horizon {pre.horizon})")
+        lines.append(
+            f"window samples          {ds.n} "
+            f"(lookback {ds.lookback}, horizon {pre.horizon})"
+        )
         tr, va, te = (ds.indices(split).size for split in ("train", "val", "test"))
         lines.append(f"split sizes             train={tr} val={va} test={te}")
         return "\n".join(lines)
@@ -617,11 +620,18 @@ def training_rows(length: int, train_idx, lookback: int, horizon: int) -> np.nda
     return np.nonzero(mask)[0]
 
 
-def _windowed(frame: FeatureFrame, cfg: PrepareConfig) -> WindowedDataset:
-    """``frame``'s windows with the split ``cfg`` derives over them, for
-    ``prepare_dataset`` and for ``load_dataset``'s rebuild alike."""
+def _split(n_windows: int, cfg: PrepareConfig) -> tuple:
+    """The train, val and test indices of ``n_windows`` windows under ``cfg``."""
+    return split_indices(n_windows, cfg.split_ratios, cfg.split_mode, cfg.seed)
+
+
+def _windowed(frame: FeatureFrame, cfg: PrepareConfig, split=None) -> WindowedDataset:
+    """``frame``'s windows with their train, val and test indices, for
+    ``prepare_dataset`` and ``load_dataset`` alike: ``split``, which prepare
+    takes from ``_split`` over the same window count before the frame exists,
+    or else ``_split`` over the windows made here."""
     dataset = make_windows(frame, cfg.lookback, cfg.horizon)
-    train, val, test = split_indices(dataset.n, cfg.split_ratios, cfg.split_mode, cfg.seed)
+    train, val, test = _split(dataset.n, cfg) if split is None else split
     return replace(dataset, train_idx=train, val_idx=val, test_idx=test)
 
 
@@ -637,20 +647,28 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
             f"series too short: {length} rows remain after the {max(cfg.sma_windows)}-row "
             f"warm-up cut, need at least {cfg.lookback + cfg.horizon}"
         )
-    n_windows = length - cfg.lookback - cfg.horizon + 1  # the modeled frame's, split by _windowed
-    train_idx, _, _ = split_indices(n_windows, cfg.split_ratios, cfg.split_mode, cfg.seed)
-    fit_rows = training_rows(length, train_idx, cfg.lookback, cfg.horizon)
+    n_windows = length - cfg.lookback - cfg.horizon + 1
+    split = _split(n_windows, cfg)
+    fit_rows = training_rows(length, split[0], cfg.lookback, cfg.horizon)
 
     rs = correlations(frame, rows=fit_rows)
     selected = tuple(select_by_correlation(rs, cfg.corr_threshold))
     if not selected:
-        raise PipelineError(f"no feature passes the correlation threshold {cfg.corr_threshold}")
+        raise PipelineError(
+            f"no feature passes the correlation threshold {cfg.corr_threshold}"
+        )
 
     scaler = fit_minmax(frame, fit_rows, selected + ("close",))
     scaled = apply_minmax(frame, scaler)
 
-    pca_state = pca_fit(scaled, fit_rows, cfg.pca_variance, selected) if cfg.pca else None
-    modeled = pca_transform(scaled, pca_state) if pca_state else scaled
+    if cfg.pca:
+        pca_state = pca_fit(scaled, fit_rows, cfg.pca_variance, selected)
+        modeled = pca_transform(scaled, pca_state)
+    else:
+        pca_state = None
+        modeled = scaled
+
+    dataset = _windowed(modeled, cfg, split)
 
     summary = PrepareSummary(
         rows_loaded=len(raw),
@@ -659,9 +677,12 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
         rows_after_warmup=length,
         correlations=rs,
     )
-    preprocess = PreprocessState(selected=selected, scaler=scaler, pca=pca_state, horizon=cfg.horizon)
-    return PreparedData(dataset=_windowed(modeled, cfg), preprocess=preprocess, config=cfg,
-                        summary=summary, frame=modeled)
+    preprocess = PreprocessState(
+        selected=selected, scaler=scaler, pca=pca_state, horizon=cfg.horizon
+    )
+    return PreparedData(
+        dataset=dataset, preprocess=preprocess, config=cfg, summary=summary, frame=modeled
+    )
 
 
 # --- preprocessing-state text block (shared by checkpoints and data caches) ---
@@ -812,6 +833,8 @@ def load_dataset(path):
         columns[name] = reader.read_array(rows)
     reader.expect_end()
     frame = FeatureFrame(dates=dates, columns=columns)
-    prepared = PreparedData(dataset=_windowed(frame, cfg), preprocess=preprocess, config=cfg,
-                            summary=None, frame=frame)
+    dataset = _windowed(frame, cfg)
+    prepared = PreparedData(
+        dataset=dataset, preprocess=preprocess, config=cfg, summary=None, frame=frame
+    )
     return prepared, cfg
