@@ -6,9 +6,10 @@ and use the CPUs themselves. Training sums every mini-batch as two fixed
 shares, the second run by one worker process when a second CPU is free and
 by the caller otherwise (see ``train``). Inference (validation, evaluation,
 prediction) goes through ``_infer``, which cuts its windows into contiguous
-chunks of at most ``MAX_CHUNK`` and runs them on as many threads as there
-are chunks and CPUs, the calling thread included; numpy releases the GIL
-inside BLAS and ufunc loops, so the chunks overlap.
+chunks of at most ``MAX_CHUNK``, at least two where there are two windows,
+and runs them on as many threads as there are chunks and CPUs, the calling
+thread included; numpy releases the GIL inside BLAS and ufunc loops, so the
+chunks overlap.
 The shares and the chunk bounds depend on the window counts only, so a seed
 gives the same bytes whatever the core count and ``OPENBLAS_NUM_THREADS``,
 and every thread runs in a copy of the caller's context, so numpy's error
@@ -63,9 +64,10 @@ MAX_CHUNK = 128  # windows per forward pass
 
 
 def _chunk_bounds(n: int) -> list:
-    """``(start, stop)`` of ceil(n / MAX_CHUNK) contiguous chunks whose sizes
-    differ by at most one, the larger first: 137 -> (0, 69), (69, 137)."""
-    parts = -(-n // MAX_CHUNK)
+    """``(start, stop)`` of max(ceil(n / MAX_CHUNK), min(n, 2)) contiguous
+    chunks whose sizes differ by at most one, the larger first, so two CPUs
+    share any n >= 2: 104 -> (0, 52), (52, 104); 137 -> (0, 69), (69, 137)."""
+    parts = max(-(-n // MAX_CHUNK), min(n, 2))
     if not parts:
         return []
     size, extra = divmod(n, parts)

@@ -197,7 +197,7 @@ class TestEvaluate:
 class TestInfer:
     @pytest.mark.parametrize("n,bounds", [
         (1, [(0, 1)]),
-        (104, [(0, 104)]),
+        (104, [(0, 52), (52, 104)]),
         (137, [(0, 69), (69, 137)]),
         (207, [(0, 104), (104, 207)]),
     ])
