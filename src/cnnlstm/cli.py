@@ -23,6 +23,11 @@ are all it reports.
 thread and use the CPUs themselves (a worker process in ``train``, threads
 in inference), so ``OPENBLAS_NUM_THREADS`` no longer changes their output:
 a seed gives the same bytes at any thread and CPU count.
+
+``main`` has the process keep the heap it frees, as ``train``'s worker does
+(``training._keep_freed_memory``), so a caller that runs commands one after
+another, such as a service calling ``predict``, does not fault its arrays'
+pages in again on every call.
 """
 
 import argparse
@@ -247,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    training._keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         for name in OUTPUTS:  # before work that could not be saved

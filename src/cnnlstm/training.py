@@ -227,10 +227,13 @@ def _share_sums(model, dataset, rng, rows, n, first, state, out=None):
 
 def _keep_freed_memory():
     """Have glibc's malloc, where it is the allocator, serve arrays of up to
-    32 MB from the heap and keep the heap it frees. The worker frees and
-    reallocates the same few megabytes every batch; with the limits it
-    inherits, its heap shrank and regrew each time: 450 to 1,100 page
-    faults a batch at B=32, 1 to 2.5 ms on a 2-vCPU Xeon."""
+    32 MB from the heap and keep the heap it frees. Called by ``cli.main``
+    on entry and by ``train``'s worker, as library callers of ``train``
+    do not go through ``cli.main``. Both free and reallocate the same few
+    megabytes over and over; with glibc's default limits the heap shrank
+    and regrew each time: 450 to 1,100 page faults a batch in the worker
+    at B=32, 1 to 2.5 ms on a 2-vCPU Xeon, and some 1,950 a ``predict``
+    call repeated in one process."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except AttributeError:  # another C library

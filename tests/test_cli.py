@@ -2,6 +2,7 @@
 fit its dataset (exit 4) and a failed gradient verification (exit 5) reach the
 CLI as a one-line error, never a traceback or a raw warning."""
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -486,6 +487,28 @@ def test_train_prints_the_metrics_of_a_test_split_of_two_windows_or_more(prepare
     out = capsys.readouterr().out
     assert f"test metrics (price space):\nsamples            {test}\nexplained_variance " in out
     assert out.endswith(f"checkpoint written to {ckpt}\n")
+
+
+def test_repeated_predicts_do_not_fault(tmp_path, capsys):
+    # main keeps the freed heap; with glibc's default limits every call
+    # faulted its arrays' pages in again, some 3,400-3,700 times a call here
+    resource = pytest.importorskip("resource")
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("no glibc mallopt")
+    write_csv(synthetic_ohlcv(rows=400), tmp_path / "prices.csv")
+    assert main(["prepare", "--input", str(tmp_path / "prices.csv"),
+                 "--out", str(tmp_path / "data.txt")]) == 0
+    data, _ = pipeline.load_dataset(tmp_path / "data.txt")
+    cfg = model.ModelConfig(features=len(data.dataset.feature_names))
+    model.save(model.build(cfg), data.preprocess, tmp_path / "model.ckpt")
+    argv = ["predict", "--checkpoint", str(tmp_path / "model.ckpt"),
+            "--input", str(tmp_path / "prices.csv")]
+    for _ in range(2):
+        assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+    capsys.readouterr()
 
 
 # prepare, train, evaluate --predictions and predict in the directory argv[1]
