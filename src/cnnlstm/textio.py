@@ -180,16 +180,24 @@ class LineReader:
     def read_array(self, count: int) -> np.ndarray:
         """The next line as the block of a bulk array of ``count`` floats.
 
-        The line must be exactly what ``array_lines`` writes for the bytes it
-        holds, so stray characters, misplaced padding and trailing data are
-        all rejected.
+        The line must be canonical: exactly what ``array_lines`` writes for
+        the bytes it holds, ``b2a_base64(a2b_base64(line)) == line``, so stray
+        characters, misplaced padding and trailing data are all rejected. That
+        is checked without encoding the block again. A line that decodes
+        to n bytes and is 4 * ceil(n / 3) characters long has no character
+        the decoder skipped: it is whole quanta of the alphabet, the last one
+        padded where n is not a multiple of 3. Only that last quantum can
+        hold bits the bytes do not, so it must equal the encoding of the last
+        n % 3 bytes.
         """
         line = self.next()
         try:
             raw = binascii.a2b_base64(line)
         except ValueError as exc:  # binascii.Error, or a non-ASCII character
             raise self.error(f"bad base64 block: {exc}") from None
-        if binascii.b2a_base64(raw, newline=False).decode("ascii") != line:
+        tail = len(raw) % 3
+        if len(line) != 4 * -(-len(raw) // 3) or (
+                tail and binascii.b2a_base64(raw[-tail:], newline=False) != line[-4:].encode()):
             raise self.error("bad base64 block: not in canonical form")
         if len(raw) != 8 * count:
             raise self.error(f"expected {count} values ({8 * count} bytes), got {len(raw)} bytes")

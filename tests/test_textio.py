@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -84,6 +84,27 @@ DAMAGED_BLOCKS = [
 ]
 
 
+# what a mutation puts into a block: alphabet characters whose low bits are
+# zero (AQgw) or not (B9+/), padding, blanks, the URL-safe alphabet's two
+# characters and non-ASCII characters
+MUTANTS = "AQgwB9+/=" + " \t" + "-_" + "é８"
+
+
+@st.composite
+def mutated_blocks(draw):
+    """The block of up to 4 values, with up to 3 characters inserted, deleted
+    or replaced, often in the last quantum, where the padding is."""
+    (line,) = array_lines(draw(hnp.arrays(np.uint64, st.integers(0, 4))).view(np.float64))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(line)) | st.integers(max(len(line) - 4, 0), len(line)))
+        op, char = draw(st.sampled_from(("insert", "delete", "replace"))), draw(st.sampled_from(MUTANTS))
+        if op == "insert":
+            line = line[:at] + char + line[at:]
+        elif at < len(line):
+            line = line[:at] + (char if op == "replace" else "") + line[at + 1 :]
+    return line
+
+
 def assert_damaged_block_fails(line, fault):
     reader = LineReader(f"param w 1\n{line}\nparam b 1\n", "model.ckpt")
     reader.next()
@@ -145,6 +166,31 @@ class TestReader:
         assert np.array_equal(bits(block_round_trip(SPECIAL)), bits(SPECIAL))
         for line, fault in DAMAGED_BLOCKS:
             assert_damaged_block_fails(line, fault)
+
+    @pytest.mark.parametrize("oldest", [False, True], ids=["current", "oldest-python"])
+    @FAST
+    @given(line=mutated_blocks())
+    @example(line="AAAAAAAA8D9=")  # nonzero bits after the last of 8 bytes
+    @example(line="AAAAAAAAAAAAAAAAAAAAAB==")  # and after the last of 16
+    def test_canonical_rule_is_the_re_encode_rule(self, oldest, line):
+        # the rule read_array checks without encoding again: a line is canonical
+        # when encoding the bytes it decodes to gives the line back
+        try:
+            raw = binascii.a2b_base64(line)
+            canonical = binascii.b2a_base64(raw, newline=False).decode("ascii") == line
+        except ValueError:
+            canonical = False
+        with pytest.MonkeyPatch.context() as patch:
+            if oldest:  # as in test_decoder_runs_on_the_oldest_supported_python
+                real = binascii.a2b_base64
+                patch.setattr(binascii, "a2b_base64", lambda data, /: real(data))
+            reader = LineReader(line + "\n", "blk")
+            if canonical and len(raw) % 8 == 0:
+                assert reader.read_array(len(raw) // 8).tobytes() == raw
+                return
+            with pytest.raises(CheckpointFormatError) as info:
+                reader.read_array(len(raw) // 8 if canonical else 1)
+        assert ("bad base64 block" in str(info.value)) != canonical
 
     def test_block_missing_at_end_of_file(self):
         reader = LineReader("param w 1\n", "model.ckpt")
