@@ -257,7 +257,9 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
     Returns the full hidden sequence ``[B,T,H]`` when ``return_sequence``
     else the final state ``[B,H]``. With ``training`` false no backward can
     follow: the cache is None and the gates and state are kept one and two
-    steps deep.
+    steps deep. The views a step writes (each gate, the sigmoid rows, the
+    step's slot of each state buffer) are made once per call, before the
+    loop, so a step only indexes lists.
     """
     xf = _stored(x, 2, "lstm_forward")
     t, f, b = xf.shape
@@ -284,28 +286,32 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
     h = np.empty((t if training or return_sequence else depth, hs, b))
     ig = np.empty((hs, b))
     recurrent = np.empty((4 * hs, b))
-    for s in range(t):
-        now, before = s % depth, (s - 1) % depth
-        z = gates[s % len(gates)]
-        np.matmul(w_scaled, xf[s], out=z)
+    # each step's views, made once per call: a gate slot as (z, its sigmoid
+    # rows, o, i, f, g), and step s's slot of each state buffer
+    slots = [(z, z[: 3 * hs], *(z[k * hs : (k + 1) * hs] for k in range(4))) for z in gates]
+    gates_at, c_at, tanh_c_at, h_at = (
+        [views[s % len(views)] for s in range(t)] for views in (slots, list(c), list(tanh_c), list(h))
+    )
+    for s, x_t in enumerate(xf):
+        z, sig, o_t, i_t, f_t, g_t = gates_at[s]
+        c_t, tanh_c_t, h_t = c_at[s], tanh_c_at[s], h_at[s]
+        np.matmul(w_scaled, x_t, out=z)
         z += bias_scaled
         if s:
-            np.matmul(u_scaled, h[(s - 1) % len(h)], out=recurrent)
+            np.matmul(u_scaled, h_at[s - 1], out=recurrent)
             z += recurrent
         np.tanh(z, out=z)
-        sig = z[: 3 * hs]
         sig += 1.0
         sig *= 0.5
-        o_t, i_t, f_t, g_t = (z[k * hs : (k + 1) * hs] for k in range(4))
         if s:
-            np.multiply(f_t, c[before], out=c[now])
+            np.multiply(f_t, c_at[s - 1], out=c_t)
             np.multiply(i_t, g_t, out=ig)
-            c[now] += ig
+            c_t += ig
         else:
-            np.multiply(i_t, g_t, out=c[now])
-        np.tanh(c[now], out=tanh_c[now])
-        np.multiply(o_t, tanh_c[now], out=h[s % len(h)])
-    out = _caller(h if return_sequence else h[(t - 1) % len(h)])
+            np.multiply(i_t, g_t, out=c_t)
+        np.tanh(c_t, out=tanh_c_t)
+        np.multiply(o_t, tanh_c_t, out=h_t)
+    out = _caller(h if return_sequence else h_at[t - 1])
     if not training:
         return out, None
     cache = LayerCache(
