@@ -6,7 +6,7 @@ and use the CPUs themselves. Training sums every mini-batch as two fixed
 shares, the second run by one worker process when a second CPU is free and
 by the caller otherwise (see ``train``). Inference (validation, evaluation,
 prediction) goes through ``_infer``, which cuts its windows into contiguous
-chunks of at most ``MAX_CHUNK``, at least two where there are two windows,
+chunks of at most ``MAX_CHUNK``, at least two for two windows or more,
 and runs them on as many threads as there are chunks and CPUs, the calling
 thread included; numpy releases the GIL inside BLAS and ufunc loops, so the
 chunks overlap.
