@@ -489,7 +489,7 @@ def test_train_prints_the_metrics_of_a_test_split_of_two_windows_or_more(prepare
     assert out.endswith(f"checkpoint written to {ckpt}\n")
 
 
-def test_repeated_predicts_do_not_fault(tmp_path, capsys):
+def test_repeated_predicts_do_not_fault(tmp_path):
     # main keeps the freed heap; with glibc's default limits every call
     # faulted its arrays' pages in again, some 3,400-3,700 times a call here
     resource = pytest.importorskip("resource")
@@ -508,7 +508,6 @@ def test_repeated_predicts_do_not_fault(tmp_path, capsys):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     assert main(argv) == 0
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
-    capsys.readouterr()
 
 
 # prepare, train, evaluate --predictions and predict in the directory argv[1]
