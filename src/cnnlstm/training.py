@@ -6,8 +6,8 @@ and use the CPUs themselves. Training sums every mini-batch as two fixed
 shares, the second run by one worker process when a second CPU is free and
 by the caller otherwise (see ``train``). Inference (validation, evaluation,
 prediction) goes through ``_infer``, which cuts its windows into contiguous
-chunks of at most ``MAX_CHUNK``, at least two for two windows or more,
-and runs them on as many threads as there are chunks and CPUs, the calling
+chunks of at most ``MAX_CHUNK``, at least two for ``2 * MIN_CHUNK``
+windows or more, and runs them on as many threads as there are chunks and CPUs, the calling
 thread included; numpy releases the GIL inside BLAS and ufunc loops, so the
 chunks overlap.
 The shares and the chunk bounds depend on the window counts only, so a seed
@@ -61,13 +61,18 @@ class TrainReport:
 
 
 MAX_CHUNK = 128  # windows per forward pass
+# Fewest windows in a chunk of a split pass. At the default model on a 2-vCPU
+# Xeon, two chunks beat one from n = 64 (6.7 -> 6.1 ms on two CPUs, 6.4 ->
+# 6.0 ms on one) and lost below it (n = 60: 6.1 -> 7.0 and 6.0 -> 6.1 ms).
+MIN_CHUNK = 32
 
 
 def _chunk_bounds(n: int) -> list:
-    """``(start, stop)`` of max(ceil(n / MAX_CHUNK), min(n, 2)) contiguous
-    chunks whose sizes differ by at most one, the larger first, so two CPUs
-    share any n >= 2: 104 -> (0, 52), (52, 104); 137 -> (0, 69), (69, 137)."""
-    parts = max(-(-n // MAX_CHUNK), min(n, 2))
+    """``(start, stop)`` of max(ceil(n / MAX_CHUNK), min(n // MIN_CHUNK, 2))
+    contiguous chunks whose sizes differ by at most one, the larger first, so
+    two CPUs share any n >= 2 * MIN_CHUNK: 63 -> (0, 63); 104 -> (0, 52),
+    (52, 104); 137 -> (0, 69), (69, 137)."""
+    parts = max(-(-n // MAX_CHUNK), min(n // MIN_CHUNK, 2))
     if not parts:
         return []
     size, extra = divmod(n, parts)

@@ -200,6 +200,10 @@ class TestInfer:
         (104, [(0, 52), (52, 104)]),
         (137, [(0, 69), (69, 137)]),
         (207, [(0, 104), (104, 207)]),
+        (0, []),
+        (2, [(0, 2)]),
+        (63, [(0, 63)]),  # one chunk below 2 * MIN_CHUNK
+        (64, [(0, 32), (32, 64)]),
     ])
     def test_chunk_bounds(self, n, bounds):
         assert training._chunk_bounds(n) == bounds
