@@ -25,9 +25,10 @@ in inference), so ``OPENBLAS_NUM_THREADS`` no longer changes their output:
 a seed gives the same bytes at any thread and CPU count.
 
 ``main`` has the process keep the heap it frees, as ``train``'s worker does
-(``training._keep_freed_memory``), so a caller that runs commands one after
-another, such as a service calling ``predict``, does not fault its arrays'
-pages in again on every call.
+(``training._keep_freed_memory``), so arrays freed and allocated again reuse
+pages already faulted in: a one-command ``predict`` process takes about half
+the minor page faults, and a process that calls ``main`` again and again, as
+``perfbench`` does, almost none after its first calls.
 """
 
 import argparse

@@ -239,9 +239,9 @@ def _keep_freed_memory():
     and regrew each time: 450 to 1,100 page faults a batch in the worker
     at B=32, 1 to 2.5 ms on a 2-vCPU Xeon, and some 1,950 a ``predict``
     call repeated in one process."""
-    try:
+    try:  # CDLL(None) raises TypeError or OSError on Windows
         mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:  # another C library
+    except (AttributeError, OSError, TypeError):  # no mallopt to call
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at its largest on 64-bit glibc

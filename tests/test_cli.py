@@ -493,7 +493,9 @@ def test_repeated_predicts_do_not_fault(tmp_path):
     # main keeps the freed heap; with glibc's default limits every call
     # faulted its arrays' pages in again, some 3,400-3,700 times a call here
     resource = pytest.importorskip("resource")
-    if not hasattr(ctypes.CDLL(None), "mallopt"):
+    try:  # as training._keep_freed_memory finds it
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
         pytest.skip("no glibc mallopt")
     write_csv(synthetic_ohlcv(rows=400), tmp_path / "prices.csv")
     assert main(["prepare", "--input", str(tmp_path / "prices.csv"),
@@ -508,6 +510,17 @@ def test_repeated_predicts_do_not_fault(tmp_path):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     assert main(argv) == 0
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+
+@pytest.mark.parametrize("error", [TypeError, OSError])
+def test_main_runs_where_no_c_library_loads_by_name(monkeypatch, capsys, error):
+    # ctypes.CDLL(None) raises TypeError on Windows; main must still run
+    def no_library(name, *args, **kwargs):
+        raise error("no C library")
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0 and "usage: cnnlstm" in capsys.readouterr().out
 
 
 # prepare, train, evaluate --predictions and predict in the directory argv[1]
