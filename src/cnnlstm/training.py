@@ -7,9 +7,9 @@ shares, the second run by one worker process when a second CPU is free and
 by the caller otherwise (see ``train``). Inference (validation, evaluation,
 prediction) goes through ``_infer``, which cuts its windows into contiguous
 chunks of at most ``MAX_CHUNK``, at least two for ``2 * MIN_CHUNK``
-windows or more, and runs them on as many threads as there are chunks and CPUs, the calling
-thread included; numpy releases the GIL inside BLAS and ufunc loops, so the
-chunks overlap.
+windows or more, and runs them on as many threads as there are chunks and
+CPUs, the calling thread included; numpy releases the GIL inside BLAS and
+ufunc loops, so the chunks overlap.
 The shares and the chunk bounds depend on the window counts only, so a seed
 gives the same bytes whatever the core count and ``OPENBLAS_NUM_THREADS``,
 and every thread runs in a copy of the caller's context, so numpy's error
