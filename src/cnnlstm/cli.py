@@ -20,9 +20,10 @@ and exits 0 either way. ``evaluate`` exits 2 on such a split, as the metrics
 are all it reports.
 
 ``train``, ``evaluate``, ``plot`` and ``predict`` compute with one BLAS
-thread and use the CPUs themselves (a worker process in ``train``, threads
-in inference), so ``OPENBLAS_NUM_THREADS`` no longer changes their output:
-a seed gives the same bytes at any thread and CPU count.
+thread and use the CPUs themselves (in ``train`` a worker process, which
+also runs half of each validation pass; threads in other inference), so
+``OPENBLAS_NUM_THREADS`` no longer changes their output: a seed gives the
+same bytes at any thread and CPU count.
 
 ``main`` has the process keep the heap it frees, as ``train``'s worker does
 (``training._keep_freed_memory``), so arrays freed and allocated again reuse

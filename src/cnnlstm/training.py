@@ -9,7 +9,8 @@ prediction) goes through ``_infer``, which cuts its windows into contiguous
 chunks of at most ``MAX_CHUNK``, at least two for ``2 * MIN_CHUNK``
 windows or more, and runs them on as many threads as there are chunks and
 CPUs, the calling thread included; numpy releases the GIL inside BLAS and
-ufunc loops, so the chunks overlap.
+ufunc loops, so the chunks overlap. In ``train``'s validation passes the
+worker process takes the second thread's chunks.
 The shares and the chunk bounds depend on the window counts only, so a seed
 gives the same bytes whatever the core count and ``OPENBLAS_NUM_THREADS``,
 and every thread runs in a copy of the caller's context, so numpy's error
@@ -158,45 +159,58 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _forward_chunks(model: Model, inputs: np.ndarray, group, preds: np.ndarray):
+    """Writes the inference-mode predictions of each ``(start, stop)`` chunk
+    of ``inputs`` in ``group`` into the same rows of ``preds``."""
+    for start, stop in group:
+        preds[start:stop], _ = forward(model, inputs[start:stop], training=False)
+
+
 @_one_blas_thread()
-def _infer(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """Inference-mode predictions, one forward pass per ``_chunk_bounds`` chunk.
+def _infer(model: Model, inputs: np.ndarray, out=None, elsewhere=None) -> np.ndarray:
+    """Inference-mode predictions, one forward pass per ``_chunk_bounds`` chunk,
+    written into ``out`` if given.
 
     With k = min(chunks, ``_cpus()``) the chunks are dealt round-robin to k
     groups; the calling thread runs the first group and k - 1 new threads the
-    others, with BLAS held at one thread (``_one_blas_thread``). Each thread
-    runs in a copy of the caller's context, so numpy's error state
-    (``np.errstate``) holds there too. An exception raised in a chunk reaches
-    the caller once every thread has ended.
+    others, with BLAS held at one thread (``_one_blas_thread``). Given
+    ``elsewhere``, another process takes the second group instead of a
+    thread: ``elsewhere(group)`` starts it there, writing into ``out``, and
+    returns a callable that waits for it. Each thread runs in a copy of the
+    caller's context, so numpy's error state (``np.errstate``) holds there
+    too. An exception raised in a chunk reaches the caller once every thread
+    and the other process have ended their groups.
     """
-    preds = np.empty(inputs.shape[0])
+    preds = np.empty(inputs.shape[0]) if out is None else out
     bounds = _chunk_bounds(inputs.shape[0])
     workers = min(len(bounds), _cpus())
     groups = [bounds[k::workers] for k in range(workers)]
     failures = []
 
-    def run(group):
-        for start, stop in group:
-            preds[start:stop], _ = forward(model, inputs[start:stop], training=False)
-
-    def run_caught(group):
+    def caught(fn, *args):
         try:
-            run(group)
+            fn(*args)
         except BaseException as exc:  # re-raised in the calling thread
             failures.append(exc)
 
-    threads = []
+    threads, wait = [], None
     try:
-        for group in groups[1:]:
+        if elsewhere is not None and workers > 1:
+            wait = elsewhere(groups[1])
+        for group in groups[1 + (wait is not None) :]:
             context = contextvars.copy_context()
-            thread = threading.Thread(target=context.run, args=(run_caught, group))
+            thread = threading.Thread(
+                target=context.run, args=(caught, _forward_chunks, model, inputs, group, preds)
+            )
             thread.start()
             threads.append(thread)
         if groups:
-            run(groups[0])
+            _forward_chunks(model, inputs, groups[0], preds)
     finally:
         for thread in threads:
             thread.join()
+        if wait is not None:
+            caught(wait)
     if failures:
         raise failures[0]
     return preds
@@ -248,23 +262,31 @@ def _keep_freed_memory():
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
-def _serve(model, dataset, rng, grad, requests, replies):
-    """The worker's loop. A request ``(rows, n, state)`` names the last rows
-    of an n-window batch and the dropout generator's state before the batch;
-    the reply is their squared-error sum, with their gradient sum left in
-    ``grad``, or the exception that stopped them and its traceback. Returns
-    at end of file on ``requests``."""
+def _serve(model, dataset, rng, grad, val_inputs, val_preds, requests, replies):
+    """The worker's loop, over two kinds of request. A share ``(rows, n,
+    state)`` names the last rows of an n-window batch and the dropout
+    generator's state before the batch; the reply is their squared-error
+    sum, with their gradient sum left in ``grad``. A list of ``(start,
+    stop)`` chunks of ``val_inputs`` asks for their inference-mode
+    predictions, written into ``val_preds``; the reply is None. A request
+    that raises is answered with the exception and its traceback. Returns at
+    end of file on ``requests``."""
     import traceback
 
     with os.fdopen(requests, "rb") as inbox, os.fdopen(replies, "wb") as outbox:
         while True:
             try:
-                rows, n, state = pickle.load(inbox)
+                request = pickle.load(inbox)
             except EOFError:
                 return
             try:
-                sse, _ = _share_sums(model, dataset, rng, rows, n, n - rows.size, state, grad)
-                reply = (sse, None)
+                if isinstance(request, list):
+                    _forward_chunks(model, val_inputs, request, val_preds)
+                    reply = (None, None)
+                else:
+                    rows, n, state = request
+                    sse, _ = _share_sums(model, dataset, rng, rows, n, n - rows.size, state, grad)
+                    reply = (sse, None)
             except Exception as exc:  # sent back and raised in the parent
                 try:
                     pickle.loads(pickle.dumps(exc))
@@ -276,22 +298,28 @@ def _serve(model, dataset, rng, grad, requests, replies):
 
 
 @contextmanager
-def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng):
-    """``step(rows) -> (loss, grad)``: the mean loss and gradient of the
-    mini-batch ``rows``, dropout drawn from ``rng``, for one ``train`` call:
-    the sums of its two shares that ``train`` describes, added in that order
-    and divided once. The worker that runs the second share is forked when
-    one can be (a forked child keeps only the calling thread, hence no other
-    thread may run); without it the caller runs the second share after the
-    first, from the generator state it saved before the batch."""
+def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng,
+                 val_inputs: np.ndarray):
+    """``(step, validate)`` for one ``train`` call. ``step(rows) -> (loss,
+    grad)``: the mean loss and gradient of the mini-batch ``rows``, dropout
+    drawn from ``rng``: the sums of its two shares that ``train`` describes,
+    added in that order and divided once. ``validate()``: the inference-mode
+    predictions of ``val_inputs`` (``_infer``), which the next call may
+    overwrite. The worker that runs the second share, and the second chunk
+    group of a validation pass, is forked when one can be (a forked child
+    keeps only the calling thread, hence no other thread may run); without
+    it the caller runs the second share after the first, from the generator
+    state it saved before the batch, and ``_infer`` runs the pass as
+    anywhere else."""
     pid = None  # the worker's, once it is forked
     size = model.theta.size
     if batch_size > 1 and _cpus() > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         import mmap
 
-        # an anonymous map is shared with a forked child: theta and the worker's gradient sum
-        shared = np.frombuffer(mmap.mmap(-1, 16 * size), dtype=np.float64)
-        theta, rest_grad = shared[:size], shared[size:]
+        # an anonymous map is shared with a forked child: theta, the worker's
+        # gradient sum and the validation predictions
+        shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * size + len(val_inputs))), dtype=np.float64)
+        theta, rest_grad, val_preds = shared[:size], shared[size : 2 * size], shared[2 * size :]
         requests_r, requests_w = os.pipe()
         replies_r, replies_w = os.pipe()
         try:
@@ -305,7 +333,8 @@ def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng
                 os.close(requests_w)
                 os.close(replies_r)
                 _keep_freed_memory()
-                _serve(Model(model.config, theta), dataset, rng, rest_grad, requests_r, replies_w)
+                _serve(Model(model.config, theta), dataset, rng, rest_grad, val_inputs, val_preds,
+                       requests_r, replies_w)
                 status = 0
             finally:
                 os._exit(status)
@@ -317,24 +346,34 @@ def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng
     if not pid:
         rest_grad = np.empty(size)
 
+    def receive():
+        """The worker's reply to the last request, or its exception raised."""
+        try:
+            value, failure = pickle.load(replies)
+        except EOFError:
+            raise RuntimeError("the training worker exited without a reply") from None
+        if failure is not None:
+            exc, trace = failure
+            raise exc from RuntimeError(f"raised in the training worker:\n{trace.rstrip()}")
+        return value
+
+    def send(request):
+        """Sends the worker ``request`` with the current theta; returns ``receive``."""
+        theta[...] = model.theta
+        pickle.dump(request, requests)
+        requests.flush()
+        return receive
+
     def step(rows):
         n = rows.size
         share = -(-n // 2)
         state = rng.bit_generator.state
         if pid and share < n:
-            theta[...] = model.theta
-            pickle.dump((rows[share:], n, state), requests)
-            requests.flush()
+            send((rows[share:], n, state))
         sse, grad = _share_sums(model, dataset, rng, rows[:share], n, 0, state)
         if share < n:
             if pid:
-                try:
-                    rest_sse, failure = pickle.load(replies)
-                except EOFError:
-                    raise RuntimeError("the training worker exited without a reply") from None
-                if failure is not None:
-                    exc, trace = failure
-                    raise exc from RuntimeError(f"raised in the training worker:\n{trace.rstrip()}")
+                rest_sse = receive()
             else:
                 rest_sse, _ = _share_sums(model, dataset, rng, rows[share:], n, share, state, rest_grad)
             sse += rest_sse
@@ -342,8 +381,11 @@ def _batch_steps(model: Model, dataset: pl.WindowedDataset, batch_size: int, rng
         grad /= n
         return sse / n, grad
 
+    def validate():
+        return _infer(model, val_inputs, val_preds, send) if pid else _infer(model, val_inputs)
+
     try:
-        yield step
+        yield step, validate
     finally:
         if pid:
             try:
@@ -378,12 +420,18 @@ def train(model: Model, dataset: pl.WindowedDataset, cfg: TrainConfig) -> TrainR
     count and any BLAS setting, and stay within 1e-12 relative of
     whole-batch steps.
 
-    theta and the worker's gradient sum cross in a shared anonymous map,
-    the rows and the generator state through a pipe. The worker is forked
-    inside numpy's error state below, runs inside ``os._exit`` so it never
-    returns into the caller, and exits at end of file on its pipe: when the
-    call returns or raises (it is then reaped), or when the caller dies. An
-    exception in its half is raised in the caller.
+    The worker also runs half of each validation pass: ``_infer``'s second
+    chunk group, while the caller runs the first. Passes of one chunk (under
+    ``2 * MIN_CHUNK`` windows) stay in the caller. The chunks are the same
+    with and without it, so the validation losses keep their bytes too.
+
+    theta, the worker's gradient sum and the validation predictions cross in
+    a shared anonymous map, the rows, the generator state and the chunk
+    bounds through a pipe. The worker is forked inside numpy's error state
+    below, runs inside ``os._exit`` so it never returns into the caller, and
+    exits at end of file on its pipe: when the call returns or raises (it is
+    then reaped), or when the caller dies. An exception in its half of a
+    batch or of a validation pass is raised in the caller.
     """
     cfg.validate()
     train_idx = dataset.indices("train")
@@ -398,10 +446,11 @@ def train(model: Model, dataset: pl.WindowedDataset, cfg: TrainConfig) -> TrainR
     adam = init_adam_state(model.theta, opt) if opt.optimizer == "adam" else None
 
     train_hist, val_hist = [], []
+    val_inputs, val_targets = dataset.inputs[val_idx], dataset.targets[val_idx]
     # a diverging run overflows before its loss turns non-finite; the checks
     # below report that as DivergenceError, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"), \
-            _batch_steps(model, dataset, cfg.batch_size, dropout_rng) as step:
+            _batch_steps(model, dataset, cfg.batch_size, dropout_rng, val_inputs) as (step, validate):
         for epoch in range(cfg.epochs):
             lr = schedule_lr(epoch, opt)
             order = shuffle_rng.permutation(train_idx) if cfg.shuffle else train_idx
@@ -418,8 +467,7 @@ def train(model: Model, dataset: pl.WindowedDataset, cfg: TrainConfig) -> TrainR
                     adam_step(model.theta, grad, adam, lr, opt.l2, model.n_weights)
                 batch_losses.append(loss)
             train_hist.append(float(np.mean(batch_losses)))
-            val_preds = _infer(model, dataset.inputs[val_idx])
-            val_loss = mse(val_preds, dataset.targets[val_idx])
+            val_loss = mse(validate(), val_targets)
             if not np.isfinite(val_loss):
                 raise DivergenceError(
                     epoch + 1,

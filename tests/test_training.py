@@ -565,17 +565,109 @@ class TestTrainWorker:
         assert caller.bit_generator.state == whole_rng.bit_generator.state
 
     @staticmethod
-    def fail_in(monkeypatch, side, error):
-        """Make ``side``'s half of every batch raise ``error``."""
+    def fail_in(monkeypatch, side, error, name="loss_sums"):
+        """Make ``side``'s calls of ``training.<name>`` raise ``error``: its
+        half of every batch for ``loss_sums``, its chunks of a validation
+        pass for ``forward``."""
         monkeypatch.setattr(training, "_cpus", lambda: 2)
-        caller, loss_sums = os.getpid(), training.loss_sums
+        caller, real = os.getpid(), getattr(training, name)
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             if (os.getpid() == caller) == (side == "caller"):
                 raise error
-            return loss_sums(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(training, "loss_sums", failing)
+        monkeypatch.setattr(training, name, failing)
+
+    @staticmethod
+    def split_validation(monkeypatch):
+        """Cut the fixture's 56 validation windows, one chunk at ``MIN_CHUNK``,
+        into two, so that a worker takes the second."""
+        monkeypatch.setattr(training, "MIN_CHUNK", 8)
+        assert training._chunk_bounds(56) == [(0, 28), (28, 56)]
+
+    @staticmethod
+    def record_forwards_and_requests(monkeypatch):
+        """``(forwards, requests)``: the batch size of each inference
+        ``forward`` this process runs, and each request it sends the worker."""
+        forwards, requests = [], []
+        forward, dump = training.forward, training.pickle.dump
+
+        def counted(model, batch, training):
+            forwards.append(len(batch))
+            return forward(model, batch, training)
+
+        def sent(obj, file):
+            requests.append(obj)
+            return dump(obj, file)
+
+        monkeypatch.setattr(training, "forward", counted)
+        monkeypatch.setattr(training.pickle, "dump", sent)
+        return forwards, requests
+
+    def test_the_worker_runs_the_second_group_of_a_validation_pass(self, prepared, monkeypatch):
+        self.split_validation(monkeypatch)
+        forwards, requests = self.record_forwards_and_requests(monkeypatch)
+        cfg = train_config(epochs=3)
+        monkeypatch.setattr(training, "_cpus", lambda: 1)
+        one_model, two_model = fresh_model(prepared), fresh_model(prepared)
+        one = train(one_model, prepared.dataset, cfg)
+        assert forwards == [28, 28] * cfg.epochs and requests == []
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        forwards.clear()
+        two = train(two_model, prepared.dataset, cfg)
+        assert_no_child_left()
+        # the caller ran group 0 and sent group 1 once an epoch, after the shares
+        assert forwards == [28] * cfg.epochs
+        assert [r for r in requests if isinstance(r, list)] == [[(28, 56)]] * cfg.epochs
+        assert two.val_loss == one.val_loss and two.train_loss == one.train_loss
+        assert two_model.theta.tobytes() == one_model.theta.tobytes()
+
+    def test_a_short_validation_pass_sends_the_worker_no_request(self, prepared, monkeypatch):
+        # 56 windows are one chunk below 2 * MIN_CHUNK, which the caller runs
+        forwards, requests = self.record_forwards_and_requests(monkeypatch)
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        cfg = train_config(epochs=2)
+        train(fresh_model(prepared), prepared.dataset, cfg)
+        assert_no_child_left()
+        assert forwards == [56] * cfg.epochs
+        assert requests and not [r for r in requests if isinstance(r, list)]
+
+    @pytest.mark.parametrize("side", ["caller", "worker"])
+    def test_a_failing_validation_group_reaches_the_caller(self, prepared, monkeypatch, side):
+        self.split_validation(monkeypatch)
+        self.fail_in(monkeypatch, side, LookupError(f"{side} group failed"), "forward")
+        with pytest.raises(LookupError, match=f"{side} group failed"):
+            train(fresh_model(prepared), prepared.dataset, train_config())
+        assert_no_child_left()
+
+    def test_an_unpicklable_validation_failure_arrives_by_name(self, prepared, monkeypatch):
+        self.split_validation(monkeypatch)
+        self.fail_in(monkeypatch, "worker", DivergenceError(7, "worker group failed"), "forward")
+        with pytest.raises(RuntimeError, match="DivergenceError: worker group failed"):
+            train(fresh_model(prepared), prepared.dataset, train_config())
+        assert_no_child_left()
+
+    def test_a_non_finite_worker_prediction_diverges_in_its_epoch(self, prepared, monkeypatch,
+                                                                  capfd):
+        self.split_validation(monkeypatch)
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        caller, forward, calls = os.getpid(), training.forward, []
+
+        def second_epoch_nan(model, batch, training):
+            preds, caches = forward(model, batch, training)
+            if os.getpid() != caller:
+                calls.append(1)  # the worker's own list, kept across its requests
+                if len(calls) == 2:
+                    preds[:] = np.nan
+            return preds, caches
+
+        monkeypatch.setattr(training, "forward", second_epoch_nan)
+        with pytest.raises(DivergenceError, match="non-finite validation loss") as err:
+            train(fresh_model(prepared), prepared.dataset, train_config(epochs=3))
+        assert err.value.epoch == 2
+        assert_no_child_left()
+        assert "Warning" not in capfd.readouterr().err
 
     @pytest.mark.parametrize("side", ["caller", "worker"])
     def test_a_failing_half_reaches_the_caller(self, prepared, monkeypatch, side):
