@@ -83,11 +83,15 @@ def schedule_lr(epoch: int, cfg: OptimConfig) -> float:
     return cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)
 
 
+def _same_shape(theta: np.ndarray, grad: np.ndarray):
+    if grad.shape != theta.shape:
+        raise ShapeError(f"gradient has shape {grad.shape}, theta has {theta.shape}")
+
+
 def _penalised(theta: np.ndarray, grad: np.ndarray, l2: float, n_weights: int) -> np.ndarray:
     """``grad`` plus ``l2 * w`` on the weights ``theta[:n_weights]``; a new
     array unless ``l2`` is zero."""
-    if grad.shape != theta.shape:
-        raise ShapeError(f"gradient has shape {grad.shape}, theta has {theta.shape}")
+    _same_shape(theta, grad)
     if l2 == 0.0:
         return grad
     grad = grad.copy()
@@ -96,8 +100,18 @@ def _penalised(theta: np.ndarray, grad: np.ndarray, l2: float, n_weights: int) -
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float, l2: float, n_weights: int):
-    """w <- w - lr*(g + l2*w) for weights, w <- w - lr*g for biases, in place."""
-    theta -= lr * _penalised(theta, grad, l2, n_weights)
+    """w <- w - lr*(g + l2*w) for weights, w <- w - lr*g for biases, in place.
+    The weights' step is built in one temporary of their size, ``grad`` is
+    neither copied nor changed, and the bytes are those of the formula."""
+    _same_shape(theta, grad)
+    if l2 == 0.0:
+        theta -= lr * grad
+        return
+    step = l2 * theta[:n_weights]
+    step += grad[:n_weights]
+    step *= lr
+    theta[:n_weights] -= step
+    theta[n_weights:] -= lr * grad[n_weights:]
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, l2: float,
