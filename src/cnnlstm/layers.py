@@ -257,9 +257,11 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
     Returns the full hidden sequence ``[B,T,H]`` when ``return_sequence``
     else the final state ``[B,H]``. With ``training`` false no backward can
     follow: the cache is None and the gates and state are kept one and two
-    steps deep. The views a step writes (each gate, the sigmoid rows, the
-    step's slot of each state buffer) are made once per call, before the
-    loop, so a step only indexes lists.
+    steps deep, and each step projects its own input; in training the gates
+    keep every step, and one matmul before the loop projects all of them.
+    The views a step writes (each gate, the sigmoid rows, the step's slot of
+    each state buffer) are made once per call, before the loop, so a step
+    only indexes lists.
     """
     xf = _stored(x, 2, "lstm_forward")
     t, f, b = xf.shape
@@ -292,11 +294,15 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
     gates_at, c_at, tanh_c_at, h_at = (
         [views[s % len(views)] for s in range(t)] for views in (slots, list(c), list(tanh_c), list(h))
     )
+    if training:  # the gates are T deep: every step's input projection at once
+        np.matmul(w_scaled, xf, out=gates)
+        gates += bias_scaled
     for s, x_t in enumerate(xf):
         z, sig, o_t, i_t, f_t, g_t = gates_at[s]
         c_t, tanh_c_t, h_t = c_at[s], tanh_c_at[s], h_at[s]
-        np.matmul(w_scaled, x_t, out=z)
-        z += bias_scaled
+        if not training:
+            np.matmul(w_scaled, x_t, out=z)
+            z += bias_scaled
         if s:
             np.matmul(u_scaled, h_at[s - 1], out=recurrent)
             z += recurrent

@@ -369,14 +369,20 @@ class TestLstm:
         gx, _ = lstm_backward(weights, cache)
         assert rel_deviation(gx, finite_difference(loss, x)) < 1e-5
 
-    @pytest.mark.parametrize("steps", [1, 2, 31])
+    @pytest.mark.parametrize("steps", [1, 2, 14, 31])
     @pytest.mark.parametrize("return_sequence", [True, False], ids=["sequence", "last"])
-    @pytest.mark.parametrize("batch", [1, 3, 137])
+    @pytest.mark.parametrize("batch,features", [
+        pytest.param(1, 32, id="1"),
+        pytest.param(3, 32, id="3"),
+        pytest.param(137, 32, id="137"),
+        pytest.param(16, 64, id="16x64"),  # a B=32 training share at the paper's filters
+    ])
     def test_inference_matches_training_bitwise_without_a_cache(
-        self, rng, steps, return_sequence, batch
+        self, rng, steps, return_sequence, batch, features
     ):
-        p = random_lstm_params(rng, 64, 32)
-        x = rng.standard_normal((batch, steps, 32))
+        # training projects every step's input in one matmul, inference step by step
+        p = random_lstm_params(rng, 64, features)
+        x = rng.standard_normal((batch, steps, features))
         want, cache = lstm_forward(x, p, return_sequence)
         got, none = lstm_forward(x, p, return_sequence, training=False)
         assert cache is not None and none is None
