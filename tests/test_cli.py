@@ -489,27 +489,44 @@ def test_train_prints_the_metrics_of_a_test_split_of_two_windows_or_more(prepare
     assert out.endswith(f"checkpoint written to {ckpt}\n")
 
 
+# prepares argv[1]/prices.csv, saves an untrained checkpoint for it, predicts
+# three times and prints the minor page faults of the third predict
+REPEATED_PREDICTS = """
+import resource, sys
+from cnnlstm import model, pipeline
+from cnnlstm.cli import main
+
+d = sys.argv[1] + "/"
+assert main(["prepare", "--input", d + "prices.csv", "--out", d + "data.txt"]) == 0
+data, _ = pipeline.load_dataset(d + "data.txt")
+cfg = model.ModelConfig(features=len(data.dataset.feature_names))
+model.save(model.build(cfg), data.preprocess, d + "model.ckpt")
+argv = ["predict", "--checkpoint", d + "model.ckpt", "--input", d + "prices.csv"]
+for _ in range(2):
+    assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 def test_repeated_predicts_do_not_fault(tmp_path):
     # main keeps the freed heap; with glibc's default limits every call
-    # faulted its arrays' pages in again, some 3,400-3,700 times a call here
-    resource = pytest.importorskip("resource")
+    # faulted its arrays' pages in again, some 3,400-3,700 times a call here.
+    # A fresh interpreter: in one that earlier tests have forked training
+    # workers from, one predict in five to ten took some 400 more faults
+    pytest.importorskip("resource")  # in the interpreter below
     try:  # as training._keep_freed_memory finds it
         ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         pytest.skip("no glibc mallopt")
     write_csv(synthetic_ohlcv(rows=400), tmp_path / "prices.csv")
-    assert main(["prepare", "--input", str(tmp_path / "prices.csv"),
-                 "--out", str(tmp_path / "data.txt")]) == 0
-    data, _ = pipeline.load_dataset(tmp_path / "data.txt")
-    cfg = model.ModelConfig(features=len(data.dataset.feature_names))
-    model.save(model.build(cfg), data.preprocess, tmp_path / "model.ckpt")
-    argv = ["predict", "--checkpoint", str(tmp_path / "model.ckpt"),
-            "--input", str(tmp_path / "prices.csv")]
-    for _ in range(2):
-        assert main(argv) == 0
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    assert main(argv) == 0
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+    src = str(Path(cnnlstm.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", REPEATED_PREDICTS, str(tmp_path)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.splitlines()[-1]) < 200
 
 
 @pytest.mark.parametrize("error", [TypeError, OSError])
