@@ -22,7 +22,7 @@ are all it reports.
 ``train``, ``evaluate``, ``plot`` and ``predict`` compute with one BLAS
 thread and use the CPUs themselves (in ``train`` a worker process, which
 also runs half of each validation pass; threads in other inference), so
-``OPENBLAS_NUM_THREADS`` no longer changes their output: a seed gives the
+``OPENBLAS_NUM_THREADS`` does not change their output: a seed gives the
 same bytes at any thread and CPU count.
 
 ``main`` has the process keep the heap it frees, as ``train``'s worker does
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate, predict, and verify gradients.",
         epilog="config keys (key=value file): " + ", ".join(sorted(SCHEMA)) + ". "
         "train, evaluate, plot and predict compute with one BLAS thread and use the CPUs "
-        "themselves, so OPENBLAS_NUM_THREADS no longer changes their output.",
+        "themselves, so OPENBLAS_NUM_THREADS does not change their output.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

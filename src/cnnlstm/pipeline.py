@@ -723,7 +723,7 @@ def _expect_vector(reader: LineReader, key: str, count: int) -> np.ndarray:
     parts = rest.split()
     if len(parts) != count:
         raise reader.error(f"{key}: expected {count} values, got {len(parts)}")
-    return reader.read_floats(count, parts)
+    return reader.read_floats(parts)
 
 
 def read_preprocess_block(reader: LineReader) -> PreprocessState:
@@ -771,17 +771,18 @@ def read_preprocess_block(reader: LineReader) -> PreprocessState:
 # --- prepared-dataset cache file ---
 
 DATA_MAGIC = "CNNLSTM-DATA"
-DATA_VERSION = "v3"
+DATA_VERSION = "v4"
 
 
 def save_dataset(prepared: PreparedData, path):
     """Write the prepare config, preprocessing state and transformed frame.
 
-    Dates and the header are text; each column is one binary64 block line
-    (see ``textio``). A failed save leaves any previous file at ``path``
-    untouched. Neither the windows nor the split are stored: loading
-    rebuilds the windows from the frame with the echoed lookback/horizon
-    and derives the split from the echoed recipe, both bit-exact.
+    The header is text. The dates, as day numbers (``date.toordinal``), and
+    each column are one binary64 block line (see ``textio``). A failed save
+    leaves any previous file at ``path`` untouched. Neither the windows nor
+    the split are stored: loading rebuilds the windows from the frame with
+    the echoed lookback/horizon and derives the split from the echoed
+    recipe, both bit-exact.
     """
     frame = prepared.frame
     lines = [f"{DATA_MAGIC} {DATA_VERSION}", *config_lines(prepared.config)]
@@ -790,11 +791,7 @@ def save_dataset(prepared: PreparedData, path):
     lines.append(f"rows={len(frame)}")
     lines.append(f"columns={','.join(frame.columns)}")
     lines.append("dates")
-    # each date cast to its ten ISO-8601 bytes, then a space or, after every eighth, a newline
-    days = np.array(list(map(_date.toordinal, frame.dates)), np.int64) + np.datetime64("0000-12-31")
-    seps = np.where(np.arange(days.size) % 8 == 7, b"\n", b" ").view(np.uint8)
-    block = np.column_stack([days.astype("S10").view(np.uint8).reshape(-1, 10), seps]).tobytes()
-    lines.extend([block.decode("ascii")[:-1]] if days.size else [])
+    lines.extend(array_lines(list(map(_date.toordinal, frame.dates))))
     for name, col in frame.columns.items():
         lines.append(f"column {name}")
         lines.extend(array_lines(col))
@@ -805,10 +802,12 @@ def load_dataset(path):
     """Read a dataset cache; returns ``(PreparedData, PrepareConfig)``.
 
     The header's recipe is validated, then the windows and their split are
-    rebuilt from it by the function ``prepare_dataset`` makes them with. A
-    line after the last column block, or a header horizon that disagrees
-    with the ``[preprocessing]`` one, is a format error. The loaded
-    PreparedData carries no summary (that belongs to prepare time).
+    rebuilt from it by the function ``prepare_dataset`` makes them with. The
+    dates are read as a binary64 block of day numbers; one that is not a
+    whole number from 1 to ``date.max.toordinal()``, a line after the last
+    column block, or a header horizon that disagrees with the
+    ``[preprocessing]`` one, is a format error. The loaded PreparedData
+    carries no summary (that belongs to prepare time).
     """
     reader = read_file(path, DATA_MAGIC, DATA_VERSION, "dataset")
     cfg = read_config(reader, PrepareConfig)
@@ -824,7 +823,12 @@ def load_dataset(path):
     names = reader.expect("columns", _names)
     if reader.next() != "dates":
         raise reader.error("expected dates block")
-    dates = reader.read_dates(rows)
+    days = reader.read_array(rows)
+    bad = days[~((days >= 1) & (days <= _date.max.toordinal()) & (np.floor(days) == days))]
+    if bad.size:
+        raise reader.error(f"day number {float(bad[0])!r} is not a whole number "
+                           f"from 1 to {_date.max.toordinal()}")
+    dates = list(map(_date.fromordinal, days.astype(np.int64).tolist()))
     columns = {}
     for name in names:
         header = reader.next().split()

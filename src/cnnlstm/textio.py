@@ -2,17 +2,14 @@
 
 A file is a magic-and-version line, ``key=value`` lines, short vectors of
 decimal floats written with 17 significant digits (which round-trips
-binary64 exactly), and bulk float arrays. A bulk array is one line: the
-base64 of its little-endian binary64 bytes in C order, so it round-trips
-bitwise, NaN payloads included, and parses without converting decimal
-text. A date block is whitespace-separated ISO-8601 tokens, parsed a
-whole block at a time; a block is scanned token by token only when it
-fails to parse, to name the line and token at fault. Files are replaced
-whole, never rewritten in place (a named pipe or a device is written
-into), and read by ``read_file``, which checks
-the magic-and-version line. The ``key=value`` header of a checkpoint or a
-dataset cache is one line per field of its config dataclass, and the run
-config's keys are those same fields (``key_fields``).
+binary64 exactly), and bulk float arrays. Every block is one line. A bulk
+array's line is the base64 of its little-endian binary64 bytes in C order,
+so it round-trips bitwise, NaN payloads included, and parses without
+converting decimal text. Files are replaced whole, never rewritten in place
+(a named pipe or a device is written into), and read by ``read_file``, which
+checks the magic-and-version line. The ``key=value`` header of a checkpoint
+or a dataset cache is one line per field of its config dataclass, and the
+run config's keys are those same fields (``key_fields``).
 """
 
 import binascii
@@ -21,7 +18,6 @@ import os
 import stat
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
-from datetime import date
 
 import numpy as np
 
@@ -112,19 +108,6 @@ def write_lines(path, lines: list):
             raise
 
 
-# Block parsers: each turns a list of tokens into values in one call and
-# raises ValueError or OverflowError if any token is bad. numpy converts
-# strings with Python's float().
-
-
-def _floats(tokens: list) -> np.ndarray:
-    return np.array(tokens, dtype=np.float64)
-
-
-def _dates(tokens: list) -> list:
-    return list(map(date.fromisoformat, tokens))
-
-
 class LineReader:
     """Sequential reader with line numbers for error messages."""
 
@@ -169,13 +152,18 @@ class LineReader:
         except ValueError:
             raise self.error(f"bad value for {what}: {value!r}") from None
 
-    def read_floats(self, count: int, tokens=()) -> np.ndarray:
-        """Consume whitespace-separated floats across lines until count is met.
-
-        ``tokens`` are values already split from the line last read; further
-        lines are read only while fewer than ``count`` are in hand.
-        """
-        return self._read_values(count, _floats, "value", tokens)
+    def read_floats(self, tokens: list) -> np.ndarray:
+        """``tokens``, split from the line last read, as floats in one call;
+        if any does not parse, an error naming the first that does not."""
+        try:
+            return np.array(tokens, dtype=np.float64)  # each token as Python's float() reads it
+        except ValueError:
+            for token in tokens:
+                try:
+                    float(token)
+                except ValueError:
+                    raise self.error(f"unparseable value {token!r}") from None
+            raise
 
     def read_array(self, count: int) -> np.ndarray:
         """The next line as the block of a bulk array of ``count`` floats.
@@ -202,48 +190,6 @@ class LineReader:
         if len(raw) != 8 * count:
             raise self.error(f"expected {count} values ({8 * count} bytes), got {len(raw)} bytes")
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-    def read_dates(self, count: int) -> list:
-        """Consume ISO-8601 dates across lines until count is met."""
-        return self._read_values(count, _dates, "date")
-
-    def _read_values(self, count: int, parse, kind: str, tokens=()):
-        """Gather ``count`` tokens line by line, then ``parse`` them in one call.
-
-        A block that fails is scanned again token by token, so the error is
-        the one a value-by-value reader stops at: the first bad token on a
-        line within ``count``, else the end of the file or the line that
-        went past ``count``.
-        """
-        first = self.pos  # the line ``tokens`` came from
-        tokens = list(tokens)
-        ends = [len(tokens)]  # tokens in hand after each line of the block
-        try:
-            while len(tokens) < count:
-                tokens += self.next().split()
-                ends.append(len(tokens))
-        except CheckpointFormatError:
-            self._raise_bad_token(tokens, ends, first, count, parse, kind)
-            raise
-        if len(tokens) == count:
-            try:
-                return parse(tokens)
-            except (ValueError, OverflowError):
-                pass
-        self._raise_bad_token(tokens, ends, first, count, parse, kind)
-        raise self.error(f"expected {count} values, got more")
-
-    def _raise_bad_token(self, tokens, ends, first, count, parse, kind):
-        start = 0
-        for line, end in enumerate(ends, start=first):
-            if end > count:
-                return
-            for token in tokens[start:end]:
-                try:
-                    parse([token])
-                except (ValueError, OverflowError):
-                    raise self.error(f"unparseable {kind} {token!r}", line) from None
-            start = end
 
 
 def read_file(path, magic: str, version: str, kind: str) -> LineReader:

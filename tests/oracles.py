@@ -129,27 +129,18 @@ def reference_array_lines(values):
     return [base64.b64encode(raw).decode("ascii")]
 
 
-def reference_read_values(lines, count, convert=float):
-    """The text reader value by value over ``lines``, each converted by ``convert``.
+def reference_read_values(tokens):
+    """The tokens of one text line converted value by value with ``float``.
 
-    Returns the values, or raises ``ValueError(lineno, message)`` with the
-    1-based line at fault, stopping where a reader that checks each line's
-    count and then each of its tokens in turn would stop.
+    Returns the values, or raises ``ValueError(token)`` naming the first
+    token that does not convert.
     """
     out = []
-    for lineno, line in enumerate(lines, start=1):
-        if len(out) >= count:
-            break
-        parts = line.split()
-        if len(out) + len(parts) > count:
-            raise ValueError(lineno, f"expected {count} values, got more")
-        for p in parts:
-            try:
-                out.append(convert(p))
-            except (ValueError, OverflowError):
-                raise ValueError(lineno, f"unparseable token {p!r}") from None
-    if len(out) < count:
-        raise ValueError(None, "unexpected end of file")
+    for token in tokens:
+        try:
+            out.append(float(token))
+        except ValueError:
+            raise ValueError(token) from None
     return out
 
 
@@ -231,17 +222,6 @@ def reference_load_ohlcv(path):
     if not np.isfinite(columns["close"]).any():
         raise ReferenceCsvError(f"{path}: close column has no observed values")
     return [day for day, _, _ in parsed], columns
-
-
-def reference_token_lines(tokens, per_line):
-    """A block of text tokens written value by value, ``per_line`` to a line."""
-    lines, line = [], []
-    for token in tokens:
-        line.append(str(token))
-        if len(line) == per_line:
-            lines.append(" ".join(line))
-            line = []
-    return lines + ([" ".join(line)] if line else [])
 
 
 def reference_training_rows(length, train_idx, lookback, horizon):

@@ -17,6 +17,7 @@ from cnnlstm import model, pipeline, training
 from cnnlstm.cli import main
 from cnnlstm.config import load_config
 from cnnlstm.synth import synthetic_ohlcv
+from cnnlstm.textio import fmt_float
 from conftest import write_csv
 
 SMALL = "lookback=8\ncorr_threshold=0.3\n"
@@ -94,6 +95,30 @@ def test_train_rejects_non_finite_rate_or_penalty(prepared, capsys, setting):
          "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
         f"{setting.split('=')[0]} must be finite and >= 0",
     )
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("epochs=0", "epochs must be >= 1, got 0"),
+    ("batch_size=0", "batch_size must be >= 1, got 0"),
+    # lookback 8, kernel width 2: stage 1's conv gives 7 steps
+    ("pool_window=8", "stage 1: pool window 8 reduces length 7 below 1"),
+])
+def test_train_rejects_a_run_setting_before_training(prepared, capsys, monkeypatch, setting,
+                                                     message):
+    keys = {"kernel_width": "2", "pool_window": "1", "epochs": "1", **dict([setting.split("=")])}
+    (prepared / "bad.cfg").write_text(SMALL + "".join(f"{k}={v}\n" for k, v in keys.items()))
+
+    def never(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(training, "train", never)
+    assert_input_error(
+        capsys,
+        ["train", "--data", str(prepared / "data.txt"), "--config", str(prepared / "bad.cfg"),
+         "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv")],
+        message,
+    )
+    assert not (prepared / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["prepare", "train"])
@@ -175,7 +200,7 @@ def test_predict_names_the_checkpoint_with_an_invalid_header_value(prepared, cap
 
 
 def test_train_rejects_lines_after_the_last_cache_block(prepared, capsys):
-    # a v2 cache's [split] section, left in a v3 cache, must not load silently
+    # a v2 cache's [split] section, left in a later cache, must not load silently
     path = prepared / "data.txt"
     n = len(path.read_text().splitlines())
     with open(path, "a", encoding="utf-8") as fh:
@@ -252,8 +277,9 @@ def test_predict_rejects_version_1_checkpoint(prepared, capsys):
 
 
 def test_train_rejects_version_1_cache(prepared, capsys):
-    # no reader is kept for v1 or for v2, whose [split] section v3 derives instead
-    for version in ("v1", "v2"):
+    # no reader is kept for v1, for v2, whose [split] section v3 derives instead,
+    # or for v3, whose dates block v4 writes as day numbers
+    for version in ("v1", "v2", "v3"):
         as_version(prepared / "data.txt", pipeline.DATA_MAGIC, version)
         assert_input_error(
             capsys,
@@ -284,6 +310,32 @@ def reprepare(prepared, config_text, name):
 def score(command, ckpt, data, out):
     return [command, "--checkpoint", str(ckpt), "--data", str(data),
             "--predictions" if command == "evaluate" else "--out", str(out)]
+
+
+def test_prepare_reports_pca_off(prepared, capsys):
+    capsys.readouterr()
+    reprepare(prepared, SMALL + "pca=off\n", "flat")
+    assert "\npca                     off\nwindow samples " in capsys.readouterr().out
+
+
+def test_predict_prints_or_writes_one_forecast_a_window(prepared, capsys):
+    ckpt, prices = saved_checkpoint(prepared), prepared / "prices.csv"
+    argv = ["predict", "--checkpoint", str(ckpt), "--input", str(prices)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = prepared / "forecast.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = printed.splitlines()
+    assert capsys.readouterr().out == f"{len(lines) - 1} predictions written to {out}\n"
+    assert out.read_text() == printed
+    net, preprocess = model.load(ckpt)
+    frame, _ = pipeline.engineer(pipeline.load_ohlcv(prices))
+    want = training.predict(net, preprocess, frame)
+    assert lines == ["date,predicted", *(f"{day.isoformat()},{fmt_float(p)}" for day, p in want)]
+    # a window ends on each CSV row from the 100-row warm-up cut plus lookback 8 on
+    days = synthetic_ohlcv(rows=160, seed=3).dates[100 + 8 - 1 :]
+    assert len(days) == 53 and [day for day, _ in want] == days
 
 
 @pytest.mark.parametrize("command", ["evaluate", "plot"])

@@ -72,7 +72,7 @@ NON_DEFAULT_TEXT = "".join(f"{key}={text}\n" for key, (text, _) in NON_DEFAULT.i
 # the header lines of format v2 at the non-default config, as written before
 # the headers were generated from the dataclass fields
 CACHE_HEADER = [
-    "CNNLSTM-DATA v3",
+    "CNNLSTM-DATA v4",
     "lookback=16",
     "horizon=2",
     "corr_threshold=0.40000000000000002",

@@ -1,3 +1,4 @@
+import base64
 import csv
 import math
 import warnings
@@ -47,8 +48,8 @@ from oracles import (
     jacobi_eigh,
     pearson,
     reference_clean_impute,
+    reference_array_lines,
     reference_load_ohlcv,
-    reference_token_lines,
 )
 
 
@@ -790,9 +791,27 @@ class TestDatasetCache:
         save_dataset(prepared, path)
         lines = path.read_text().splitlines()
         at = lines.index("dates") + 1
-        want = reference_token_lines([d.isoformat() for d in prepared.frame.dates], 8)
-        assert lines[at : at + len(want)] == want
-        assert lines[at + len(want)].startswith("column ")
+        assert lines[at : at + 2] == [
+            *reference_array_lines([d.toordinal() for d in prepared.frame.dates]),
+            f"column {next(iter(prepared.frame.columns))}",
+        ]
+        assert load_dataset(path)[0].frame.dates == prepared.frame.dates
+
+    @pytest.mark.parametrize("day", [0.0, 3652060.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_damaged_day_number_names_the_dates_line(self, tmp_path, day):
+        path, lines = self.cache_lines(tmp_path)
+        at = lines.index("dates") + 1
+        days = np.frombuffer(base64.b64decode(lines[at]), "<f8").copy()
+        days[5] = day
+        lines[at] = base64.b64encode(days.tobytes()).decode("ascii")
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointFormatError) as exc:
+                load_dataset(path)
+        assert str(exc.value) == (
+            f"{path}, line {at + 1}: day number {day!r} is not a whole number from 1 to 3652059"
+        )
 
     def test_train_on_loaded_windows_matches_a_contiguous_copy(self, tmp_path):
         path = tmp_path / "data.txt"

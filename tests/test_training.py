@@ -11,7 +11,7 @@ import pytest
 
 from cnnlstm import model as model_mod
 from cnnlstm import training
-from cnnlstm.errors import CompatibilityError, DivergenceError, PipelineError
+from cnnlstm.errors import CompatibilityError, ConfigError, DivergenceError, PipelineError
 from cnnlstm.model import ModelConfig, backward, build, forward, load, save
 from cnnlstm.optim import OptimConfig, mse, schedule_lr, sgd_step
 from cnnlstm.pipeline import PrepareConfig, prepare_dataset
@@ -120,6 +120,22 @@ class TestTrain:
             train_config(optim=dict(optimizer="adam", lr0=0.002)),
         )
         assert len(report.train_loss) == 2
+
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(epochs=0), "epochs must be >= 1, got 0"),
+        (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+    ])
+    def test_config_validation(self, prepared, bad, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            TrainConfig(**bad).validate()
+        model = fresh_model(prepared)
+        before = model.theta.copy()
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            train(model, prepared.dataset, TrainConfig(**bad))
+        assert model.theta.tobytes() == before.tobytes()
+        TrainConfig(epochs=1, batch_size=1, seed=0).validate()
 
 
 class TestEvaluate:
@@ -680,6 +696,25 @@ class TestTrainWorker:
         # DivergenceError cannot be rebuilt from its args alone
         self.fail_in(monkeypatch, "worker", DivergenceError(7, "worker half failed"))
         with pytest.raises(RuntimeError, match="DivergenceError: worker half failed"):
+            train(fresh_model(prepared), prepared.dataset, train_config())
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("name", ["_share_sums", "_forward_chunks"])
+    def test_a_worker_that_exits_without_a_reply(self, prepared, monkeypatch, name):
+        # the worker runs _share_sums for its half of a batch, _forward_chunks for its
+        # validation group; the caller's own calls go through
+        if name == "_forward_chunks":
+            self.split_validation(monkeypatch)
+        monkeypatch.setattr(training, "_cpus", lambda: 2)
+        caller, real = os.getpid(), getattr(training, name)
+
+        def exiting(*args):
+            if os.getpid() != caller:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(training, name, exiting)
+        with pytest.raises(RuntimeError, match="^the training worker exited without a reply$"):
             train(fresh_model(prepared), prepared.dataset, train_config())
         assert_no_child_left()
 
