@@ -47,8 +47,8 @@ from oracles import (
     ReferenceCsvError,
     jacobi_eigh,
     pearson,
-    reference_clean_impute,
     reference_array_lines,
+    reference_clean_impute,
     reference_load_ohlcv,
 )
 

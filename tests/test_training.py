@@ -121,7 +121,6 @@ class TestTrain:
         )
         assert len(report.train_loss) == 2
 
-
     @pytest.mark.parametrize("bad, message", [
         (dict(epochs=0), "epochs must be >= 1, got 0"),
         (dict(batch_size=0), "batch_size must be >= 1, got 0"),
