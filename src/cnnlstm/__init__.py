@@ -22,7 +22,7 @@ from .pipeline import (
     save_dataset,
 )
 from .synth import synthetic_ohlcv
-from .training import TrainConfig, TrainReport, evaluate, predict, train
+from .training import TrainConfig, TrainReport, predict, train
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "adam_step",
     "build",
     "default_config",
-    "evaluate",
     "explained_variance",
     "forward",
     "grad_check",

@@ -17,7 +17,7 @@ come from the scaler that scaled the dataset's targets.
 it prints the metrics, or ``test split not scored: <reason>`` when the split
 is empty or a metric is undefined on it (one window, or constant closes),
 and exits 0 either way. ``evaluate`` exits 2 on such a split, as the metrics
-are all it reports.
+are all it reports, and ``plot`` on an empty one.
 
 ``train``, ``evaluate``, ``plot`` and ``predict`` compute with one BLAS
 thread and use the CPUs themselves (in ``train`` a worker process, which
@@ -91,18 +91,17 @@ def cmd_train(args) -> int:
     print(f"final train loss   {report.train_loss[-1]:.6g}")
     print(f"final val loss     {report.val_loss[-1]:.6g}")
     try:  # the run is saved: a test split that cannot be scored is reported, not an error
-        if not dataset.test_idx.size:
-            raise DataError("the split is empty")
-        scores = training.evaluate(net, dataset, prepared.preprocess, "test").format()
-        print(f"test metrics (price space):\n{scores}")
-    except DataError as exc:  # from metrics.report: too few windows, or constant closes
+        _, actual, predicted = training.split_predictions(net, dataset, prepared.preprocess)
+        print(f"test metrics (price space):\n{metrics.report(actual, predicted).format()}")
+    except DataError as exc:  # an empty split, or metrics.report's: one window, constant closes
         print(f"test split not scored: {exc}")
     print(f"checkpoint written to {args.out}")
     return 0
 
 
-def _load_pair(args):
-    """The checkpoint's model and the prepared dataset, if the one fits the other.
+def _split_prices(args):
+    """``training.split_predictions`` of the checkpoint on ``args.split`` of
+    the prepared dataset, if the one fits the other.
 
     The lookback, the feature count and the ``[preprocessing]`` lines of
     the checkpoint must equal the dataset's; the first key that differs is
@@ -125,19 +124,18 @@ def _load_pair(args):
                 f"checkpoint {args.checkpoint} does not fit dataset {args.data}: {key} differs"
                 + (values if mine.startswith(key + "=") else "")
             )
-    return net, prepared
+    return training.split_predictions(net, data, prepared.preprocess, args.split)
 
 
 def cmd_evaluate(args) -> int:
-    net, prepared = _load_pair(args)
-    rows = training.split_predictions(net, prepared.dataset, prepared.preprocess, args.split)
-    _, actual, predicted = zip(*rows)
+    dates, actual, predicted = _split_prices(args)
     print(f"metrics on {args.split} split (price space):")
     print(metrics.report(actual, predicted).format())
     if args.predictions:
         lines = ["date,actual,predicted"]
         lines.extend(
-            f"{day.isoformat()},{fmt_float(price)},{fmt_float(pred)}" for day, price, pred in rows
+            f"{day.isoformat()},{fmt_float(price)},{fmt_float(pred)}"
+            for day, price, pred in zip(dates, actual, predicted)
         )
         write_lines(args.predictions, lines)
         print(f"predictions written to {args.predictions}")
@@ -159,18 +157,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    net, prepared = _load_pair(args)
-    rows = training.split_predictions(net, prepared.dataset, prepared.preprocess, args.split)
-    dates = [day.isoformat() for day, _, _ in rows]
+    dates, actual, predicted = _split_prices(args)
     chart = svg.line_chart(
-        [
-            ("actual", [actual for _, actual, _ in rows]),
-            ("predicted", [pred for _, _, pred in rows]),
-        ],
+        [("actual", actual), ("predicted", predicted)],
         title=f"Actual vs predicted close ({args.split} split)",
         x_label="date",
         y_label="price",
-        x_tick_labels=dates,
+        x_tick_labels=[day.isoformat() for day in dates],
     )
     write_lines(args.out, chart)
     print(f"overlay written to {args.out}")

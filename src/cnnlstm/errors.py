@@ -45,8 +45,8 @@ class CompatibilityError(CnnLstmError):
     """A checkpoint does not fit its input (CLI exit 4).
 
     With a dataset, the checkpoint fits when its ``[preprocessing]`` block,
-    lookback and feature count equal the dataset's. Also raised for an
-    empty split, or for a frame that lacks a column the checkpoint needs.
+    lookback and feature count equal the dataset's. Also raised for a frame
+    that lacks a column the checkpoint needs.
     """
 
 

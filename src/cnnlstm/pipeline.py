@@ -546,13 +546,12 @@ class PrepareConfig:
 @dataclass
 class PrepareSummary:
     """What a prepare run saw that its ``PreparedData`` cannot tell: rows
-    loaded, cells cleaning marked and imputation filled, rows left after the
-    warm-up cut, and each feature's correlation with close over the fit rows."""
+    loaded, cells cleaning marked and imputation filled, and each feature's
+    correlation with close over the fit rows."""
 
     rows_loaded: int
     outlier_cells: int
     imputed_cells: int
-    rows_after_warmup: int
     correlations: dict
 
 
@@ -570,14 +569,14 @@ class PreparedData:
 
     def describe(self) -> str:
         """The report ``cnnlstm prepare`` prints: the summary's counts (so a
-        ``prepare_dataset`` result only), then the selection, PCA, windows
-        and split read from the data itself."""
+        ``prepare_dataset`` result only), then the rows left after the warm-up
+        cut, the selection, PCA, windows and split read from the data itself."""
         s, pre, ds = self.summary, self.preprocess, self.dataset
         lines = [
             f"rows loaded             {s.rows_loaded}",
             f"outlier cells replaced  {s.outlier_cells}",
             f"cells imputed           {s.imputed_cells}",
-            f"rows after warm-up cut  {s.rows_after_warmup}",
+            f"rows after warm-up cut  {len(self.frame)}",
             "feature correlations with close:",
         ]
         for name, r in s.correlations.items():
@@ -674,7 +673,6 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
         rows_loaded=len(raw),
         outlier_cells=imputed_cells - missing_before,
         imputed_cells=imputed_cells,
-        rows_after_warmup=length,
         correlations=rs,
     )
     preprocess = PreprocessState(

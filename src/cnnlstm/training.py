@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics as metrics_mod
 from . import pipeline as pl
-from .errors import CompatibilityError, ConfigError, DivergenceError, PipelineError
+from .errors import CompatibilityError, ConfigError, DataError, DivergenceError, PipelineError
 from .model import Model, forward, loss_sums
 from .optim import OptimConfig, adam_step, init_adam_state, mse, schedule_lr, sgd_step
 
@@ -483,26 +482,16 @@ def split_predictions(
     preprocess: pl.PreprocessState,
     split: str = "test",
 ):
-    """(date, actual price, predicted price) rows for one split, from one inference pass."""
+    """``(dates, actual, predicted)`` for one split, from one inference pass:
+    the windows' target dates and two float64 arrays of inverse-scaled close
+    prices. An empty split is a ``DataError``."""
     idx = dataset.indices(split)
     if idx.size == 0:
-        raise CompatibilityError(f"{split} split is empty")
+        raise DataError("the split is empty")
     preds = _infer(model, dataset.inputs[idx])
     actual = pl.invert_minmax(dataset.targets[idx], preprocess.scaler, "close")
     predicted = pl.invert_minmax(preds, preprocess.scaler, "close")
-    dates = [dataset.target_dates[i] for i in idx]
-    return list(zip(dates, actual.tolist(), predicted.tolist()))
-
-
-def evaluate(
-    model: Model,
-    dataset: pl.WindowedDataset,
-    preprocess: pl.PreprocessState,
-    split: str = "test",
-) -> metrics_mod.MetricsReport:
-    """Inference over one split, metrics in inverse-scaled price space."""
-    _, actual, predicted = zip(*split_predictions(model, dataset, preprocess, split))
-    return metrics_mod.report(actual, predicted)
+    return [dataset.target_dates[i] for i in idx], actual, predicted
 
 
 def predict(model: Model, preprocess: pl.PreprocessState, frame: pl.FeatureFrame):

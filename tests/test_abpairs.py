@@ -135,6 +135,7 @@ def test_main_writes_what_was_measured(monkeypatch, tmp_path):
     assert abpairs.main(["--parent", "HEAD", "--workload", "train", "--seeds", "1-2",
                          "--out", str(out)]) == 0
     record = json.loads(out.read_text())
+    assert record["parent"] == "c0ffee"
     assert record["change"] == {"commit": "c0ffee", "diff_sha256": "d1ff"}
     assert record["attempted"] == {"parent": 6, "change": 6}
 

@@ -7,13 +7,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cnnlstm
-from cnnlstm import model, pipeline, training
+from cnnlstm import model, pipeline, svg, training
 from cnnlstm.cli import main
 from cnnlstm.config import load_config
 from cnnlstm.synth import synthetic_ohlcv
@@ -312,6 +313,39 @@ def score(command, ckpt, data, out):
             "--predictions" if command == "evaluate" else "--out", str(out)]
 
 
+def chart(path):
+    """An SVG chart's title, its x tick labels and the point count of each
+    polyline, keyed by the legend label drawn after it."""
+    ns = "{http://www.w3.org/2000/svg}"
+    elements = list(ET.parse(path).getroot())
+    texts = [e for e in elements if e.tag == ns + "text"]
+    x_ticks = [e.text for e in texts if e.get("y") == str(svg.HEIGHT - svg.MARGIN_BOTTOM + 20)]
+    points = {elements[i + 2].text: len(e.get("points").split())
+              for i, e in enumerate(elements) if e.tag == ns + "polyline"}
+    return texts[0].text, x_ticks, points
+
+
+def test_plot_draws_the_actual_and_predicted_closes_of_a_split(prepared, capsys):
+    ckpt, out = trained(prepared), prepared / "plot.svg"
+    dataset = pipeline.load_dataset(prepared / "data.txt")[0].dataset
+    assert dataset.test_idx.size == 6
+    capsys.readouterr()
+    assert main(score("plot", ckpt, prepared / "data.txt", out)) == 0
+    assert capsys.readouterr().out == f"overlay written to {out}\n"
+    title, x_ticks, points = chart(out)
+    assert title == "Actual vs predicted close (test split)"
+    assert x_ticks == [dataset.target_dates[i].isoformat() for i in dataset.test_idx]
+    assert points == {"actual": 6, "predicted": 6}
+
+
+def test_train_svg_draws_both_losses_an_epoch(prepared):
+    (prepared / "three.cfg").write_text(SMALL + "kernel_width=2\npool_window=1\nepochs=3\n")
+    assert main(["train", "--data", str(prepared / "data.txt"), "--config", str(prepared / "three.cfg"),
+                 "--out", str(prepared / "m.ckpt"), "--history", str(prepared / "h.csv"),
+                 "--svg", str(prepared / "loss.svg")]) == 0
+    assert chart(prepared / "loss.svg") == ("Model loss", ["1", "2", "3"], {"loss": 3, "val_loss": 3})
+
+
 def test_prepare_reports_pca_off(prepared, capsys):
     capsys.readouterr()
     reprepare(prepared, SMALL + "pca=off\n", "flat")
@@ -441,6 +475,11 @@ def test_train_saves_a_run_whose_test_split_is_empty(prepared, capsys):
     out = capsys.readouterr().out
     assert "test split not scored: the split is empty\n" in out and "test metrics" not in out
     model.load(prepared / "m.ckpt")
+    # the checkpoint fits the dataset: these exited 4 with "test split is empty"
+    for command in ("evaluate", "plot"):
+        assert main(score(command, prepared / "m.ckpt", data, prepared / "out")) == 2
+        assert capsys.readouterr().err == "error: the split is empty\n"
+        assert not (prepared / "out").exists()
 
 
 def test_evaluate_rejects_a_test_split_of_one_window(tmp_path, capsys):

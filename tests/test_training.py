@@ -9,14 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cnnlstm import metrics
 from cnnlstm import model as model_mod
 from cnnlstm import training
-from cnnlstm.errors import CompatibilityError, ConfigError, DivergenceError, PipelineError
+from cnnlstm.errors import CompatibilityError, ConfigError, DataError, DivergenceError, PipelineError
 from cnnlstm.model import ModelConfig, backward, build, forward, load, save
 from cnnlstm.optim import OptimConfig, mse, schedule_lr, sgd_step
 from cnnlstm.pipeline import PrepareConfig, prepare_dataset
 from cnnlstm.synth import synthetic_ohlcv
-from cnnlstm.training import TrainConfig, evaluate, predict, split_predictions, train
+from cnnlstm.training import TrainConfig, predict, split_predictions, train
 
 
 def small_model_config(features, **overrides):
@@ -52,6 +53,12 @@ def train_config(**overrides):
     base = dict(epochs=2, batch_size=16, seed=9, shuffle=True)
     base.update(overrides)
     return TrainConfig(optim=OptimConfig(**optim), **base).validate()
+
+
+def evaluate(model, dataset, preprocess, split):
+    """The price-space metrics of ``model`` on one split, as ``cnnlstm evaluate`` prints them."""
+    _, actual, predicted = split_predictions(model, dataset, preprocess, split)
+    return metrics.report(actual, predicted)
 
 
 def memorized_r2(prepared, ds, epochs):
@@ -197,16 +204,16 @@ class TestEvaluate:
         import dataclasses
 
         ds = dataclasses.replace(prepared.dataset, test_idx=np.array([], dtype=np.int64))
-        with pytest.raises(CompatibilityError):
-            evaluate(fresh_model(prepared), ds, prepared.preprocess, "test")
+        with pytest.raises(DataError, match="^the split is empty$"):
+            split_predictions(fresh_model(prepared), ds, prepared.preprocess, "test")
 
     def test_split_predictions_rows(self, prepared):
         model = fresh_model(prepared)
-        rows = split_predictions(model, prepared.dataset, prepared.preprocess, "test")
-        assert len(rows) == prepared.dataset.test_idx.size
-        day, actual, pred = rows[0]
-        assert day == prepared.dataset.target_dates[prepared.dataset.test_idx[0]]
-        assert isinstance(actual, float) and isinstance(pred, float)
+        dates, actual, pred = split_predictions(model, prepared.dataset, prepared.preprocess, "test")
+        idx = prepared.dataset.test_idx
+        assert dates == [prepared.dataset.target_dates[i] for i in idx]
+        for column in (actual, pred):
+            assert column.dtype == np.float64 and column.shape == (idx.size,)
 
 
 class TestInfer:

@@ -139,7 +139,7 @@ def main(argv=None):
     metrics = summarise(pairs, better, bounds)
     result = {
         "workload": args.workload, "seconds": args.seconds,
-        "parent": git("rev-parse", args.parent).strip(),
+        "parent": measured(args.parent)["commit"],
         "change": change,
         "environment": env,
         "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in ("parent", "change")},
