@@ -3,7 +3,9 @@
 Subcommands: prepare, train, evaluate, predict, plot, gradcheck. Results go
 to stdout, diagnostics to stderr. Exit statuses: 0 ok, 2 input error,
 3 diverged training, 4 checkpoint/dataset incompatibility, 5 gradient
-verification failure.
+verification failure. An error prints ``error: <message>`` and exits with
+its class's ``exit_status`` (see ``errors``); 5 is ``gradcheck``'s own
+result.
 
 ``evaluate`` and ``plot`` take a checkpoint and a dataset only when the
 checkpoint fits the dataset: its ``[preprocessing]`` block equals the
@@ -41,7 +43,7 @@ from . import model as model_mod
 from . import pipeline as pl
 from . import metrics, svg, training
 from .config import SCHEMA, load_config
-from .errors import CnnLstmError, CompatibilityError, DataError, DivergenceError
+from .errors import CnnLstmError, CompatibilityError, DataError
 from .textio import check_writable, fmt_float, write_lines
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -254,15 +256,9 @@ def main(argv=None) -> int:
             if getattr(args, name, None):
                 check_writable(getattr(args, name))
         return args.func(args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CompatibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except CnnLstmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_status
 
 
 def entrypoint():

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, SequenceTooShortError
+from .errors import ConfigError
 
 # the order of the gates' rows in LstmParams: the three sigmoid gates first,
 # and the three gates whose derivative goes through dc last
@@ -73,9 +73,9 @@ class Conv1dParams:
 
     def __post_init__(self):
         if self.kernels.ndim != 3:
-            raise ShapeError(f"conv kernels must be [K,W,F], got {self.kernels.shape}")
+            raise ConfigError(f"conv kernels must be [K,W,F], got {self.kernels.shape}")
         if self.bias.shape != (self.kernels.shape[0],):
-            raise ShapeError(
+            raise ConfigError(
                 f"conv bias shape {self.bias.shape} does not match {self.kernels.shape[0]} kernels"
             )
 
@@ -93,7 +93,7 @@ class LstmParams:
         h = self.u.shape[-1]
         shapes = (self.w.shape[:1], self.u.shape, self.b.shape)
         if self.w.ndim != 2 or shapes != ((4 * h,), (4 * h, h), (4 * h,)):
-            raise ShapeError(
+            raise ConfigError(
                 f"LSTM weights {self.w.shape}, {self.u.shape} and {self.b.shape} "
                 "disagree on hidden/input size"
             )
@@ -106,7 +106,7 @@ class DenseParams:
 
     def __post_init__(self):
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise ShapeError(
+            raise ConfigError(
                 f"dense weight {self.weight.shape} and bias {self.bias.shape} disagree"
             )
 
@@ -121,7 +121,7 @@ def _stored(x: np.ndarray, rank: int, what: str) -> np.ndarray:
     """``x``, a batch of rank-``rank`` samples, as contiguous batch-minor storage."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != rank + 1:
-        raise ShapeError(f"{what} expects a batch of rank-{rank} samples, got shape {x.shape}")
+        raise ConfigError(f"{what} expects a batch of rank-{rank} samples, got shape {x.shape}")
     return np.ascontiguousarray(x.transpose(*range(1, rank + 1), 0))
 
 
@@ -136,7 +136,7 @@ def _upstream(grad: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     g = np.asarray(grad, dtype=np.float64)
     expected = (shape[-1], *shape[:-1])
     if g.shape != expected:
-        raise ShapeError(
+        raise ConfigError(
             f"{what}: gradient shape {g.shape} does not match cached forward output {expected}"
         )
     return _stored(g, len(shape) - 1, what)
@@ -161,9 +161,9 @@ def conv1d_forward(x: np.ndarray, p: Conv1dParams):
     k_out, width, f_in = p.kernels.shape
     t, f, _ = xf.shape
     if f != f_in:
-        raise ShapeError(f"conv1d input has {f} features but kernels expect {f_in}")
+        raise ConfigError(f"conv1d input has {f} features but kernels expect {f_in}")
     if t < width:
-        raise SequenceTooShortError(
+        raise ConfigError(
             f"conv1d needs at least {width} time steps, got {t}"
         )
     yf = np.matmul(p.kernels.reshape(k_out, width * f_in), _im2col(xf, width))
@@ -175,7 +175,7 @@ def conv1d_forward(x: np.ndarray, p: Conv1dParams):
 def conv1d_backward(grad_y: np.ndarray, cache: LayerCache):
     """Gradients of conv1d_forward: returns (grad_x, grad_kernels, grad_bias)."""
     if cache.kind != "conv1d":
-        raise ShapeError(f"conv1d_backward got a {cache.kind!r} cache")
+        raise ConfigError(f"conv1d_backward got a {cache.kind!r} cache")
     xf = cache.data["x"]
     p: Conv1dParams = cache.data["params"]
     k_out, width, f_in = p.kernels.shape
@@ -207,7 +207,7 @@ def maxpool1d_forward(x: np.ndarray, window: int):
     xf = _stored(x, 2, "maxpool1d_forward")
     t = xf.shape[0]
     if t < window:
-        raise SequenceTooShortError(
+        raise ConfigError(
             f"maxpool1d needs at least {window} time steps, got {t}"
         )
     t_out = t // window
@@ -224,7 +224,7 @@ def maxpool1d_forward(x: np.ndarray, window: int):
 def maxpool1d_backward(grad_y: np.ndarray, cache: LayerCache):
     """Route each output gradient to the earliest input position holding the max."""
     if cache.kind != "maxpool1d":
-        raise ShapeError(f"maxpool1d_backward got a {cache.kind!r} cache")
+        raise ConfigError(f"maxpool1d_backward got a {cache.kind!r} cache")
     xf = cache.data["x"]
     y = cache.data["y"]
     window = cache.data["window"]
@@ -266,11 +266,11 @@ def lstm_forward(x: np.ndarray, p: LstmParams, return_sequence: bool, training: 
     xf = _stored(x, 2, "lstm_forward")
     t, f, b = xf.shape
     if f != p.w.shape[1]:
-        raise ShapeError(
+        raise ConfigError(
             f"lstm input has {f} features but params expect {p.w.shape[1]}"
         )
     if t < 1:
-        raise SequenceTooShortError("lstm needs at least 1 time step, got 0")
+        raise ConfigError("lstm needs at least 1 time step, got 0")
     hs = p.u.shape[1]
     w, u, bias = p.w, p.u, p.b
     # sigmoid(z) = (tanh(z / 2) + 1) / 2: halving the o, i, f rows is exact
@@ -345,9 +345,9 @@ def lstm_backward(grad_out: np.ndarray, cache: LayerCache):
     emptied and cannot be used again.
     """
     if cache.kind != "lstm":
-        raise ShapeError(f"lstm_backward got a {cache.kind!r} cache")
+        raise ConfigError(f"lstm_backward got a {cache.kind!r} cache")
     if not cache.data:
-        raise ShapeError("lstm_backward got a cache a backward pass already used")
+        raise ConfigError("lstm_backward got a cache a backward pass already used")
     return_sequence = cache.data["return_sequence"]
     t, hs, b = cache.data["h"].shape
     shape = (t, hs, b) if return_sequence else (hs, b)
@@ -443,10 +443,10 @@ def _masked(x: np.ndarray, mask: np.ndarray, rate: float) -> np.ndarray:
 
 def dropout_backward(grad_y: np.ndarray, cache: LayerCache):
     if cache.kind != "dropout":
-        raise ShapeError(f"dropout_backward got a {cache.kind!r} cache")
+        raise ConfigError(f"dropout_backward got a {cache.kind!r} cache")
     g = np.asarray(grad_y, dtype=np.float64)
     if g.shape != cache.data["shape"]:
-        raise ShapeError(
+        raise ConfigError(
             f"dropout_backward: gradient shape {g.shape} does not match "
             f"cached input shape {cache.data['shape']}"
         )
@@ -463,7 +463,7 @@ def dense_forward(x: np.ndarray, p: DenseParams):
     """y = W x + b for each row of a batch [B, in]."""
     xf = _stored(x, 1, "dense_forward")
     if xf.shape[0] != p.weight.shape[1]:
-        raise ShapeError(
+        raise ConfigError(
             f"dense input has {xf.shape[0]} features but weight expects {p.weight.shape[1]}"
         )
     y = p.weight @ xf
@@ -474,7 +474,7 @@ def dense_forward(x: np.ndarray, p: DenseParams):
 
 def dense_backward(grad_y: np.ndarray, cache: LayerCache):
     if cache.kind != "dense":
-        raise ShapeError(f"dense_backward got a {cache.kind!r} cache")
+        raise ConfigError(f"dense_backward got a {cache.kind!r} cache")
     xf = cache.data["x"]
     p: DenseParams = cache.data["params"]
     g = _upstream(grad_y, (p.weight.shape[0], xf.shape[1]), "dense_backward")

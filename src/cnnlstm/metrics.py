@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError
 
 
 @dataclass
@@ -31,7 +31,7 @@ def _pair(actual, predicted, min_len):
     actual = np.asarray(actual, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     if actual.ndim != 1 or predicted.ndim != 1 or actual.shape != predicted.shape:
-        raise ShapeError(
+        raise ConfigError(
             f"metric inputs must be equal-length rank-1 tensors, got "
             f"{actual.shape} and {predicted.shape}"
         )

@@ -23,11 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import layers
-from .errors import (
-    CheckpointShapeError,
-    ConfigError,
-    ShapeError,
-)
+from .errors import ConfigError, DataError
 from .layers import GATES, Conv1dParams, DenseParams, LstmParams
 from .optim import mse
 from .pipeline import PreprocessState, preprocess_lines, read_preprocess_block
@@ -142,7 +138,7 @@ class Model:
             except (ValueError, MemoryError) as exc:  # extents read from a file or config
                 raise ConfigError(f"a model of {size} parameters cannot be allocated: {exc}") from None
         elif theta.shape != (size,) or theta.dtype != np.float64:
-            raise ShapeError(f"theta must be {size} float64 values, got {theta.dtype} {theta.shape}")
+            raise ConfigError(f"theta must be {size} float64 values, got {theta.dtype} {theta.shape}")
         self.theta = theta
         self.blocks, params = self.views(self.theta)
         self.params = MappingProxyType(params)
@@ -203,7 +199,7 @@ def forward(model: Model, batch: np.ndarray, training: bool, rng=None):
     x = np.asarray(batch, dtype=np.float64)
     cfg = model.config
     if x.ndim != 3 or x.shape[1] != cfg.lookback or x.shape[2] != cfg.features:
-        raise ShapeError(
+        raise ConfigError(
             f"batch shape {x.shape} does not match config "
             f"[B, {cfg.lookback}, {cfg.features}]"
         )
@@ -238,12 +234,12 @@ def backward(model: Model, caches: list, grad_predictions: np.ndarray,
     vector like ``theta``, if given.
     """
     if not caches:
-        raise ShapeError("backward needs unconsumed caches from a training-mode forward")
+        raise ConfigError("backward needs unconsumed caches from a training-mode forward")
     *stages, dense_cache = caches
     caches.clear()
     g = np.asarray(grad_predictions, dtype=np.float64)
     if g.ndim != 1:
-        raise ShapeError(f"grad_predictions must be rank-1, got shape {g.shape}")
+        raise ConfigError(f"grad_predictions must be rank-1, got shape {g.shape}")
     # the blocks partition it, and each is written
     grad = np.empty_like(model.theta) if out is None else out
     blocks, _ = model.views(grad)
@@ -362,7 +358,7 @@ def load(path):
             raise reader.error(f"expected parameter {name!r}, got {header[1]!r}")
         stored = reader.convert(header[2], int_tuple, f"{name} shape")
         if stored != param.shape:
-            raise CheckpointShapeError(
+            raise DataError(
                 f"{path}: parameter {name} has shape {stored}, config implies {param.shape}"
             )
         param[...] = reader.read_array(param.size).reshape(param.shape)

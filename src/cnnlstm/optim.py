@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 
 @dataclass
@@ -67,11 +67,11 @@ def mse(pred: np.ndarray, target: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.ndim != 1 or target.ndim != 1:
-        raise ShapeError(f"mse expects rank-1 tensors, got {pred.shape} and {target.shape}")
+        raise ConfigError(f"mse expects rank-1 tensors, got {pred.shape} and {target.shape}")
     if pred.shape != target.shape:
-        raise ShapeError(f"mse length mismatch: {pred.shape} vs {target.shape}")
+        raise ConfigError(f"mse length mismatch: {pred.shape} vs {target.shape}")
     if pred.size == 0:
-        raise ShapeError("mse needs at least one sample")
+        raise ConfigError("mse needs at least one sample")
     diff = pred - target
     return float(np.mean(diff * diff))
 
@@ -85,7 +85,7 @@ def schedule_lr(epoch: int, cfg: OptimConfig) -> float:
 
 def _same_shape(theta: np.ndarray, grad: np.ndarray):
     if grad.shape != theta.shape:
-        raise ShapeError(f"gradient has shape {grad.shape}, theta has {theta.shape}")
+        raise ConfigError(f"gradient has shape {grad.shape}, theta has {theta.shape}")
 
 
 def _penalised(theta: np.ndarray, grad: np.ndarray, l2: float, n_weights: int) -> np.ndarray:

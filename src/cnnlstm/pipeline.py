@@ -21,13 +21,7 @@ from datetime import date as _date
 
 import numpy as np
 
-from .errors import (
-    CheckpointFormatError,
-    CompatibilityError,
-    ConfigError,
-    DataError,
-    PipelineError,
-)
+from .errors import CompatibilityError, ConfigError, DataError
 from .textio import LineReader, array_lines, config_lines, fmt_vector, read_config, read_file, write_lines
 
 OHLCV_COLUMNS = ("open", "high", "low", "close", "volume")
@@ -189,9 +183,9 @@ def clean_three_sigma(frame: FeatureFrame) -> FeatureFrame:
     for name, col in frame.columns.items():
         observed = col[np.isfinite(col)]
         if observed.size == 0:
-            raise PipelineError(f"column {name} has no observed values")
+            raise DataError(f"column {name} has no observed values")
         if observed.size < 2:
-            raise PipelineError(f"column {name} needs >= 2 observed values, has 1")
+            raise DataError(f"column {name} needs >= 2 observed values, has 1")
         mu = np.mean(observed)
         s = np.std(observed, ddof=1)
         cleaned = col.copy()
@@ -207,7 +201,7 @@ def impute_mean(frame: FeatureFrame) -> FeatureFrame:
     for name, col in frame.columns.items():
         mask = np.isfinite(col)
         if not mask.any():
-            raise PipelineError(f"column {name} has no observed values to impute from")
+            raise DataError(f"column {name} has no observed values to impute from")
         filled = col.copy()
         filled[~mask] = np.mean(col[mask])
         out[name] = filled
@@ -218,10 +212,10 @@ def add_moving_averages(frame: FeatureFrame, windows=SMA_WINDOWS) -> FeatureFram
     """Append sma_<w> columns: trailing means of close, NaN during warm-up."""
     close = frame.columns.get("close")
     if close is None or not np.isfinite(close).all():
-        raise PipelineError("moving averages need a complete close column")
+        raise DataError("moving averages need a complete close column")
     longest = max(windows)
     if len(frame) < longest:
-        raise PipelineError(
+        raise DataError(
             f"series too short for sma_{longest}: need at least {longest} rows, "
             f"got {len(frame)}"
         )
@@ -237,11 +231,11 @@ def add_yield(frame: FeatureFrame) -> FeatureFrame:
     """Append the one-day relative return of close; first row is missing."""
     close = frame.columns.get("close")
     if close is None or not np.isfinite(close).all():
-        raise PipelineError("yield needs a complete close column")
+        raise DataError("yield needs a complete close column")
     prev = close[:-1]
     zero = np.nonzero(prev == 0.0)[0]
     if zero.size:
-        raise PipelineError(
+        raise DataError(
             f"cannot compute yield: close is zero on {frame.dates[zero[0]].isoformat()}"
         )
     col = np.full(len(frame), math.nan)
@@ -278,15 +272,15 @@ def correlations(frame: FeatureFrame, rows=None) -> dict:
     orchestrator passes training rows).
     """
     if "close" not in frame.columns:
-        raise PipelineError("target column 'close' not in frame")
+        raise DataError("target column 'close' not in frame")
     idx = np.arange(len(frame)) if rows is None else np.asarray(rows)
     if idx.size < 2:
-        raise PipelineError("correlation needs at least 2 rows")
+        raise DataError("correlation needs at least 2 rows")
     y = frame.columns["close"][idx]
     yc = y - y.mean()
     ss_y = float(yc @ yc)
     if ss_y == 0.0:
-        raise PipelineError("target column has zero variance")
+        raise DataError("target column has zero variance")
     out = {}
     for name, col in frame.columns.items():
         if name == "close":
@@ -323,7 +317,7 @@ class ScalerState:
 def fit_minmax(frame: FeatureFrame, rows, columns) -> ScalerState:
     idx = np.asarray(rows)
     if idx.size == 0:
-        raise PipelineError("min-max fit segment is empty")
+        raise DataError("min-max fit segment is empty")
     mat = frame.matrix(columns)[idx]
     return ScalerState(
         columns=tuple(columns), mins=mat.min(axis=0), maxs=mat.max(axis=0)
@@ -378,7 +372,7 @@ def pca_fit(frame: FeatureFrame, rows, variance_target: float, columns) -> PcaSt
     columns = tuple(columns)
     d = len(columns)
     if idx.size < d:
-        raise PipelineError(
+        raise DataError(
             f"PCA needs at least as many fit rows as features: {idx.size} rows, {d} features"
         )
     x = frame.matrix(columns)[idx]
@@ -386,11 +380,11 @@ def pca_fit(frame: FeatureFrame, rows, variance_target: float, columns) -> PcaSt
     std = x.std(axis=0, ddof=1)
     if (std == 0.0).any():
         bad = columns[int(np.nonzero(std == 0.0)[0][0])]
-        raise PipelineError(f"PCA cannot standardize constant column {bad!r}")
+        raise DataError(f"PCA cannot standardize constant column {bad!r}")
     z = (x - mean) / std
     cov = z.T @ z / (idx.size - 1)
     if not np.isfinite(cov).all():
-        raise PipelineError("non-finite covariance matrix")
+        raise DataError("non-finite covariance matrix")
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(-evals, kind="stable")
     evals = evals[order]
@@ -445,7 +439,7 @@ class WindowedDataset:
     def indices(self, split: str) -> np.ndarray:
         idx = {"train": self.train_idx, "val": self.val_idx, "test": self.test_idx}[split]
         if idx is None:
-            raise PipelineError(f"dataset has no {split!r} split")
+            raise DataError(f"dataset has no {split!r} split")
         return idx
 
 
@@ -461,14 +455,14 @@ def make_windows(frame: FeatureFrame, lookback: int, horizon: int = 1) -> Window
         raise ConfigError(f"lookback and horizon must be >= 1, got {lookback}, {horizon}")
     length = len(frame)
     if length < lookback + horizon:
-        raise PipelineError(
+        raise DataError(
             f"frame too short to window: need at least {lookback + horizon} rows, got {length}"
         )
     features = tuple(n for n in frame.columns if n != "close")
     if not features:
-        raise PipelineError("no feature columns besides the target")
+        raise DataError("no feature columns besides the target")
     if "close" not in frame.columns:
-        raise PipelineError("target column 'close' not in frame")
+        raise DataError("target column 'close' not in frame")
     n = length - lookback - horizon + 1
     t0 = lookback + horizon - 1
     return WindowedDataset(
@@ -642,7 +636,7 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
 
     length = len(frame)
     if length < cfg.lookback + cfg.horizon:
-        raise PipelineError(
+        raise DataError(
             f"series too short: {length} rows remain after the {max(cfg.sma_windows)}-row "
             f"warm-up cut, need at least {cfg.lookback + cfg.horizon}"
         )
@@ -653,7 +647,7 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
     rs = correlations(frame, rows=fit_rows)
     selected = tuple(select_by_correlation(rs, cfg.corr_threshold))
     if not selected:
-        raise PipelineError(
+        raise DataError(
             f"no feature passes the correlation threshold {cfg.corr_threshold}"
         )
 
@@ -811,7 +805,7 @@ def load_dataset(path):
     cfg = read_config(reader, PrepareConfig)
     preprocess = read_preprocess_block(reader)
     if preprocess.horizon != cfg.horizon:
-        raise CheckpointFormatError(
+        raise DataError(
             f"{path}: header horizon={cfg.horizon} disagrees with "
             f"[preprocessing] horizon={preprocess.horizon}"
         )

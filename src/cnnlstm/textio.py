@@ -21,7 +21,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CheckpointVersionError, ConfigError, OutputError
+from .errors import ConfigError, DataError, OutputError
 
 
 def fmt_float(x: float) -> str:
@@ -116,9 +116,9 @@ class LineReader:
         self.pos = 0
         self.what = what
 
-    def error(self, message: str, line: int = None) -> CheckpointFormatError:
+    def error(self, message: str, line: int = None) -> DataError:
         """An error at ``line`` (1-based), by default the line last read."""
-        return CheckpointFormatError(
+        return DataError(
             f"{self.what}, line {self.pos if line is None else line}: {message}"
         )
 
@@ -133,7 +133,7 @@ class LineReader:
 
     def next(self) -> str:
         if self.eof():
-            raise CheckpointFormatError(f"{self.what}: unexpected end of file")
+            raise DataError(f"{self.what}: unexpected end of file")
         line = self.lines[self.pos]
         self.pos += 1
         return line
@@ -199,13 +199,13 @@ def read_file(path, magic: str, version: str, kind: str) -> LineReader:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CheckpointFormatError(f"cannot read {kind} {path}: {exc}") from None
+        raise DataError(f"cannot read {kind} {path}: {exc}") from None
     reader = LineReader(text, str(path))
     head = reader.next().split()
     if not head or head[0] != magic:
-        raise CheckpointFormatError(f"{path}: not a {kind} file")
+        raise DataError(f"{path}: not a {kind} file")
     if head[1:] != [version]:
-        raise CheckpointVersionError(f"{path}: unsupported {kind} version {' '.join(head[1:])!r}")
+        raise DataError(f"{path}: unsupported {kind} version {' '.join(head[1:])!r}")
     return reader
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline as pl
-from .errors import CompatibilityError, ConfigError, DataError, DivergenceError, PipelineError
+from .errors import CompatibilityError, ConfigError, DataError, DivergenceError
 from .model import Model, forward, loss_sums
 from .optim import OptimConfig, adam_step, init_adam_state, mse, schedule_lr, sgd_step
 
@@ -415,9 +415,10 @@ def train(model: Model, dataset: pl.WindowedDataset, cfg: TrainConfig) -> TrainR
     numpy calls, and two threads passing the GIL between them were no
     faster than one. The dropout masks are bitwise the whole batch's
     (``_Rows``) and the sums are added in one order, so theta and the
-    losses have the same bytes with and without the worker, at any CPU
-    count and any BLAS setting, and stay within 1e-12 relative of
-    whole-batch steps.
+    losses have the same bytes with and without the worker, at any thread
+    count and any CPU count, and stay within 1e-12 relative of whole-batch
+    steps. The OpenBLAS kernel, which the CPU model picks, moves them by
+    about 1e-15 relative.
 
     The worker also runs half of each validation pass: ``_infer``'s second
     chunk group, while the caller runs the first. Passes of one chunk (under
@@ -436,7 +437,7 @@ def train(model: Model, dataset: pl.WindowedDataset, cfg: TrainConfig) -> TrainR
     train_idx = dataset.indices("train")
     val_idx = dataset.indices("val")
     if train_idx.size == 0 or val_idx.size == 0:
-        raise PipelineError("training needs non-empty train and validation splits")
+        raise DataError("training needs non-empty train and validation splits")
 
     shuffle_ss, dropout_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_ss)
@@ -507,7 +508,7 @@ def predict(model: Model, preprocess: pl.PreprocessState, frame: pl.FeatureFrame
     lookback = model.config.lookback
     scaled = pl.apply_minmax(frame, preprocess.scaler)
     if len(frame) < lookback:
-        raise PipelineError(
+        raise DataError(
             f"need at least {lookback} prepared rows, got {len(frame)}"
         )
     modeled = pl.pca_transform(scaled, preprocess.pca) if preprocess.pca else scaled

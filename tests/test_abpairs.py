@@ -32,18 +32,27 @@ def test_seeds():
     assert list(abpairs.seeds("7301")) == [7301]
 
 
-def test_one_seed_exits_2_before_any_run(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("bad,message", [
+    (["--seeds", "7301"], "at least two seeds"),
+    (["--claim", "op_ms"], "argument --claim: invalid choice: 'op_ms'"),
+    (["--workload", "trian"], "argument --workload: invalid choice: 'trian'"),
+], ids=["one-seed", "claim", "workload"])
+def test_a_bad_argument_exits_2_before_any_run(monkeypatch, tmp_path, capsys, bad, message):
+    # a mistyped claim failed after the first pair's two runs, a mistyped
+    # workload after the parent's export
     def refuse(*args):
-        raise AssertionError("ran a benchmark")
+        raise AssertionError("exported, measured or ran a benchmark")
 
     monkeypatch.setattr(abpairs, "run", refuse)
     monkeypatch.setattr(abpairs, "export", refuse)
+    monkeypatch.setattr(abpairs, "measured", refuse)
     out = tmp_path / "bench.json"
+    argv = {"--parent": "HEAD", "--workload": "train", "--seeds": "7301-7302",
+            "--out": str(out), **dict([bad])}
     with pytest.raises(SystemExit) as exc:
-        abpairs.main(["--parent", "HEAD", "--workload", "train", "--seeds", "7301",
-                      "--out", str(out)])
+        abpairs.main([token for pair in argv.items() for token in pair])
     assert exc.value.code == 2
-    assert "at least two seeds" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -372,6 +372,27 @@ def test_predict_prints_or_writes_one_forecast_a_window(prepared, capsys):
     assert len(days) == 53 and [day for day, _ in want] == days
 
 
+def test_predict_agrees_with_evaluate_on_clean_input(prepared):
+    # a window's forecast from the raw CSV is its prediction from the cache; the
+    # forecast is dated the window's last input row, the CSV row before its target
+    ckpt, forecast = trained(prepared), prepared / "forecast.csv"
+    assert main(["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv"),
+                 "--out", str(forecast)]) == 0
+    by_as_of = dict(line.split(",") for line in forecast.read_text().splitlines()[1:])
+    days = [day.isoformat() for day in synthetic_ohlcv(rows=160, seed=3).dates]
+    windows = 0
+    for split in ("train", "val", "test"):
+        out = prepared / f"{split}.csv"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(prepared / "data.txt"),
+                     "--split", split, "--predictions", str(out)]) == 0
+        for line in out.read_text().splitlines()[1:]:
+            target, _, predicted = line.split(",")
+            as_of = days[days.index(target) - 1]
+            assert float(by_as_of[as_of]) == pytest.approx(float(predicted), rel=1e-12, abs=0)
+            windows += 1
+    assert windows == 52
+
+
 @pytest.mark.parametrize("command", ["evaluate", "plot"])
 @pytest.mark.parametrize("config_text, differs", [
     (SMALL + "split_ratios=0.8,0.1,0.1\n", "scaler_min differs"),

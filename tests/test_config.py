@@ -9,7 +9,7 @@ import pytest
 
 from cnnlstm import model, pipeline
 from cnnlstm.config import SCHEMA, parse_config_text
-from cnnlstm.errors import CheckpointFormatError
+from cnnlstm.errors import DataError
 from cnnlstm.synth import synthetic_ohlcv
 from cnnlstm.textio import float_tuple, int_tuple, on_off
 
@@ -146,5 +146,5 @@ def test_cache_with_an_unknown_pca_word_is_a_format_error(written, tmp_path):
     assert lines[4] == "pca=off"
     lines[4] = "pca=maybe"
     (tmp_path / "data.txt").write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointFormatError, match="line 5: bad value for pca: 'maybe'"):
+    with pytest.raises(DataError, match="line 5: bad value for pca: 'maybe'"):
         pipeline.load_dataset(tmp_path / "data.txt")

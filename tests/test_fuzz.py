@@ -1,9 +1,10 @@
-"""Mutated and truncated inputs to the four parsers raise only CnnLstmError.
+"""Mutated and truncated inputs to the four parsers raise only errors that
+exit 2.
 
 Each test starts from a valid file (a CSV, a config, a dataset cache, a
 checkpoint), damages its bytes a few times, and parses the result. Parsing
-may succeed or fail, but a failure must be one of the package's own errors,
-which the CLI maps to its documented exit codes, never a raw traceback.
+may succeed or fail, but a failure must be one of the package's own errors
+whose ``exit_status`` is the CLI's 2 for bad input, never a raw traceback.
 """
 
 import pytest
@@ -108,5 +109,5 @@ def test_damaged_input_raises_only_package_errors(valid, kind, data):
     path.write_bytes(data.draw(damaged(files[kind])))
     try:
         PARSERS[kind](path)
-    except CnnLstmError:
-        pass
+    except CnnLstmError as exc:
+        assert exc.exit_status == 2, f"{type(exc).__name__}: {exc}"

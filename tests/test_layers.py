@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from cnnlstm.errors import ConfigError, SequenceTooShortError, ShapeError
+from cnnlstm.errors import ConfigError
 from cnnlstm.layers import (
     GATES,
     Conv1dParams,
@@ -77,12 +77,12 @@ class TestConv1d:
 
     def test_too_short(self):
         p = Conv1dParams(kernels=np.zeros((1, 5, 1)), bias=np.zeros(1))
-        with pytest.raises(SequenceTooShortError):
+        with pytest.raises(ConfigError, match="conv1d needs at least 5 time steps, got 2"):
             conv1d_forward(col([1.0, 2.0]), p)
 
     def test_feature_mismatch(self, rng):
         p = Conv1dParams(kernels=rng.standard_normal((2, 3, 4)), bias=np.zeros(2))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="conv1d input has 3 features but kernels expect 4"):
             conv1d_forward(rng.standard_normal((1, 8, 3)), p)
 
     def test_linearity_with_zero_bias(self, rng):
@@ -125,7 +125,7 @@ class TestConv1d:
 
     def test_wrong_cache_kind(self, rng):
         _, cache = maxpool1d_forward(rng.standard_normal((1, 4, 1)), 2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="conv1d_backward got a 'maxpool1d' cache"):
             conv1d_backward(np.zeros((1, 3, 1)), cache)
 
     def test_batched_matches_per_sample(self, rng):
@@ -159,11 +159,11 @@ class TestMaxPool1d:
             assert y.shape == (1, t // 3, 2)
 
     def test_too_short(self):
-        with pytest.raises(SequenceTooShortError):
+        with pytest.raises(ConfigError, match="maxpool1d needs at least 2 time steps, got 1"):
             maxpool1d_forward(col([1.0]), 2)
 
     def test_bad_window(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="pool window must be >= 1, got 0"):
             maxpool1d_forward(col([1.0, 2.0]), 0)
 
     def test_tie_breaks_to_earliest(self):
@@ -278,7 +278,7 @@ class TestLstm:
             u={g: np.zeros((2, 2)) for g in "ifog"},
             b={g: np.zeros(2) for g in "ifog"},
         )
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="lstm input has 3 features but params expect 5"):
             lstm_forward(rng.standard_normal((1, 4, 3)), p, return_sequence=True)
 
     def test_backward_zero_grad(self, rng):
@@ -392,7 +392,7 @@ class TestLstm:
     @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
     def test_empty_sequence_is_rejected(self, rng, training):
         p = random_lstm_params(rng, 4, 3)
-        with pytest.raises(SequenceTooShortError):
+        with pytest.raises(ConfigError, match="lstm needs at least 1 time step, got 0"):
             lstm_forward(np.empty((2, 0, 3)), p, return_sequence=False, training=training)
 
     def test_batched_matches_per_sample(self, rng):
@@ -453,7 +453,7 @@ class TestLstmAgainstGateLoop:
         p = random_lstm_params(rng, 3, 2)
         out, cache = lstm_forward(rng.standard_normal((1, 4, 2)), p, return_sequence=True)
         lstm_backward(np.ones_like(out), cache)
-        with pytest.raises(ShapeError, match="already used"):
+        with pytest.raises(ConfigError, match="already used"):
             lstm_backward(np.ones_like(out), cache)
 
 
@@ -514,11 +514,11 @@ class TestDropout:
 
     def test_rate_validation(self, rng):
         for rate in (-0.1, 1.0, 1.5):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match=r"dropout rate must be in \[0,1\)"):
                 dropout(np.ones(3), rate, training=True, rng=rng)
 
     def test_training_requires_rng(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="dropout in training mode needs an rng"):
             dropout(np.ones(3), 0.5, training=True)
 
     def test_backward_routes_through_mask(self, rng):
@@ -550,7 +550,7 @@ class TestDense:
 
     def test_shape_mismatch(self, rng):
         p = DenseParams(weight=rng.standard_normal((2, 4)), bias=np.zeros(2))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="dense input has 3 features but weight expects 4"):
             dense_forward(np.ones((1, 3)), p)
 
     def test_linearity(self, rng):

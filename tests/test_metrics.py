@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnnlstm.errors import DataError, ShapeError
+from cnnlstm.errors import ConfigError, DataError
 from cnnlstm.metrics import explained_variance, max_error, r2, report
 
 series = st.lists(
@@ -29,7 +29,7 @@ class TestExplainedVariance:
         assert explained_variance(a, p) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_variance_actual(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="explained_variance undefined: .* zero variance"):
             explained_variance(np.array([2.0, 2.0]), np.array([1.0, 2.0]))
 
 
@@ -48,7 +48,7 @@ class TestR2:
         assert r2(a, a + 1.0) == pytest.approx(-0.5, abs=1e-12)
 
     def test_zero_variance_actual(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="r2 undefined: actual values have zero variance"):
             r2(np.array([2.0, 2.0]), np.array([1.0, 2.0]))
 
 
@@ -61,7 +61,7 @@ class TestMaxError:
         assert max_error(np.array([1.0, 2.0]), np.array([1.0, 5.0])) == 3.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="metric inputs must be equal-length rank-1 tensors"):
             max_error(np.ones(2), np.ones(3))
 
     def test_single_pair_allowed(self):

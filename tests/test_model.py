@@ -3,13 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cnnlstm.errors import (
-    CheckpointFormatError,
-    CheckpointShapeError,
-    CheckpointVersionError,
-    ConfigError,
-    ShapeError,
-)
+from cnnlstm.errors import ConfigError, DataError
 from cnnlstm.model import (
     Model,
     ModelConfig,
@@ -103,11 +97,11 @@ class TestModelConfig:
             ModelConfig(features=3, lookback=8).validate()
 
     def test_bad_extents(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="all extents must be positive integers"):
             ModelConfig(features=0).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="conv_filters and lstm_units must each list 3 stages"):
             ModelConfig(features=3, conv_filters=(8, 8)).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"dropout_rate must be in \[0,1\), got 1.0"):
             ModelConfig(features=3, dropout_rate=1.0).validate()
 
     def test_a_model_too_large_to_allocate_is_a_config_error(self):
@@ -221,9 +215,9 @@ class TestForward:
 
     def test_shape_mismatch(self, rng):
         m = build(tiny_config())
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"batch shape \(2, 15, 3\) does not match config"):
             forward(m, rng.standard_normal((2, 15, 3)), training=False)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"batch shape \(2, 16, 4\) does not match config"):
             forward(m, rng.standard_normal((2, 16, 4)), training=False)
 
     @pytest.mark.parametrize("batch", [1, 3, 137])
@@ -281,12 +275,12 @@ class TestBackward:
         m = build(tiny_config())
         _, caches = forward(m, rng.standard_normal((2, 16, 3)), training=True)
         backward(m, caches, np.ones(2))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="backward needs unconsumed caches"):
             backward(m, caches, np.ones(2))
 
     def test_inference_caches_rejected(self):
         m = build(tiny_config())
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="backward needs unconsumed caches"):
             backward(m, None, np.ones(2))
 
 
@@ -368,7 +362,7 @@ class TestCheckpoint:
         save(m, make_preprocess(), path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(CheckpointFormatError):
+        with pytest.raises(DataError, match="bad base64 block"):
             load(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -378,20 +372,20 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         lines[0] = "CNNLSTM-CKPT v9"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(DataError, match="unsupported checkpoint version 'v9'"):
             load(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "noise.txt"
         path.write_text("hello world\n")
-        with pytest.raises(CheckpointFormatError):
+        with pytest.raises(DataError, match="not a checkpoint file"):
             load(path)
 
     def test_non_integer_config_value_names_its_line(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save(build(verification_config(seed=3)), make_preprocess(), path)
         path.write_text(path.read_text().replace("features=3\n", "features=abc\n"))
-        with pytest.raises(CheckpointFormatError, match=r"line 2: bad value for features: 'abc'"):
+        with pytest.raises(DataError, match=r"line 2: bad value for features: 'abc'"):
             load(path)
 
     def test_damaged_parameter_block_names_its_line(self, tmp_path):
@@ -401,7 +395,7 @@ class TestCheckpoint:
         at = lines.index("param conv2.bias 4") + 1
         lines[at] = lines[at][:-4]  # one base64 quantum short: 3 bytes of 32 missing
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointFormatError, match=rf"line {at + 1}: expected 4 values \(32 bytes\)"):
+        with pytest.raises(DataError, match=rf"line {at + 1}: expected 4 values \(32 bytes\)"):
             load(path)
 
     def test_failed_save_keeps_the_previous_file(self, tmp_path, failing_writes):
@@ -419,7 +413,7 @@ class TestCheckpoint:
         save(m, make_preprocess(), path)
         text = path.read_text().replace("param conv1.kernels 4,2,3", "param conv1.kernels 4,2,2")
         path.write_text(text)
-        with pytest.raises(CheckpointShapeError):
+        with pytest.raises(DataError, match=r"conv1.kernels has shape \(4, 2, 2\), config implies \(4, 2, 3\)"):
             load(path)
 
 

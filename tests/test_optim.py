@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnnlstm.errors import ConfigError, ShapeError
+from cnnlstm.errors import ConfigError
 from cnnlstm.optim import (
     OptimConfig,
     adam_step,
@@ -26,11 +26,11 @@ class TestMse:
         assert mse(np.array([2.0, 4.0]), np.array([1.0, 1.0])) == 5.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="mse length mismatch"):
             mse(np.ones(3), np.ones(2))
 
     def test_empty(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="mse needs at least one sample"):
             mse(np.array([]), np.array([]))
 
 
@@ -48,7 +48,7 @@ class TestScheduleLr:
         assert all(schedule_lr(e, cfg) == 0.02 for e in range(40))
 
     def test_negative_epoch(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="epoch must be >= 0, got -1"):
             schedule_lr(-1, OptimConfig())
 
     @settings(max_examples=50)
@@ -83,7 +83,7 @@ class TestSgdStep:
         assert theta[2] == 1.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"gradient has shape \(3,\), theta has \(2,\)"):
             sgd_step(np.ones(2), np.ones(3), lr=0.1, l2=0.0, n_weights=2)
 
     def test_linear_in_lr(self, rng):
@@ -162,29 +162,30 @@ class TestAdamStep:
 
     def test_shape_mismatch(self):
         theta = np.ones(2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"gradient has shape \(3,\), theta has \(2,\)"):
             adam_step(theta, np.ones(3), init_adam_state(theta, OptimConfig()), 0.01, 0.0, 2)
 
 
 class TestOptimConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="optimizer must be sgd or adam"):
             OptimConfig(optimizer="rmsprop").validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="lr0 must be finite and >= 0"):
             OptimConfig(lr0=-0.1).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="decay_factor must be in"):
             OptimConfig(decay_factor=0.0).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="decay_every must be >= 1"):
             OptimConfig(decay_every=0).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="l2 must be finite and >= 0"):
             OptimConfig(l2=-1e-4).validate()
         # Adam's settings, and NaN or infinite lr0 and l2, fail whichever optimizer is chosen
         for bad in (dict(beta1=1.0), dict(beta2=1.0), dict(beta1=2.0), dict(beta1=-0.5),
                     dict(beta2=float("nan")), dict(eps_adam=-1.0), dict(eps_adam=0.0),
                     dict(lr0=float("nan")), dict(lr0=float("inf")), dict(l2=float("nan")),
                     dict(l2=float("inf"))):
+            (key,) = bad
             for optimizer in ("sgd", "adam"):
-                with pytest.raises(ConfigError):
+                with pytest.raises(ConfigError, match=rf"\b{key}\b.* must be"):
                     OptimConfig(optimizer=optimizer, **bad).validate()
         OptimConfig().validate()
         OptimConfig(optimizer="adam", beta1=0.0, beta2=0.0).validate()

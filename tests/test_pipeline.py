@@ -10,13 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cnnlstm.errors import (
-    CheckpointFormatError,
-    CompatibilityError,
-    ConfigError,
-    DataError,
-    PipelineError,
-)
+from cnnlstm.errors import CompatibilityError, ConfigError, DataError
 from cnnlstm.pipeline import (
     FeatureFrame,
     PrepareConfig,
@@ -124,7 +118,7 @@ class TestLoadOhlcv:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "prices.csv"
         path.write_text("")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="empty file"):
             load_ohlcv(path)
 
     def test_missing_file(self, tmp_path):
@@ -338,7 +332,7 @@ class TestCleanThreeSigma:
     def test_needs_two_observed(self):
         col = np.array([1.0] + [math.nan] * 4)
         s = frame_of(**{k: col.copy() for k in ("open", "high", "low", "close", "volume")})
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match="column open needs >= 2 observed values, has 1"):
             clean_three_sigma(s)
 
 
@@ -367,7 +361,7 @@ class TestImputeMean:
     def test_all_missing_column(self):
         cols = {k: np.array([1.0, 2.0]) for k in ("open", "high", "low", "close")}
         cols["volume"] = np.array([math.nan, math.nan])
-        with pytest.raises(PipelineError, match="volume"):
+        with pytest.raises(DataError, match="volume"):
             impute_mean(frame_of(**cols))
 
 
@@ -395,11 +389,11 @@ class TestMovingAverages:
             assert sma[t] == pytest.approx(np.mean(close[t - 9 : t + 1]), rel=1e-12)
 
     def test_too_short_names_required_length(self):
-        with pytest.raises(PipelineError, match="100"):
+        with pytest.raises(DataError, match="100"):
             add_moving_averages(frame_of(close=[1.0] * 40))
 
     def test_requires_complete_close(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match="moving averages need a complete close column"):
             add_moving_averages(frame_of(close=[1.0, math.nan] + [1.0] * 120))
 
 
@@ -419,7 +413,7 @@ class TestYield:
         assert out.columns["yield"][1] == pytest.approx(-0.10, rel=1e-12)
 
     def test_zero_close_names_date(self):
-        with pytest.raises(PipelineError, match="2020-01-02"):
+        with pytest.raises(DataError, match="2020-01-02"):
             add_yield(frame_of(close=[1.0, 0.0, 2.0]))
 
 
@@ -464,7 +458,7 @@ class TestCorrelationSelection:
         assert r == pytest.approx(pearson(feat, close), abs=1e-12)
 
     def test_zero_variance_target(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match="target column has zero variance"):
             correlations(frame_of(close=np.full(10, 2.0), x=np.arange(10.0)))
 
 
@@ -496,7 +490,7 @@ class TestMinMax:
         assert not out.columns["x"].any()
 
     def test_empty_fit_segment(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match="min-max fit segment is empty"):
             fit_minmax(frame_of(x=[1.0, 2.0]), [], ["x"])
 
     def test_returns_only_the_fitted_columns_in_scaler_order(self):
@@ -564,12 +558,12 @@ class TestPca:
 
     def test_fewer_rows_than_features(self, rng):
         frame = frame_of(a=rng.random(3), b=rng.random(3), c=rng.random(3), d=rng.random(3))
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match="as many fit rows as features: 3 rows, 4 features"):
             pca_fit(frame, np.arange(3), 0.95, ["a", "b", "c", "d"])
 
     def test_constant_column_named(self, rng):
         frame = frame_of(a=rng.random(10), b=np.full(10, 2.0))
-        with pytest.raises(PipelineError, match="'b'"):
+        with pytest.raises(DataError, match="'b'"):
             pca_fit(frame, np.arange(10), 0.95, ["a", "b"])
 
 
@@ -604,7 +598,7 @@ class TestWindows:
 
     def test_too_short(self, rng):
         frame = frame_of(close=rng.random(3), x=rng.random(3))
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match="frame too short to window: need at least 4 rows, got 3"):
             make_windows(frame, lookback=3, horizon=1)
 
     def test_inputs_are_a_read_only_view_of_the_feature_rows(self, rng):
@@ -664,11 +658,11 @@ class TestSplit:
         ]
 
     def test_bad_ratios(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="split ratios must sum to 1"):
             split_indices(10, ratios=(0.7, 0.2, 0.2))
 
     def test_bad_mode(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="split mode must be chronological or random"):
             split_indices(10, mode="shuffled")
 
 
@@ -707,7 +701,7 @@ class TestPrepareDataset:
         assert f"train={expected[0]} val={expected[1]} test={expected[2]}" in text
 
     def test_too_short_series(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match="5 rows remain after the 10-row warm-up cut, need at least 9"):
             prepare_dataset(synthetic_ohlcv(rows=15, seed=2), small_prepare_config())
 
     @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.7, 0.2, 0.05, 0.05), (1.1, -0.2, 0.1),
@@ -750,7 +744,7 @@ class TestDatasetCache:
         at = lines.index("lookback=8")
         lines[at] = "lookback=abc"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointFormatError, match=rf"line {at + 1}: bad value for lookback: 'abc'"):
+        with pytest.raises(DataError, match=rf"line {at + 1}: bad value for lookback: 'abc'"):
             load_dataset(path)
 
     def test_damaged_column_block_names_its_line(self, tmp_path):
@@ -758,7 +752,7 @@ class TestDatasetCache:
         at = next(i for i, line in enumerate(lines) if line.startswith("column ")) + 1
         lines[at] = "#" + lines[at][1:]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointFormatError, match=rf"line {at + 1}: bad base64 block"):
+        with pytest.raises(DataError, match=rf"line {at + 1}: bad base64 block"):
             load_dataset(path)
 
     def test_preprocessing_horizon_must_match_the_header(self, tmp_path):
@@ -767,7 +761,7 @@ class TestDatasetCache:
         assert lines[at] == "horizon=1" and lines.count("horizon=1") == 2
         lines[at] = "horizon=3"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointFormatError) as exc:
+        with pytest.raises(DataError, match=r"horizon=1 disagrees with \[preprocessing\] horizon=3") as exc:
             load_dataset(path)
         assert str(exc.value) == (
             f"{path}: header horizon=1 disagrees with [preprocessing] horizon=3"
@@ -807,7 +801,7 @@ class TestDatasetCache:
         path.write_text("\n".join(lines) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(CheckpointFormatError) as exc:
+            with pytest.raises(DataError, match="is not a whole number from 1 to 3652059") as exc:
                 load_dataset(path)
         assert str(exc.value) == (
             f"{path}, line {at + 1}: day number {day!r} is not a whole number from 1 to 3652059"

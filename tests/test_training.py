@@ -12,7 +12,7 @@ import pytest
 from cnnlstm import metrics
 from cnnlstm import model as model_mod
 from cnnlstm import training
-from cnnlstm.errors import CompatibilityError, ConfigError, DataError, DivergenceError, PipelineError
+from cnnlstm.errors import CompatibilityError, ConfigError, DataError, DivergenceError
 from cnnlstm.model import ModelConfig, backward, build, forward, load, save
 from cnnlstm.optim import OptimConfig, mse, schedule_lr, sgd_step
 from cnnlstm.pipeline import PrepareConfig, prepare_dataset
@@ -792,7 +792,7 @@ class TestPredict:
             dates=frame.dates[:7],
             columns={k: v[:7].copy() for k, v in frame.columns.items()},
         )
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match="need at least 8 prepared rows, got 7"):
             predict(fresh_model(prepared), prepared.preprocess, short)
 
     def test_missing_feature_named(self, prepared):

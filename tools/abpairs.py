@@ -14,7 +14,8 @@ at least nine tenths of the pairs (ties count for neither) and its median
 beats the parent's by more than the parent's IQR. Beside the verdict,
 ``regressions`` names every end-to-end metric whose median is worse than the
 parent's by more than its ``bound`` from ``BENCHMARK.json`` times the parent's
-median.
+median. ``--workload`` and ``--claim`` take only the names ``BENCHMARK.json``
+lists, so a mistyped one exits 2 before anything is exported or run.
 """
 
 import argparse
@@ -107,20 +108,22 @@ def summarise(pairs, better, bounds=None):
 
 
 def main(argv=None):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", help="git revision of the change (default: the working tree)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--seeds", required=True, help="e.g. 7301-7310")
     parser.add_argument("--seconds", type=float, default=35)
-    parser.add_argument("--claim", help="the end-to-end metric a gain is claimed on")
+    parser.add_argument("--claim", choices=list(better),
+                        help="the end-to-end metric a gain is claimed on")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if len(seeds(args.seeds)) < 2:
         parser.error(f"--seeds {args.seeds}: need at least two seeds for quartiles")
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     change = measured(args.change)
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": export(args.parent, Path(tmp, "parent").resolve()), "change": ROOT}
