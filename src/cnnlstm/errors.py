@@ -58,3 +58,7 @@ class DivergenceError(CnnLstmError):
     def __init__(self, epoch: int, message: str):
         super().__init__(message)
         self.epoch = epoch
+
+    def __reduce__(self):
+        # pickle would call the class with ``args``, the message alone
+        return type(self), (self.epoch, str(self))

@@ -39,7 +39,7 @@ def small_model_config(features, **overrides):
 def prepared():
     cfg = PrepareConfig(
         lookback=8, horizon=1, corr_threshold=0.3, pca=True,
-        pca_variance=0.95, seed=5, sma_windows=(3, 5, 10),
+        pca_variance=0.95, sma_windows=(3, 5, 10),
     )
     return prepare_dataset(synthetic_ohlcv(rows=300, seed=2), cfg)
 
@@ -492,7 +492,7 @@ from cnnlstm.pipeline import PrepareConfig, prepare_dataset
 from cnnlstm.synth import synthetic_ohlcv
 
 prepared = prepare_dataset(synthetic_ohlcv(rows=300, seed=2), PrepareConfig(
-    lookback=8, horizon=1, corr_threshold=0.3, pca=True, pca_variance=0.95, seed=5,
+    lookback=8, horizon=1, corr_threshold=0.3, pca=True, pca_variance=0.95,
     sma_windows=(3, 5, 10)))
 model = build(ModelConfig(features=1, lookback=8, conv_filters=(4, 4, 4), kernel_width=2,
                           pool_window=1, lstm_units=(6, 6, 6)))
@@ -510,6 +510,15 @@ training.train(model, prepared.dataset, training.TrainConfig())
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="training forks no worker here")
+class TwoArgumentError(Exception):
+    """An exception that pickling cannot rebuild: it is called with its
+    ``args``, the message alone."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
 class TestTrainWorker:
     def test_one_cpu_steps_are_whole_batch_loss_gradients(self, prepared, monkeypatch):
         # the same masks, the batch summed as two shares: only rounding differs
@@ -665,8 +674,8 @@ class TestTrainWorker:
 
     def test_an_unpicklable_validation_failure_arrives_by_name(self, prepared, monkeypatch):
         self.split_validation(monkeypatch)
-        self.fail_in(monkeypatch, "worker", DivergenceError(7, "worker group failed"), "forward")
-        with pytest.raises(RuntimeError, match="DivergenceError: worker group failed"):
+        self.fail_in(monkeypatch, "worker", TwoArgumentError(7, "worker group failed"), "forward")
+        with pytest.raises(RuntimeError, match="^TwoArgumentError: worker group failed$"):
             train(fresh_model(prepared), prepared.dataset, train_config())
         assert_no_child_left()
 
@@ -699,10 +708,17 @@ class TestTrainWorker:
         assert_no_child_left()
 
     def test_an_unpicklable_failure_arrives_by_name(self, prepared, monkeypatch):
-        # DivergenceError cannot be rebuilt from its args alone
-        self.fail_in(monkeypatch, "worker", DivergenceError(7, "worker half failed"))
-        with pytest.raises(RuntimeError, match="DivergenceError: worker half failed"):
+        self.fail_in(monkeypatch, "worker", TwoArgumentError(7, "worker half failed"))
+        with pytest.raises(RuntimeError, match="^TwoArgumentError: worker half failed$"):
             train(fresh_model(prepared), prepared.dataset, train_config())
+        assert_no_child_left()
+
+    def test_a_divergence_in_the_worker_arrives_as_itself(self, prepared, monkeypatch):
+        # so that the CLI exits 3 for it, not 1 for a RuntimeError
+        self.fail_in(monkeypatch, "worker", DivergenceError(7, "worker half failed"))
+        with pytest.raises(DivergenceError, match="^worker half failed$") as err:
+            train(fresh_model(prepared), prepared.dataset, train_config())
+        assert err.value.epoch == 7 and err.value.exit_status == 3
         assert_no_child_left()
 
     @pytest.mark.parametrize("name", ["_share_sums", "_forward_chunks"])
