@@ -149,6 +149,32 @@ def test_main_writes_what_was_measured(monkeypatch, tmp_path):
     assert record["attempted"] == {"parent": 6, "change": 6}
 
 
+def test_a_failed_run_shows_its_side_seed_and_stderr(monkeypatch, tmp_path, capsys):
+    # the traceback of CalledProcessError used to hide the run's stderr
+    def failing_tree(rev, into):
+        (into / "perfbench").mkdir(parents=True)
+        (into / "perfbench" / "run.py").write_text(
+            "import sys\n"
+            "for i in range(30):\n"
+            "    print(f'noise {i}', file=sys.stderr)\n"
+            "sys.exit('CheckFailed: final val loss 0.5, reference 0.04')\n"
+        )
+        return into
+
+    monkeypatch.setattr(abpairs, "export", failing_tree)
+    monkeypatch.setattr(abpairs, "measured", lambda rev: {"commit": "c0ffee"})
+    out = tmp_path / "bench.json"
+    assert abpairs.main(["--parent", "HEAD", "--workload", "train", "--seeds", "5-6",
+                         "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: the parent run failed at seed 5 (exit 1)" in err
+    tail = [f"noise {i}" for i in range(30)][-(abpairs.STDERR_TAIL - 1):]
+    assert err.splitlines()[-abpairs.STDERR_TAIL:] == [
+        *tail, "CheckFailed: final val loss 0.5, reference 0.04"]
+    assert f"noise {30 - abpairs.STDERR_TAIL}\n" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change,better,within", [
     ([12.5] * 4, "lower", True),  # worse by exactly the bound: allowed
     ([12.6] * 4, "lower", False),

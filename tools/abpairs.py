@@ -15,7 +15,9 @@ beats the parent's by more than the parent's IQR. Beside the verdict,
 ``regressions`` names every end-to-end metric whose median is worse than the
 parent's by more than its ``bound`` from ``BENCHMARK.json`` times the parent's
 median. ``--workload`` and ``--claim`` take only the names ``BENCHMARK.json``
-lists, so a mistyped one exits 2 before anything is exported or run.
+lists, so a mistyped one exits 2 before anything is exported or run. A run
+that fails stops the tool with exit status 1, after it prints the side, the
+seed and the last ``STDERR_TAIL`` lines of that run's stderr.
 """
 
 import argparse
@@ -28,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_TAIL = 20
 
 
 def git(*args, text=True):
@@ -44,7 +47,8 @@ def export(rev, into):
 
 
 def run(tree, workload, seed, seconds):
-    """The result line of one benchmark run, and the environment it recorded."""
+    """The result line of one benchmark run, and the environment it recorded;
+    a failed run raises ``CalledProcessError``, which holds its stderr."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True, check=True,
@@ -134,7 +138,13 @@ def main(argv=None):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side], recorded = run(trees[side], args.workload, seed, args.seconds)
+                try:
+                    pair[side], recorded = run(trees[side], args.workload, seed, args.seconds)
+                except subprocess.CalledProcessError as exc:
+                    tail = "\n".join(exc.stderr.splitlines()[-STDERR_TAIL:])
+                    print(f"error: the {side} run failed at seed {seed} (exit {exc.returncode}); "
+                          f"the end of its stderr:\n{tail}", file=sys.stderr)
+                    return 1
                 env.setdefault(side, recorded)
             pairs.append(pair)
             print(json.dumps({k: pair[k]["metrics"][args.claim or "op_ms_min"]["value"]
