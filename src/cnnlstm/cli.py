@@ -15,6 +15,10 @@ training CSV with the training config fits; any other pair is exit 4, with
 a message naming the first key that differs. So the prices they report
 come from the scaler that scaled the dataset's targets.
 
+``prepare`` splits in time order and draws nothing at random, so it has no
+``--seed``; the ``seed`` key, or ``train --seed``, seeds the weights, the
+shuffle and the dropout masks.
+
 ``train`` saves the checkpoint and the history, then scores the test split:
 it prints the metrics, or ``test split not scored: <reason>`` when the split
 is empty or a metric is undefined on it (one window, or constant closes),
@@ -51,10 +55,7 @@ OUTPUTS = ("out", "history", "svg", "predictions")  # the flags that name a file
 
 
 def cmd_prepare(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
-    recipe = cfg.prepare_config()  # a bad value fails before the CSV is parsed
+    recipe = load_config(args.config).prepare_config()  # a bad value fails before the CSV is parsed
     prepared = pl.prepare_dataset(pl.load_ohlcv(args.input), recipe)
     pl.save_dataset(prepared, args.out)
     print(prepared.describe())
@@ -199,11 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="CSV -> cleaned/engineered/windowed dataset")
+    p = sub.add_parser("prepare", help="CSV -> cleaned/engineered/windowed dataset", description=(
+        "The windows are split in time order by split_ratios: train, val, test. No seed."))
     p.add_argument("--input", required=True, help="OHLCV CSV (Date,Open,High,Low,Close,Volume)")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="dataset cache to write")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train on a prepared dataset", description=(

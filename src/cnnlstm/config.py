@@ -8,7 +8,7 @@ config is a valid run.
 The keys are the fields of ``PrepareConfig``, ``ModelConfig``,
 ``TrainConfig`` and ``OptimConfig`` that have a plain default (see
 ``textio.key_fields``); each takes its default and its parser from the
-field, and a key two dataclasses share takes the first one's default.
+field. A key that two dataclasses share has the same default in each.
 """
 
 from dataclasses import MISSING, dataclass, fields, replace

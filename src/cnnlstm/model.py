@@ -30,7 +30,7 @@ from .pipeline import PreprocessState, preprocess_lines, read_preprocess_block
 from .textio import array_lines, config_lines, int_tuple, read_config, read_file, write_lines
 
 CKPT_MAGIC = "CNNLSTM-CKPT"
-CKPT_VERSION = "v2"
+CKPT_VERSION = "v3"
 
 
 @dataclass
@@ -42,7 +42,7 @@ class ModelConfig:
     pool_window: int = 2
     lstm_units: tuple = (64, 64, 64)
     dropout_rate: float = 0.2
-    seed: int = 0
+    seed: int = 42
 
     def validate(self):
         if len(self.conv_filters) != 3 or len(self.lstm_units) != 3:

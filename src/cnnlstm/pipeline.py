@@ -349,19 +349,18 @@ def invert_minmax(values: np.ndarray, state: ScalerState, column: str) -> np.nda
 
 @dataclass
 class PcaState:
-    """Standardization stats and the orthonormal projection basis."""
+    """Standardization stats and the orthonormal projection basis, all that
+    ``pca_transform`` reads and a file stores; k is ``len(basis)``."""
 
     columns: tuple
     mean: np.ndarray  # [d]
     std: np.ndarray  # [d], ddof=1
-    eigenvalues: np.ndarray  # [d], descending
     basis: np.ndarray  # [k, d], rows orthonormal
-    n_components: int
-    explained_share: float
 
 
-def pca_fit(frame: FeatureFrame, rows, variance_target: float, columns) -> PcaState:
-    """Eigendecompose the covariance of the standardized fit rows.
+def pca_fit(frame: FeatureFrame, rows, variance_target: float, columns) -> tuple:
+    """Eigendecompose the covariance of the standardized fit rows; returns
+    ``(state, explained_share)``, the share only ``prepare``'s report reads.
 
     Retains the smallest component count whose cumulative eigenvalue share
     reaches ``variance_target``, in (0,1] as ``PrepareConfig.validate``
@@ -397,22 +396,14 @@ def pca_fit(frame: FeatureFrame, rows, variance_target: float, columns) -> PcaSt
     for row in basis:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-    return PcaState(
-        columns=columns,
-        mean=mean,
-        std=std,
-        eigenvalues=evals,
-        basis=basis,
-        n_components=k,
-        explained_share=float(shares[k - 1]),
-    )
+    return PcaState(columns=columns, mean=mean, std=std, basis=basis), float(shares[k - 1])
 
 
 def pca_transform(frame: FeatureFrame, state: PcaState) -> FeatureFrame:
     """Project standardized rows onto the basis; other columns pass through."""
     z = (frame.matrix(state.columns) - state.mean) / state.std
     comps = z @ state.basis.T
-    columns = {f"pc_{j + 1}": np.ascontiguousarray(comps[:, j]) for j in range(state.n_components)}
+    columns = {f"pc_{j + 1}": np.ascontiguousarray(comps[:, j]) for j in range(len(state.basis))}
     for name, col in frame.columns.items():
         if name not in state.columns:
             columns[name] = col.copy()
@@ -474,22 +465,15 @@ def make_windows(frame: FeatureFrame, lookback: int, horizon: int = 1) -> Window
     )
 
 
-def split_indices(n: int, ratios=(0.7, 0.2, 0.1), mode="chronological", seed=0):
-    """Index sets sized floor(r0*n)/floor(r1*n)/remainder, each sorted ascending."""
+def split_indices(n: int, ratios=(0.7, 0.2, 0.1)):
+    """The train, val and test indices of ``n`` windows in time order: consecutive
+    runs of ``np.arange(n)`` sized floor(r0*n), floor(r1*n) and the remainder."""
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios}")
-    if mode not in ("chronological", "random"):
-        raise ConfigError(f"split mode must be chronological or random, got {mode!r}")
     n_train = int(math.floor(ratios[0] * n))
     n_val = int(math.floor(ratios[1] * n))
-    if mode == "chronological":
-        order = np.arange(n)
-    else:
-        order = np.random.default_rng(seed).permutation(n)
-    train = np.sort(order[:n_train])
-    val = np.sort(order[n_train : n_train + n_val])
-    test = np.sort(order[n_train + n_val :])
-    return train, val, test
+    order = np.arange(n)
+    return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]
 
 
 @dataclass
@@ -510,8 +494,6 @@ class PrepareConfig:
     pca: bool = True
     pca_variance: float = 0.95
     split_ratios: tuple = (0.7, 0.2, 0.1)
-    split_mode: str = "chronological"
-    seed: int = 42
     # neither a config key nor written to a cache: a checkpoint does not
     # carry it either, so predict could not replay a run that changed it
     sma_windows: tuple = field(default=SMA_WINDOWS, metadata={"persisted": False})
@@ -530,23 +512,20 @@ class PrepareConfig:
             )
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split_ratios must sum to 1, got {self.split_ratios}")
-        if self.split_mode not in ("chronological", "random"):
-            raise ConfigError(f"split_mode must be chronological or random, got {self.split_mode!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
 @dataclass
 class PrepareSummary:
     """What a prepare run saw that its ``PreparedData`` cannot tell: rows
-    loaded, cells cleaning marked and imputation filled, and each feature's
-    correlation with close over the fit rows."""
+    loaded, cells cleaning marked and imputation filled, each feature's
+    correlation with close over the fit rows, and PCA's explained share."""
 
     rows_loaded: int
     outlier_cells: int
     imputed_cells: int
     correlations: dict
+    pca_explained: float
 
 
 @dataclass
@@ -582,8 +561,8 @@ class PreparedData:
         lines.append(f"selected features       {','.join(pre.selected)}")
         if pre.pca:
             lines.append(
-                f"pca                     {pre.pca.n_components} components "
-                f"(explained share {pre.pca.explained_share:.4f})"
+                f"pca                     {len(pre.pca.basis)} components "
+                f"(explained share {s.pca_explained:.4f})"
             )
         else:
             lines.append("pca                     off")
@@ -613,18 +592,12 @@ def training_rows(length: int, train_idx, lookback: int, horizon: int) -> np.nda
     return np.nonzero(mask)[0]
 
 
-def _split(n_windows: int, cfg: PrepareConfig) -> tuple:
-    """The train, val and test indices of ``n_windows`` windows under ``cfg``."""
-    return split_indices(n_windows, cfg.split_ratios, cfg.split_mode, cfg.seed)
-
-
 def _windowed(frame: FeatureFrame, cfg: PrepareConfig, split=None) -> WindowedDataset:
     """``frame``'s windows with their train, val and test indices, for
     ``prepare_dataset`` and ``load_dataset`` alike: ``split``, which prepare
-    takes from ``_split`` over the same window count before the frame exists,
-    or else ``_split`` over the windows made here."""
+    computes before the frame exists, or else ``split_indices`` of the windows."""
     dataset = make_windows(frame, cfg.lookback, cfg.horizon)
-    train, val, test = _split(dataset.n, cfg) if split is None else split
+    train, val, test = split_indices(dataset.n, cfg.split_ratios) if split is None else split
     return replace(dataset, train_idx=train, val_idx=val, test_idx=test)
 
 
@@ -641,7 +614,7 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
             f"warm-up cut, need at least {cfg.lookback + cfg.horizon}"
         )
     n_windows = length - cfg.lookback - cfg.horizon + 1
-    split = _split(n_windows, cfg)
+    split = split_indices(n_windows, cfg.split_ratios)
     fit_rows = training_rows(length, split[0], cfg.lookback, cfg.horizon)
 
     rs = correlations(frame, rows=fit_rows)
@@ -654,12 +627,10 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
     scaler = fit_minmax(frame, fit_rows, selected + ("close",))
     scaled = apply_minmax(frame, scaler)
 
-    if cfg.pca:
-        pca_state = pca_fit(scaled, fit_rows, cfg.pca_variance, selected)
-        modeled = pca_transform(scaled, pca_state)
-    else:
-        pca_state = None
-        modeled = scaled
+    pca_state, explained = (
+        pca_fit(scaled, fit_rows, cfg.pca_variance, selected) if cfg.pca else (None, None)
+    )
+    modeled = pca_transform(scaled, pca_state) if pca_state else scaled
 
     dataset = _windowed(modeled, cfg, split)
 
@@ -668,6 +639,7 @@ def prepare_dataset(raw: FeatureFrame, cfg: PrepareConfig) -> PreparedData:
         outlier_cells=imputed_cells - missing_before,
         imputed_cells=imputed_cells,
         correlations=rs,
+        pca_explained=explained,
     )
     preprocess = PreprocessState(
         selected=selected, scaler=scaler, pca=pca_state, horizon=cfg.horizon
@@ -695,10 +667,7 @@ def preprocess_lines(state: PreprocessState) -> list:
         lines.append(f"pca_columns={','.join(p.columns)}")
         lines.append("pca_mean " + fmt_vector(p.mean))
         lines.append("pca_std " + fmt_vector(p.std))
-        lines.append("pca_eigenvalues " + fmt_vector(p.eigenvalues))
-        lines.append(f"pca_components={p.n_components}")
-        lines.append(f"pca_explained={p.explained_share:.17g}")
-        lines.append(f"pca_basis {p.n_components} {len(p.columns)}")
+        lines.append(f"pca_basis {len(p.basis)} {len(p.columns)}")
         lines.extend(array_lines(p.basis))
     return lines
 
@@ -735,26 +704,15 @@ def read_preprocess_block(reader: LineReader) -> PreprocessState:
         d = len(cols)
         mean = _expect_vector(reader, "pca_mean", d)
         std = _expect_vector(reader, "pca_std", d)
-        evals = _expect_vector(reader, "pca_eigenvalues", d)
-        k = reader.expect("pca_components", int)
-        explained = reader.expect("pca_explained", float)
         header = reader.next().split()
         if header[:1] != ["pca_basis"] or len(header) != 3:
             raise reader.error("expected pca_basis <k> <d>")
-        bk = reader.convert(header[1], int, "pca_basis rows")
+        k = reader.convert(header[1], int, "pca_basis rows")
         bd = reader.convert(header[2], int, "pca_basis columns")
-        if bk != k or bd != d:
-            raise reader.error(f"pca_basis dims {bk}x{bd} disagree with {k}x{d}")
+        if bd != d:
+            raise reader.error(f"pca_basis has {bd} columns, pca_columns names {d}")
         basis = reader.read_array(k * d).reshape(k, d)
-        pca_state = PcaState(
-            columns=cols,
-            mean=mean,
-            std=std,
-            eigenvalues=evals,
-            basis=basis,
-            n_components=k,
-            explained_share=explained,
-        )
+        pca_state = PcaState(columns=cols, mean=mean, std=std, basis=basis)
     else:
         raise reader.error(f"pca must be on or off, got {pca_flag!r}")
     return PreprocessState(selected=selected, scaler=scaler, pca=pca_state, horizon=horizon)
@@ -763,7 +721,7 @@ def read_preprocess_block(reader: LineReader) -> PreprocessState:
 # --- prepared-dataset cache file ---
 
 DATA_MAGIC = "CNNLSTM-DATA"
-DATA_VERSION = "v4"
+DATA_VERSION = "v5"
 
 
 def save_dataset(prepared: PreparedData, path):
@@ -773,8 +731,8 @@ def save_dataset(prepared: PreparedData, path):
     each column are one binary64 block line (see ``textio``). A failed save
     leaves any previous file at ``path`` untouched. Neither the windows nor
     the split are stored: loading rebuilds the windows from the frame with
-    the echoed lookback/horizon and derives the split from the echoed
-    recipe, both bit-exact.
+    the echoed lookback/horizon and the time-order split from the echoed
+    ``split_ratios``, both bit-exact. Nor is the ``PrepareSummary``.
     """
     frame = prepared.frame
     lines = [f"{DATA_MAGIC} {DATA_VERSION}", *config_lines(prepared.config)]

@@ -40,7 +40,7 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     optim: OptimConfig = field(default_factory=OptimConfig)
-    seed: int = 0
+    seed: int = 42
     shuffle: bool = True
 
     def validate(self):

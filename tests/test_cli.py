@@ -122,21 +122,39 @@ def test_train_rejects_a_run_setting_before_training(prepared, capsys, monkeypat
     assert not (prepared / "m.ckpt").exists()
 
 
-@pytest.mark.parametrize("command", ["prepare", "train"])
+@pytest.mark.parametrize("command", ["train"])
 @pytest.mark.parametrize("given", ["flag", "config"])
 def test_negative_seed_is_an_input_error(prepared, capsys, command, given):
     # numpy's default_rng rejects a negative seed with a raw ValueError
     (prepared / "neg.cfg").write_text(
-        SMALL + "kernel_width=2\npool_window=1\nepochs=1\nsplit_mode=random\n"
-        + ("seed=-1\n" if given == "config" else "")
+        SMALL + "kernel_width=2\npool_window=1\nepochs=1\n" + ("seed=-1\n" if given == "config" else "")
     )
-    argv = {
-        "prepare": ["prepare", "--input", str(prepared / "prices.csv"), "--out", str(prepared / "d2.txt")],
-        "train": ["train", "--data", str(prepared / "data.txt"), "--out", str(prepared / "m.ckpt"),
-                  "--history", str(prepared / "h.csv")],
-    }[command] + ["--config", str(prepared / "neg.cfg")]
+    argv = [command, "--data", str(prepared / "data.txt"), "--out", str(prepared / "m.ckpt"),
+            "--history", str(prepared / "h.csv"), "--config", str(prepared / "neg.cfg")]
     assert_input_error(capsys, argv + (["--seed", "-1"] if given == "flag" else []),
                        "seed must be >= 0, got -1")
+
+
+def test_prepare_reads_no_seed(prepared, capsys):
+    # the split is in time order: prepare has no --seed flag, and the seed key is train's
+    argv = ["prepare", "--input", str(prepared / "prices.csv"), "--out", str(prepared / "d2.txt")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    (prepared / "neg.cfg").write_text(SMALL + "seed=-1\n")
+    assert main(argv + ["--config", str(prepared / "neg.cfg")]) == 0
+    assert (prepared / "d2.txt").read_bytes() == (prepared / "data.txt").read_bytes()
+
+
+def test_split_mode_is_an_unknown_key(prepared, capsys):
+    (prepared / "mode.cfg").write_text(SMALL + "split_mode=chronological\n")
+    assert_input_error(
+        capsys,
+        ["prepare", "--input", str(prepared / "prices.csv"), "--config", str(prepared / "mode.cfg"),
+         "--out", str(prepared / "d2.txt")],
+        f"{prepared / 'mode.cfg'}, line 3: unknown key 'split_mode'",
+    )
 
 
 def test_gradcheck_rejects_a_negative_seed(capsys):
@@ -154,25 +172,21 @@ def test_gradcheck_names_the_checks_a_wrong_backward_fails(capsys, corrupt_conv_
     assert err == "gradient check FAILED (tolerance 1e-05): conv1d, full_stack\n"
 
 
-@pytest.mark.parametrize("mode", ["chronological", "random"])
-def test_loaded_split_is_the_prepared_split(prepared, mode):
-    (prepared / "mode.cfg").write_text(SMALL + f"split_mode={mode}\n")
-    assert main(["prepare", "--input", str(prepared / "prices.csv"), "--config",
-                 str(prepared / "mode.cfg"), "--out", str(prepared / "d2.txt"), "--seed", "7"]) == 0
-    loaded, _ = pipeline.load_dataset(prepared / "d2.txt")
+def test_loaded_split_is_the_prepared_split(prepared):
+    loaded, _ = pipeline.load_dataset(prepared / "data.txt")
     made = pipeline.prepare_dataset(
-        pipeline.load_ohlcv(prepared / "prices.csv"),
-        load_config(prepared / "mode.cfg").with_seed(7).prepare_config(),
+        pipeline.load_ohlcv(prepared / "prices.csv"), load_config(prepared / "run.cfg").prepare_config()
     )
     for split in ("train", "val", "test"):
         got, want = loaded.dataset.indices(split), made.dataset.indices(split)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), split
-    if mode == "random":
-        assert not np.array_equal(made.dataset.train_idx, np.arange(made.dataset.train_idx.size))
+    # three consecutive runs in time order
+    runs = [made.dataset.indices(split) for split in ("train", "val", "test")]
+    assert np.array_equal(np.concatenate(runs), np.arange(made.dataset.n))
 
 
 @pytest.mark.parametrize("recipe", ["split_ratios=1.5,-0.3,-0.2", "split_ratios=nan,0.5,0.5",
-                                    "split_mode=sideways", "pca_variance=7"])
+                                    "pca_variance=7"])
 def test_train_rejects_a_damaged_split_recipe(prepared, capsys, recipe):
     path = prepared / "data.txt"
     key = recipe.split("=")[0]
@@ -268,19 +282,23 @@ def saved_checkpoint(prepared):
 
 
 def test_predict_rejects_version_1_checkpoint(prepared, capsys):
+    # no reader is kept for v1, or for v2, whose [preprocessing] block held the
+    # three PCA lines v3 dropped: pca_eigenvalues, pca_components and pca_explained
     ckpt = saved_checkpoint(prepared)
-    as_version(ckpt, model.CKPT_MAGIC, "v1")
-    assert_input_error(
-        capsys,
-        ["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")],
-        "unsupported checkpoint version 'v1'",
-    )
+    for version in ("v1", "v2"):
+        as_version(ckpt, model.CKPT_MAGIC, version)
+        assert_input_error(
+            capsys,
+            ["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")],
+            f"unsupported checkpoint version '{version}'",
+        )
 
 
 def test_train_rejects_version_1_cache(prepared, capsys):
     # no reader is kept for v1, for v2, whose [split] section v3 derives instead,
-    # or for v3, whose dates block v4 writes as day numbers
-    for version in ("v1", "v2", "v3"):
+    # for v3, whose dates block v4 writes as day numbers, or for v4, whose
+    # split_mode and seed lines and three PCA lines v5 dropped
+    for version in ("v1", "v2", "v3", "v4"):
         as_version(prepared / "data.txt", pipeline.DATA_MAGIC, version)
         assert_input_error(
             capsys,
@@ -562,7 +580,8 @@ def test_train_rejects_a_cache_with_a_damaged_frame_block(prepared, capsys, pref
 @pytest.mark.parametrize("prefix, replacement, message", [
     ("pca=", "pca=maybe", "pca must be on or off, got 'maybe'"),
     ("pca_basis ", "pca_basis 3", "expected pca_basis <k> <d>"),
-    ("pca_basis ", "pca_basis 2 8", "pca_basis dims 2x8 disagree with 3x8"),
+    ("pca_basis ", "pca_basis 2 8", "expected 16 values (128 bytes), got 192 bytes"),
+    ("pca_basis ", "pca_basis 3 7", "pca_basis has 7 columns, pca_columns names 8"),
     ("param conv1.kernels ", "param conv1.kernels",
      "expected 'param conv1.kernels ...', got 'param conv1.kernels'"),
 ])
@@ -570,6 +589,8 @@ def test_predict_rejects_a_checkpoint_with_a_damaged_block(prepared, capsys, pre
                                                           message):
     ckpt = saved_checkpoint(prepared)
     line = damage(ckpt, prefix, replacement)
+    if replacement == "pca_basis 2 8":  # a valid header: the 3x8 block after it is too long
+        line += 1
     assert_input_error(
         capsys,
         ["predict", "--checkpoint", str(ckpt), "--input", str(prepared / "prices.csv")],

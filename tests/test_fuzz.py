@@ -65,7 +65,7 @@ def valid(tmp_path_factory):
         f"{key}={','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
         for key, (_, v) in config.SCHEMA.items()
     ).encode()
-    cfg = pipeline.PrepareConfig(lookback=8, corr_threshold=0.3, sma_windows=(3, 5, 10), seed=5)
+    cfg = pipeline.PrepareConfig(lookback=8, corr_threshold=0.3, sma_windows=(3, 5, 10))
     prepared = pipeline.prepare_dataset(synthetic_ohlcv(rows=60, seed=2), cfg)
     pipeline.save_dataset(prepared, root / "data.txt")
     files["dataset"] = (root / "data.txt").read_bytes()

@@ -79,10 +79,7 @@ def make_preprocess(with_pca=True):
             columns=("open", "high"),
             mean=np.array([0.4, 0.5]),
             std=np.array([0.2, 0.25]),
-            eigenvalues=np.array([1.6, 0.4]),
             basis=np.array([[0.8, 0.6], [0.6, -0.8]]),
-            n_components=2,
-            explained_share=1.0,
         )
     return PreprocessState(selected=("open", "high"), scaler=scaler, pca=pca, horizon=1)
 

@@ -2,7 +2,7 @@ import base64
 import csv
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -28,6 +28,8 @@ from cnnlstm.pipeline import (
     pca_fit,
     pca_transform,
     prepare_dataset,
+    preprocess_lines,
+    read_preprocess_block,
     save_dataset,
     select_by_correlation,
     split_indices,
@@ -35,6 +37,7 @@ from cnnlstm.pipeline import (
 from cnnlstm.model import ModelConfig, build
 from cnnlstm.optim import OptimConfig
 from cnnlstm.synth import synthetic_ohlcv
+from cnnlstm.textio import LineReader
 from cnnlstm.training import TrainConfig, train
 from conftest import write_csv
 from oracles import (
@@ -513,17 +516,17 @@ class TestPca:
         # standardized cloud lies on a single direction: k=1, share 1
         driver = rng.standard_normal(40)
         frame = frame_of(a=driver, b=2.0 * driver + 5.0, c=-3.0 * driver + 2.0)
-        state = pca_fit(frame, np.arange(40), 0.6, ["a", "b", "c"])
-        assert state.n_components == 1
-        assert state.explained_share == pytest.approx(1.0, abs=1e-12)
+        state, share = pca_fit(frame, np.arange(40), 0.6, ["a", "b", "c"])
+        assert len(state.basis) == 1
+        assert share == pytest.approx(1.0, abs=1e-12)
         expected = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
         assert np.abs(state.basis[0] - expected).max() < 1e-9
 
     def test_full_variance_target_reconstructs(self, rng):
         data = rng.standard_normal((30, 4))
         frame = frame_of(**{f"f{j}": data[:, j] for j in range(4)})
-        state = pca_fit(frame, np.arange(30), 1.0, [f"f{j}" for j in range(4)])
-        assert state.n_components == 4
+        state, _ = pca_fit(frame, np.arange(30), 1.0, [f"f{j}" for j in range(4)])
+        assert len(state.basis) == 4
         out = pca_transform(frame, state)
         comps = np.stack([out.columns[f"pc_{j + 1}"] for j in range(4)], axis=1)
         z = (data - state.mean) / state.std
@@ -533,26 +536,30 @@ class TestPca:
     def test_matches_jacobi_oracle(self, rng):
         data = rng.standard_normal((50, 5)) @ rng.standard_normal((5, 5))
         frame = frame_of(**{f"f{j}": data[:, j] for j in range(5)})
-        state = pca_fit(frame, np.arange(50), 1.0, [f"f{j}" for j in range(5)])
+        state, share = pca_fit(frame, np.arange(50), 1.0, [f"f{j}" for j in range(5)])
         z = (data - state.mean) / state.std
         cov = z.T @ z / 49.0
         evals, rows = jacobi_eigh(cov)
-        assert np.abs(state.eigenvalues - evals).max() < 1e-9
+        # each component's variance over the fit rows is its eigenvalue
+        variances = (z @ state.basis.T).var(axis=0, ddof=1)
+        assert np.abs(variances - evals).max() < 1e-9
         assert np.abs(state.basis - rows).max() < 1e-9
+        assert share == pytest.approx(evals[: len(state.basis)].sum() / evals.sum(), abs=1e-12)
 
     def test_basis_rows_orthonormal(self, rng):
         data = rng.standard_normal((60, 4))
         frame = frame_of(**{f"f{j}": data[:, j] for j in range(4)})
-        state = pca_fit(frame, np.arange(60), 0.99, [f"f{j}" for j in range(4)])
+        state, _ = pca_fit(frame, np.arange(60), 0.99, [f"f{j}" for j in range(4)])
         gram = state.basis @ state.basis.T
-        assert np.abs(gram - np.eye(state.n_components)).max() < 1e-9
-        assert (np.diff(state.eigenvalues) <= 1e-12).all()
-        assert (state.eigenvalues >= -1e-12).all()
+        assert np.abs(gram - np.eye(len(state.basis))).max() < 1e-9
+        variances = (((data - state.mean) / state.std) @ state.basis.T).var(axis=0, ddof=1)
+        assert (np.diff(variances) <= 1e-12).all()
+        assert (variances >= -1e-12).all()
 
     def test_sign_convention(self, rng):
         data = rng.standard_normal((50, 3))
         frame = frame_of(**{f"f{j}": data[:, j] for j in range(3)})
-        state = pca_fit(frame, np.arange(50), 1.0, ["f0", "f1", "f2"])
+        state, _ = pca_fit(frame, np.arange(50), 1.0, ["f0", "f1", "f2"])
         for row in state.basis:
             assert row[np.argmax(np.abs(row))] > 0
 
@@ -637,38 +644,14 @@ class TestSplit:
         assert last_train < first_val
         assert max(ds.target_dates[i] for i in val) < first_test
 
-    def test_random_mode_disjoint_exhaustive(self):
-        train, val, test = split_indices(57, mode="random", seed=4)
-        merged = np.concatenate([train, val, test])
-        assert np.array_equal(np.sort(merged), np.arange(57))
-        again = split_indices(57, mode="random", seed=4)
-        assert all(np.array_equal(a, b) for a, b in zip((train, val, test), again))
-        other = split_indices(57, mode="random", seed=5)
-        assert any(not np.array_equal(a, b) for a, b in zip((train, val, test), other))
-
-    def test_random_mode_replays_the_numpy_stream(self):
-        # a cache stores only the seed of a random split, so a numpy whose
-        # default_rng(seed).permutation(n) changed would reload another split
-        train, val, test = split_indices(57, mode="random", seed=4)
-        assert val.tolist() == [2, 5, 9, 15, 17, 20, 22, 30, 31, 48, 52]
-        assert test.tolist() == [3, 4, 6, 12, 14, 46, 53]
-        assert train.tolist() == [
-            0, 1, 7, 8, 10, 11, 13, 16, 18, 19, 21, 23, 24, 25, 26, 27, 28, 29, 32, 33,
-            34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 47, 49, 50, 51, 54, 55, 56,
-        ]
-
     def test_bad_ratios(self):
         with pytest.raises(ConfigError, match="split ratios must sum to 1"):
             split_indices(10, ratios=(0.7, 0.2, 0.2))
 
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError, match="split mode must be chronological or random"):
-            split_indices(10, mode="shuffled")
-
 
 def small_prepare_config(**overrides):
     base = dict(lookback=8, horizon=1, corr_threshold=0.3, pca=True,
-                pca_variance=0.95, seed=5, sma_windows=(3, 5, 10))
+                pca_variance=0.95, sma_windows=(3, 5, 10))
     base.update(overrides)
     return PrepareConfig(**base)
 
@@ -700,6 +683,13 @@ class TestPrepareDataset:
         expected = (int(0.7 * n), int(0.2 * n), n - int(0.7 * n) - int(0.2 * n))
         assert f"train={expected[0]} val={expected[1]} test={expected[2]}" in text
 
+    def test_summary_prints_the_explained_share(self):
+        prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config())
+        share, k = prepared.summary.pca_explained, len(prepared.preprocess.pca.basis)
+        assert 0.95 - 1e-12 <= share <= 1.0
+        assert f"pca                     {k} components (explained share {share:.4f})\n" in (
+            prepared.describe())
+
     def test_too_short_series(self):
         with pytest.raises(DataError, match="5 rows remain after the 10-row warm-up cut, need at least 9"):
             prepare_dataset(synthetic_ohlcv(rows=15, seed=2), small_prepare_config())
@@ -714,6 +704,8 @@ class TestPrepareDataset:
         prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config(pca=False))
         assert prepared.dataset.feature_names == prepared.preprocess.selected
         assert prepared.preprocess.pca is None
+        assert prepared.summary.pca_explained is None
+        assert "pca                     off\n" in prepared.describe()
 
 
 class TestDatasetCache:
@@ -731,7 +723,29 @@ class TestDatasetCache:
         assert loaded.preprocess.selected == prepared.preprocess.selected
         assert np.array_equal(loaded.preprocess.pca.basis, prepared.preprocess.pca.basis)
         assert cfg2.lookback == cfg.lookback
-        assert cfg2.split_mode == cfg.split_mode
+        assert cfg2.split_ratios == cfg.split_ratios
+
+    @pytest.mark.parametrize("pca", [True, False], ids=["pca=on", "pca=off"])
+    def test_preprocessing_block_round_trips_every_field(self, pca):
+        # every field is compared, so a field written but not read back, or
+        # held but not written, fails
+        state = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config(pca=pca))
+        reader = LineReader("\n".join(preprocess_lines(state.preprocess)), "block")
+        loaded = read_preprocess_block(reader)
+        assert reader.eof()
+
+        def same(a, b, where):
+            if is_dataclass(a):
+                assert type(b) is type(a), where
+                for f in fields(a):
+                    same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+            elif isinstance(a, np.ndarray):
+                assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), where
+            else:
+                assert type(b) is type(a) and b == a, where
+
+        same(state.preprocess, loaded, "preprocess")
+        assert (loaded.pca is None) is not pca
 
     def cache_lines(self, tmp_path):
         prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config())
