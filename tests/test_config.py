@@ -70,7 +70,7 @@ NON_DEFAULT = {
 NON_DEFAULT_TEXT = "".join(f"{key}={text}\n" for key, (text, _) in NON_DEFAULT.items())
 
 # the header lines at the non-default config, as the hand-written headers
-# wrote them less the split_mode and seed lines that cache v5 dropped
+# wrote them less the split_mode and seed lines, which cache v5 dropped
 CACHE_HEADER = [
     "CNNLSTM-DATA v5",
     "lookback=16",

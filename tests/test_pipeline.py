@@ -729,8 +729,8 @@ class TestDatasetCache:
     def test_preprocessing_block_round_trips_every_field(self, pca):
         # every field is compared, so a field written but not read back, or
         # held but not written, fails
-        state = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config(pca=pca))
-        reader = LineReader("\n".join(preprocess_lines(state.preprocess)), "block")
+        prepared = prepare_dataset(synthetic_ohlcv(rows=260, seed=2), small_prepare_config(pca=pca))
+        reader = LineReader("\n".join(preprocess_lines(prepared.preprocess)), "block")
         loaded = read_preprocess_block(reader)
         assert reader.eof()
 
@@ -744,7 +744,7 @@ class TestDatasetCache:
             else:
                 assert type(b) is type(a) and b == a, where
 
-        same(state.preprocess, loaded, "preprocess")
+        same(prepared.preprocess, loaded, "preprocess")
         assert (loaded.pca is None) is not pca
 
     def cache_lines(self, tmp_path):

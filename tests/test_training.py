@@ -509,7 +509,6 @@ training.train(model, prepared.dataset, training.TrainConfig())
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="training forks no worker here")
 class TwoArgumentError(Exception):
     """An exception that pickling cannot rebuild: it is called with its
     ``args``, the message alone."""
@@ -519,6 +518,7 @@ class TwoArgumentError(Exception):
         self.code = code
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="training forks no worker here")
 class TestTrainWorker:
     def test_one_cpu_steps_are_whole_batch_loss_gradients(self, prepared, monkeypatch):
         # the same masks, the batch summed as two shares: only rounding differs
