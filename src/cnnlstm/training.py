@@ -80,12 +80,11 @@ def _chunk_bounds(n: int) -> list:
     return list(zip(cuts, cuts[1:]))
 
 
-@functools.cache
-def _openblas():
-    """``(get, set, shut)``: the thread-count getter and setter of the
-    OpenBLAS that numpy loaded, found by symbol in the libraries this
-    process maps, and its ``blas_thread_shutdown_`` (a no-op where it is
-    not exported), or None where there is none (another BLAS, or no
+def _openblas_functions(*stems):
+    """``(library, functions)``: the OpenBLAS that numpy loaded and its
+    functions ``stems`` (``get_num_threads`` and the like), found by symbol
+    under one of the names OpenBLAS builds export in the libraries this
+    process maps, or None where there is none (another BLAS, or no
     ``/proc/self/maps``)."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -96,15 +95,26 @@ def _openblas():
         for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
             try:
                 handle = ctypes.CDLL(lib)
-                get = getattr(handle, f"{prefix}_get_num_threads{suffix}")
-                set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}")
+                return handle, [getattr(handle, f"{prefix}_{stem}{suffix}") for stem in stems]
             except (AttributeError, OSError):
                 continue
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            shut = getattr(handle, "blas_thread_shutdown_", None) or (lambda: 0)
-            return get, set_, shut
     return None
+
+
+@functools.cache
+def _openblas():
+    """``(get, set, shut)``: the thread-count getter and setter of the
+    OpenBLAS that numpy loaded (``_openblas_functions``), and its
+    ``blas_thread_shutdown_`` (a no-op where it is not exported), or None
+    where there is none."""
+    found = _openblas_functions("get_num_threads", "set_num_threads")
+    if found is None:
+        return None
+    handle, (get, set_) = found
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    shut = getattr(handle, "blas_thread_shutdown_", None) or (lambda: 0)
+    return get, set_, shut
 
 
 _pin_lock = threading.Lock()

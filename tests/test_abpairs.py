@@ -1,5 +1,5 @@
 """The pair runner's seed parsing, win counting, claim rule and record of
-the code it measured.
+the code and the OpenBLAS kernel it measured.
 
 ``tools/abpairs.py`` is a script, not part of the package, so it is loaded
 from its path.
@@ -12,6 +12,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+
+from cnnlstm import training
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "abpairs.py"
 spec = importlib.util.spec_from_file_location("abpairs", TOOL)
@@ -214,3 +216,34 @@ def test_main_lists_the_metrics_beyond_their_bound(monkeypatch, tmp_path):
     assert record["regressions"] == ["peak_rss_mb"]
     assert record["metrics"]["op_ms_min"]["within_bound"] is True
     assert record["verdict"]["gain"] is False
+
+
+def test_the_kernel_probe_names_the_openblas_the_program_finds(tmp_path):
+    kernel = abpairs.openblas_kernel(tmp_path)
+    if training._openblas() is None:
+        assert kernel is None
+    else:
+        assert isinstance(kernel, str) and kernel
+
+
+def test_the_kernel_is_none_where_no_openblas_is_found(tmp_path):
+    stub = tmp_path / "src" / "cnnlstm"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("")
+    (stub / "training.py").write_text("def _openblas_functions(*stems):\n    return None\n")
+    assert abpairs.openblas_kernel(tmp_path, src=tmp_path / "src") is None
+
+
+def test_a_run_records_the_kernel_beside_the_benchmark_environment(monkeypatch, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, pathlib\n"
+        "out = pathlib.Path('.perfbench/results')\n"
+        "out.mkdir(parents=True)\n"
+        "(out / 'train-seed5-trace0.json').write_text(json.dumps({'env': {'numpy': 'x'}}))\n"
+        "print(json.dumps({'metrics': {}}))\n"
+    )
+    monkeypatch.setattr(abpairs, "openblas_kernel", lambda tree: f"kernel in {tree.name}")
+    result, env = abpairs.run(tmp_path, "train", 5, 1.0)
+    assert result == {"metrics": {}}
+    assert env == {"numpy": "x", "openblas_kernel": f"kernel in {tmp_path.name}"}

@@ -1,6 +1,7 @@
 import base64
 import csv
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from datetime import date, timedelta
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cnnlstm import pipeline
 from cnnlstm.errors import CompatibilityError, ConfigError, DataError
 from cnnlstm.pipeline import (
     FeatureFrame,
@@ -188,6 +190,26 @@ class TestLoadOhlcv:
         assert np.array_equal(s.columns["open"], [1.0, 1.5])
         assert np.isnan(s.columns["low"][1])
 
+    def test_traced_peak_per_row_of_a_long_file(self, tmp_path):
+        # tokenising the whole body at once held about 660 bytes a row (a
+        # str per cell); blocks of BLOCK_ROWS lines hold about 250
+        frame = synthetic_ohlcv(20000, seed=11)
+        gaps = np.random.default_rng(11).random((len(frame), 5)) < 0.01
+        lines = ["Date,Open,High,Low,Close,Volume"]
+        for i, day in enumerate(frame.dates):
+            cells = ["" if gaps[i, j] else format(frame.columns[name][i], ".6f")
+                     for j, name in enumerate(("open", "high", "low", "close", "volume"))]
+            lines.append(",".join([day.isoformat(), *cells]))
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            load_ohlcv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * len(frame)
+
 
 HEADERS = [
     "Date,Open,High,Low,Close,Volume",
@@ -253,6 +275,16 @@ def csv_texts(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
+def lines_text(*lines, breaks=("\n",)):
+    """The documented header and ``lines``, each ended by the next of ``breaks`` in turn."""
+    lines = [HEADERS[0], *lines]
+    return "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+
+
+# body lines 6 and 7 lie in different blocks of 2 lines and of 3
+DAYS = [f"2020-01-{d:02d},1,2,3,4,5" for d in range(1, 10)]
+
+
 def load_outcome(load, path):
     """``("error", message)``, or ``("series", dates, columns as raw 64-bit words)``."""
     try:
@@ -274,6 +306,12 @@ class TestLoadOhlcvAgainstRowByRowReader:
     @example(text=HEADERS[0] + '\n2020-01-01,"1",2,3,4,5\n2020-01-02,1,  ,3,4,5')
     @example(text=HEADERS[0] + '\n2020-01-01,"1\r\n",2,3,4,5\n2020-01-01,1,x,3,4,5\n')
     @example(text=HEADERS[0] + '\n2020-01-01,"1\n\n",2,3,4,5\r2020-01-01,1,2,3,4,5\n')
+    # a fault on each side of a block boundary
+    @example(text=lines_text(*DAYS[:6], "2020-01-07,1,2,x,4,5", DAYS[7]))
+    @example(text=lines_text(*DAYS[:5], "", "2020-01-03,1,2,3,4,6", DAYS[7]))
+    @example(text=lines_text(*DAYS[:5], DAYS[5] + ",2020-01-07", "6,7,8,9,10", DAYS[7]))
+    @example(text=lines_text(*DAYS[:3], "", "", "", "", *DAYS[3:6]))
+    @example(text=lines_text(*DAYS[:8], breaks=("\r\n", "\r")))
     def test_same_series_or_same_error(self, tmp_path, text):
         path = tmp_path / "prices.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -300,6 +338,14 @@ class TestLoadOhlcvAgainstRowByRowReader:
         a, b = load_ohlcv(plain), load_ohlcv(marked)
         assert a.dates == b.dates == [date(2020, 1, 1), date(2020, 1, 2)]
         assert all(np.array_equal(a.columns[n], b.columns[n], equal_nan=True) for n in a.columns)
+
+
+class TestLoadOhlcvAcrossBlocks(TestLoadOhlcvAgainstRowByRowReader):
+    """The same tests with blocks so short that every drawn text spans several."""
+
+    @pytest.fixture(autouse=True, params=[2, 3], ids=["block=2", "block=3"])
+    def short_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(pipeline, "BLOCK_ROWS", request.param)
 
 
 class TestCleanThreeSigma:

@@ -9,7 +9,9 @@ as ``HEAD`` plus the sha256 of ``git diff HEAD`` and a sha256 over the
 untracked files under ``src/`` and ``perfbench/``), and ``perfbench/run.py``
 runs once per seed on each side, the parent first on even pairs. The output
 holds every pair, each end-to-end metric's medians, quartiles and wins, the
-environment, and the verdict on ``--claim``: a gain only when the change wins
+environment (with ``openblas_kernel``, the OpenBLAS kernel that a Python started
+in that side's tree picks, e.g. ``SkylakeX``, or null without an OpenBLAS; the
+kernel changes the bytes of a fixed-seed run), and the verdict on ``--claim``: a gain only when the change wins
 at least nine tenths of the pairs (ties count for neither) and its median
 beats the parent's by more than the parent's IQR. Beside the verdict,
 ``regressions`` names every end-to-end metric whose median is worse than the
@@ -31,6 +33,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STDERR_TAIL = 20
+# Prints the name of the loaded OpenBLAS's kernel as JSON, null where numpy
+# loaded no OpenBLAS; argv[1] is the ``src`` whose ``cnnlstm.training`` finds
+# the library the way the program does.
+KERNEL_PROBE = """
+import ctypes, json, sys
+sys.path.insert(0, sys.argv[1])
+from cnnlstm.training import _openblas_functions
+found = _openblas_functions("get_corename")
+if found:
+    found[1][0].restype = ctypes.c_char_p
+print(json.dumps(found and found[1][0]().decode()))
+"""
 
 
 def git(*args, text=True):
@@ -47,14 +61,24 @@ def export(rev, into):
 
 
 def run(tree, workload, seed, seconds):
-    """The result line of one benchmark run, and the environment it recorded;
-    a failed run raises ``CalledProcessError``, which holds its stderr."""
+    """The result line of one benchmark run, and the environment it recorded
+    with the OpenBLAS kernel; a failed run raises ``CalledProcessError``,
+    which holds its stderr."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True, check=True,
     ).stdout
     record = tree / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
-    return json.loads(out.strip().splitlines()[-1]), json.loads(record.read_text())["env"]
+    env = json.loads(record.read_text())["env"] | {"openblas_kernel": openblas_kernel(tree)}
+    return json.loads(out.strip().splitlines()[-1]), env
+
+
+def openblas_kernel(tree, src=ROOT / "src"):
+    """The OpenBLAS kernel (``openblas_get_corename``) of a Python started
+    in ``tree``, or None where it loads no OpenBLAS."""
+    out = subprocess.run([sys.executable, "-c", KERNEL_PROBE, str(src)], cwd=tree,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
 
 
 def measured(rev):
