@@ -12,12 +12,9 @@ correlation, scaler, and PCA statistics are model-fitting steps and use
 only rows covered by training windows, so no evaluation data leaks into
 them.
 
-The CSV load tokenises and converts unquoted text ``BLOCK_ROWS`` lines at a
-time, so it never holds a str per cell of the whole file: beside the text
-(about 65 bytes a row of the usual format) it keeps about 90 bytes a row of
-dates and values and one block's lines and cells. On 20,000 rows its traced
-peak is about 250 bytes a row; with the whole body split into cells at once
-it was about 660.
+The CSV load converts unquoted text ``BLOCK_ROWS`` lines at a time, never a
+str per cell of the whole file: on 20,000 rows its traced peak is about 250
+bytes a row, where one split of the whole body took about 660.
 """
 
 import csv
@@ -72,10 +69,9 @@ def load_ohlcv(path) -> FeatureFrame:
     a missing marker. Errors name the offending line. Two tokenisers, chosen
     by the input, give the same series: ``_split_plain``, which converts
     ``BLOCK_ROWS`` lines of unquoted text at a time, or else ``csv.reader``.
-    On unquoted text the load holds the file's text, the parsed dates and
-    values (about 90 bytes a row) and one block's lines and cells (about
-    2 MB), and the columns are rows of one array; a file already in date
-    order is not sorted or copied again.
+    On unquoted text the load holds the text, about 90 bytes a row of dates
+    and values, and one block's lines and cells (about 2 MB); a file already
+    in date order is neither sorted nor copied.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -9,11 +9,12 @@ as ``HEAD`` plus the sha256 of ``git diff HEAD`` and a sha256 over the
 untracked files under ``src/`` and ``perfbench/``), and ``perfbench/run.py``
 runs once per seed on each side, the parent first on even pairs. The output
 holds every pair, each end-to-end metric's medians, quartiles and wins, the
-environment (with ``openblas_kernel``, the OpenBLAS kernel that a Python started
-in that side's tree picks, e.g. ``SkylakeX``, or null without an OpenBLAS; the
-kernel changes the bytes of a fixed-seed run), and the verdict on ``--claim``: a gain only when the change wins
+environment, and the verdict on ``--claim``: a gain only when the change wins
 at least nine tenths of the pairs (ties count for neither) and its median
-beats the parent's by more than the parent's IQR. Beside the verdict,
+beats the parent's by more than the parent's IQR. Each side's environment
+also names, as ``openblas_kernel``, the OpenBLAS kernel that a Python started
+in its tree picks (``SkylakeX``, say, or null without an OpenBLAS), since the
+kernel changes the bytes of a fixed-seed run. Beside the verdict,
 ``regressions`` names every end-to-end metric whose median is worse than the
 parent's by more than its ``bound`` from ``BENCHMARK.json`` times the parent's
 median. ``--workload`` and ``--claim`` take only the names ``BENCHMARK.json``
